@@ -6,19 +6,18 @@ entropic word mover's distances. Classification is nearest-anchor, and the
 anchor geometry yields per-class word importances.
 """
 
-from .classify import Prediction, anchor_nn_classify, error_rate, wmd_knn_classify
+from .classify import Prediction, anchor_nn_classify, error_rate
 from .data import Corpus, SplitSpec, WordVectorTable, load_corpus, load_word_vectors, split, to_measure
-from .interpret import compute_importance_table, importance, tfidf_top_words, top_k_words
+from .interpret import compute_importance_table, tfidf_top_words, top_k_words
 from .model import (
     AnchorModel,
     DocumentMeasure,
-    doc_anchor_distance,
-    embed_document,
+    anchor_transport,
     init_anchors,
     load_checkpoint,
     save_checkpoint,
 )
-from .ot import SinkhornConfig, SinkhornResult, exact_ot_uniform, ground_cost_matrix, sinkhorn
+from .ot import SinkhornConfig, SinkhornResult, ground_cost_matrix, sinkhorn
 from .training import TrainConfig, adam_step, batch_gradients, infonce_loss, train, triplet_loss
 
 __version__ = "0.1.0"
@@ -35,14 +34,11 @@ __all__ = [
     "WordVectorTable",
     "adam_step",
     "anchor_nn_classify",
+    "anchor_transport",
     "batch_gradients",
     "compute_importance_table",
-    "doc_anchor_distance",
-    "embed_document",
     "error_rate",
-    "exact_ot_uniform",
     "ground_cost_matrix",
-    "importance",
     "infonce_loss",
     "init_anchors",
     "load_checkpoint",
@@ -56,5 +52,4 @@ __all__ = [
     "top_k_words",
     "train",
     "triplet_loss",
-    "wmd_knn_classify",
 ]

@@ -3,19 +3,17 @@
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AnchorModel, DocumentMeasure, doc_anchor_distance, embed_document
+from .model import AnchorModel, DocumentMeasure, _ordered_map, anchor_transport
 from .ot import SinkhornConfig, ground_cost_matrix, sinkhorn
 
 __all__ = [
     "Prediction",
     "anchor_nn_classify",
     "classify_corpus",
-    "wmd_knn_classify",
     "knn_predict_corpus",
     "error_rate",
     "write_predictions",
@@ -35,16 +33,14 @@ def anchor_nn_classify(
 ) -> Prediction:
     """Assign the class of the nearest anchor.
 
-    Embeds the raw document through the model transform, solves one
-    transport problem per class, and returns the argmin (first index wins
-    exact ties).
+    Transports the raw document to every anchor with
+    :func:`~anchorwmd.model.anchor_transport` and returns the argmin of the
+    unregularized ``distance`` (first index wins exact ties).
     """
     if doc.size == 0:
         raise ValueError("cannot classify an empty document")
-    embedded = embed_document(doc, model.transform)
-    distances = np.array(
-        [doc_anchor_distance(embedded, model.anchors[k], config).distance for k in range(model.num_classes)]
-    )
+    _, results = anchor_transport(model, doc, config)
+    distances = np.array([result.distance for result in results])
     return Prediction(predicted_class=int(np.argmin(distances)), anchor_distances=distances)
 
 
@@ -54,15 +50,12 @@ def classify_corpus(
     config: SinkhornConfig | None = None,
     threads: int = 1,
 ) -> list[Prediction]:
-    """Classify a list of documents, optionally on a thread pool.
+    """Classify a list of documents on ``threads`` workers.
 
     Documents are independent; results come back in input order regardless
     of the worker count.
     """
-    if threads > 1 and len(docs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda d: anchor_nn_classify(d, model, config), docs))
-    return [anchor_nn_classify(doc, model, config) for doc in docs]
+    return _ordered_map(lambda doc: anchor_nn_classify(doc, model, config), docs, threads)
 
 
 def _wmd_distances(test_doc: DocumentMeasure, train_corpus: list[DocumentMeasure], config) -> np.ndarray:
@@ -89,28 +82,6 @@ def _knn_vote(distances: np.ndarray, labels: list[int], k: int) -> int:
     return best[0]
 
 
-def wmd_knn_classify(
-    test_doc: DocumentMeasure,
-    train_corpus: list[DocumentMeasure],
-    k: int,
-    config: SinkhornConfig | None = None,
-) -> int:
-    """Majority vote over the k nearest training documents in raw WMD.
-
-    Works in untransformed word-vector space. Vote ties break toward the
-    class with the smaller mean distance among its voting neighbours, then
-    toward the smaller class id.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if not train_corpus:
-        raise ValueError("train corpus is empty")
-    if test_doc.size == 0:
-        raise ValueError("cannot classify an empty document")
-    distances = _wmd_distances(test_doc, train_corpus, config)
-    return _knn_vote(distances, [doc.label for doc in train_corpus], k)
-
-
 def knn_predict_corpus(
     test_docs: list[DocumentMeasure],
     train_corpus: list[DocumentMeasure],
@@ -118,20 +89,20 @@ def knn_predict_corpus(
     config: SinkhornConfig | None = None,
     threads: int = 1,
 ) -> dict[int, list[int]]:
-    """KNN predictions for several k values sharing one distance computation.
+    """Majority vote over the k nearest training documents in raw WMD.
 
-    Returns a mapping from each k to the per-document predicted labels.
+    Works in untransformed word-vector space, for several k values sharing
+    one distance computation, on ``threads`` workers. Vote ties break toward
+    the class with the smaller mean distance among its voting neighbours,
+    then toward the smaller class id. Returns a mapping from each k to the
+    per-document predicted labels.
     """
     if not train_corpus:
         raise ValueError("train corpus is empty")
     if any(k < 1 for k in ks):
         raise ValueError("all k values must be at least 1")
     labels = [doc.label for doc in train_corpus]
-    if threads > 1 and len(test_docs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_dists = list(pool.map(lambda d: _wmd_distances(d, train_corpus, config), test_docs))
-    else:
-        all_dists = [_wmd_distances(doc, train_corpus, config) for doc in test_docs]
+    all_dists = _ordered_map(lambda doc: _wmd_distances(doc, train_corpus, config), test_docs, threads)
     return {k: [_knn_vote(dists, labels, k) for dists in all_dists] for k in ks}
 
 

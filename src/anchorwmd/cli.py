@@ -115,6 +115,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fits_default(key: str, value) -> bool:
+    """Whether a config-file value has the type the option takes on the command line."""
+    default = DEFAULTS[key]
+    if default is None:
+        if value is None:
+            return True
+        expected = float if key == "train_fraction" else str
+    else:
+        expected = type(default)
+    if isinstance(value, bool) or expected is bool:  # bool is an int subclass
+        return type(value) is expected
+    if expected is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, expected)
+
+
 def _merge_options(args: argparse.Namespace) -> dict:
     """Apply precedence: CLI flag > config file > default."""
     merged = dict(DEFAULTS)
@@ -122,9 +138,14 @@ def _merge_options(args: argparse.Namespace) -> dict:
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(file_values) - set(DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_values.items():
+            if not _fits_default(key, value):
+                raise ValueError(f"config key {key!r} has a value of the wrong type: {value!r}")
         merged.update(file_values)
     for key, value in vars(args).items():
         if key in merged and value is not None:

@@ -23,8 +23,6 @@ from .ot import ground_cost_matrix
 
 __all__ = [
     "ImportanceTable",
-    "word_anchor_distance",
-    "importance",
     "compute_importance_table",
     "top_k_words",
     "tfidf_top_words",
@@ -35,26 +33,15 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-def word_anchor_distance(word_vector, anchor) -> float:
-    """Minimum squared Euclidean distance from a word to an anchor's columns."""
-    z = np.asarray(word_vector, dtype=float).reshape(-1, 1)
-    cost = ground_cost_matrix(z, np.asarray(anchor, dtype=float))
-    return float(cost.min())
+def _anchor_scores(points: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum anchor distances and importances of (d, N) points, both (N, Y).
 
-
-def importance(word_vector, anchors, class_id: int) -> float:
-    """Importance of one transformed word for one class.
-
-    ``sum_{k != y} D(z, anchor_k) - (Y - 1) * D(z, anchor_y)`` where D is
-    :func:`word_anchor_distance`. Positive values mark words that sit closer
-    to the class's anchor than to the rest.
+    ``D[i, k]`` is the smallest squared distance from point i to a column of
+    anchor k; the importance of point i for class y is
+    ``sum_{k != y} D[i, k] - (Y - 1) * D[i, y]``.
     """
-    anchors = np.asarray(anchors, dtype=float)
-    num_classes = anchors.shape[0]
-    if not (0 <= class_id < num_classes):
-        raise ValueError(f"class id {class_id} out of range for {num_classes} classes")
-    dists = np.array([word_anchor_distance(word_vector, anchors[k]) for k in range(num_classes)])
-    return float(dists.sum() - num_classes * dists[class_id])
+    min_dists = np.stack([ground_cost_matrix(points, anchor).min(axis=1) for anchor in anchors], axis=1)
+    return min_dists, min_dists.sum(axis=1, keepdims=True) - len(anchors) * min_dists
 
 
 @dataclass
@@ -95,14 +82,7 @@ def compute_importance_table(
     vectors = np.asarray(word_vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[0] != len(words):
         raise ValueError("word_vectors must be (len(words), d)")
-    transformed = (model.transform @ vectors.T)  # (d, V)
-    num_classes = model.num_classes
-    min_dists = np.empty((len(words), num_classes))
-    for k in range(num_classes):
-        cost = ground_cost_matrix(transformed, model.anchors[k])
-        min_dists[:, k] = cost.min(axis=1)
-    totals = min_dists.sum(axis=1, keepdims=True)
-    importances = totals - num_classes * min_dists
+    min_dists, importances = _anchor_scores(model.transform @ vectors.T, model.anchors)
     return ImportanceTable(
         words=list(words),
         class_names=list(model.class_names),
@@ -204,7 +184,8 @@ def export_projection(
     """
     vectors = np.asarray(word_vectors, dtype=float)
     transformed = (model.transform @ vectors.T).T  # (V, d)
-    anchor_cols = np.concatenate([model.anchors[k].T for k in range(model.num_classes)])
+    anchor_cols = np.concatenate([model.anchors[k].T for k in range(model.num_classes)])  # (Y p, d)
+    _, anchor_importances = _anchor_scores(anchor_cols.T, model.anchors)
     projections, _ = pca_2d(np.concatenate([transformed, anchor_cols]))
     word_proj = projections[: len(table.words)]
     anchor_proj = projections[len(table.words) :]
@@ -215,14 +196,11 @@ def export_projection(
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("kind\tclass\tlabel\tpc1\tpc2\timportance\n")
         for k, class_name in enumerate(model.class_names):
-            anchor_importances = np.array(
-                [importance(model.anchors[k][:, j], model.anchors, k) for j in range(p)]
-            )
             for j in range(p):
                 x, y = anchor_proj[k * p + j]
                 fh.write(
                     f"anchor\t{class_name}\tanchor{j:02d}\t{x!r}\t{y!r}\t"
-                    f"{float(anchor_importances[j])!r}\n"
+                    f"{float(anchor_importances[k * p + j, k])!r}\n"
                 )
                 rows += 1
             for word, score in top_k_words(table, k, top_words_per_class):

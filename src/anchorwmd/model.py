@@ -3,7 +3,9 @@
 A document is an empirical measure over embedded word vectors; each class is
 represented by an anchor, a point cloud of ``p`` support columns carrying a
 uniform measure. The transform is a dense square matrix applied column-wise
-to word vectors.
+to word vectors. :func:`anchor_transport` is the model's one computation,
+a document's embedded words transported to every class anchor; training and
+nearest-anchor classification are two readings of it.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +29,7 @@ from .ot import (
 __all__ = [
     "DocumentMeasure",
     "AnchorModel",
-    "embed_document",
-    "doc_anchor_distance",
+    "anchor_transport",
     "init_anchors",
     "save_checkpoint",
     "load_checkpoint",
@@ -120,35 +122,43 @@ class AnchorModel:
         return self.anchors.shape[2]
 
 
-def embed_document(doc: DocumentMeasure, transform: np.ndarray) -> DocumentMeasure:
-    """Apply the linear transform column-wise to a document's word vectors."""
-    a = np.asarray(transform, dtype=float)
-    if a.ndim != 2 or a.shape[1] != doc.dim:
-        raise ValueError(
-            f"transform shape {a.shape} does not match document dimension {doc.dim}"
-        )
-    return DocumentMeasure(
-        word_ids=doc.word_ids,
-        support=a @ doc.support,
-        weights=doc.weights,
-        label=doc.label,
-    )
+def anchor_transport(
+    model: AnchorModel, doc: DocumentMeasure, config: SinkhornConfig | None = None
+) -> tuple[np.ndarray, list[SinkhornResult]]:
+    """Transport a raw document's embedded words to every class anchor.
 
-
-def doc_anchor_distance(
-    doc: DocumentMeasure, anchor: np.ndarray, config: SinkhornConfig | None = None
-) -> SinkhornResult:
-    """Entropic transport from an embedded document to one anchor.
-
-    The anchor is a (d, p) point cloud carrying the uniform measure 1/p on
-    its columns.
+    Returns the embedded support ``model.transform @ doc.support`` (d, n)
+    and one :class:`SinkhornResult` per class, each against the uniform
+    measure 1/p on that anchor's columns. Training ranks classes by
+    ``reg_distance`` (the value its gradient differentiates); nearest-anchor
+    classification takes the argmin of ``distance``.
     """
-    anchor = np.asarray(anchor, dtype=float)
-    if anchor.ndim != 2:
-        raise ValueError(f"anchor must be (d, p), got shape {anchor.shape}")
-    cost = ground_cost_matrix(doc.support, anchor)
-    target = np.full(anchor.shape[1], 1.0 / anchor.shape[1])
-    return sinkhorn(cost, doc.weights, target, config)
+    if doc.dim != model.dim:
+        raise ValueError(
+            f"document dimension {doc.dim} does not match model dimension {model.dim}"
+        )
+    embedded = model.transform @ doc.support
+    p = model.num_support_points
+    target = np.full(p, 1.0 / p)
+    results = [
+        sinkhorn(ground_cost_matrix(embedded, anchor), doc.weights, target, config)
+        for anchor in model.anchors
+    ]
+    return embedded, results
+
+
+def _ordered_map(fn, items: list, threads: int) -> list:
+    """``[fn(item) for item in items]``, spread over up to ``threads`` workers.
+
+    Results come back in input order whatever the worker count, so callers
+    that reduce them in that order get identical sums at any thread count.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if threads == 1 or len(items) < 2:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 def _kmeans_centroids(points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int = 50) -> np.ndarray:
@@ -234,10 +244,18 @@ def save_checkpoint(model: AnchorModel, path: str) -> None:
         raise
 
 
+_CHECKPOINT_KEYS = ("transform", "anchors", "class_names", "num_classes", "dim", "p")
+
+
 def load_checkpoint(path: str) -> AnchorModel:
     """Read a model checkpoint written by :func:`save_checkpoint`."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint must be a JSON object, got a JSON {type(payload).__name__}")
+    missing = [key for key in _CHECKPOINT_KEYS if key not in payload]
+    if missing:
+        raise ValueError(f"checkpoint is missing keys: {missing}")
     model = AnchorModel(
         transform=np.asarray(payload["transform"], dtype=float),
         anchors=np.asarray(payload["anchors"], dtype=float),

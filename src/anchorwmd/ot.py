@@ -1,15 +1,13 @@
 """Entropic regularized optimal transport between empirical measures.
 
-Provides squared-Euclidean ground costs, a log-domain stabilized Sinkhorn
-solver with a final projection onto the marginal polytope, the envelope
-gradient of the regularized transport value with respect to the cost matrix,
-and a brute-force permutation oracle for uniform equal-size marginals.
+Provides squared-Euclidean ground costs and a log-domain stabilized Sinkhorn
+solver with a final projection onto the marginal polytope. By the envelope
+theorem the solver's plan is also the gradient of the regularized transport
+value with respect to the cost matrix.
 """
 
 from __future__ import annotations
 
-import itertools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +18,6 @@ __all__ = [
     "validate_histogram",
     "ground_cost_matrix",
     "sinkhorn",
-    "exact_ot_uniform",
-    "sinkhorn_cost_gradient",
 ]
 
 _TINY = np.finfo(float).tiny
@@ -222,39 +218,3 @@ def sinkhorn(cost, source, target, config: SinkhornConfig | None = None) -> Sink
         reg_distance=distance + eps * entropy_term,
         epsilon=eps,
     )
-
-
-def exact_ot_uniform(cost) -> float:
-    """Exact OT value for uniform equal-size marginals by enumeration.
-
-    With both marginals uniform over n atoms the optimum of the transport LP
-    is attained at a permutation, so the value is the minimum over all n!
-    permutations of the mean assigned cost. Refuses n > 8.
-    """
-    c = np.asarray(cost, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"cost must be square, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("cost entries must be finite")
-    n = c.shape[0]
-    if n > 8:
-        raise ValueError(f"n={n} exceeds the n<=8 enumeration limit")
-    rows = np.arange(n)
-    best = min(float(c[rows, perm].sum()) for perm in itertools.permutations(range(n)))
-    return best / n
-
-
-def sinkhorn_cost_gradient(result: SinkhornResult) -> np.ndarray:
-    """Gradient of the regularized transport value w.r.t. the cost matrix.
-
-    By the envelope theorem this is exactly the optimal plan; for a result
-    that stopped before reaching tolerance the last (rounded) iterate is
-    returned with a warning.
-    """
-    if not result.converged:
-        warnings.warn(
-            "sinkhorn did not converge; gradient uses the last rounded iterate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return result.plan

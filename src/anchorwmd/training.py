@@ -10,13 +10,12 @@ composed with the analytic derivatives of the squared Euclidean cost.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import AnchorModel, DocumentMeasure, init_anchors
-from .ot import SinkhornConfig, ground_cost_matrix, sinkhorn
+from .model import AnchorModel, DocumentMeasure, _ordered_map, anchor_transport, init_anchors
+from .ot import SinkhornConfig
 
 __all__ = [
     "TrainConfig",
@@ -147,20 +146,9 @@ def _document_terms(model: AnchorModel, doc: DocumentMeasure, cfg: TrainConfig):
     """Loss, transform gradient, anchor gradients, and stats for one document."""
     if doc.label is None:
         raise ValueError("training documents must carry a class label")
-    num_classes = model.num_classes
-    p = model.num_support_points
-    embedded = model.transform @ doc.support
-    target = np.full(p, 1.0 / p)
-
-    plans = []
-    dists = np.empty(num_classes)
-    nonconverged = 0
-    for k in range(num_classes):
-        cost = ground_cost_matrix(embedded, model.anchors[k])
-        result = sinkhorn(cost, doc.weights, target, cfg.sinkhorn)
-        plans.append(result.plan)
-        dists[k] = result.reg_distance
-        nonconverged += 0 if result.converged else 1
+    embedded, results = anchor_transport(model, doc, cfg.sinkhorn)
+    dists = np.array([result.reg_distance for result in results])
+    nonconverged = sum(not result.converged for result in results)
 
     if cfg.loss_kind == "triplet":
         loss = triplet_loss(dists, doc.label, cfg.margin)
@@ -169,20 +157,22 @@ def _document_terms(model: AnchorModel, doc: DocumentMeasure, cfg: TrainConfig):
         loss = infonce_loss(dists, doc.label, cfg.temperature)
         coeffs, stat = _infonce_coefficients(dists, doc.label, cfg.temperature)
 
-    grad_transform = np.zeros_like(model.transform)
+    # d cost(i,j) / d z_i = 2 (z_i - q_j), summed over classes before one
+    # chain-rule product through z = A x
+    grad_embedded = np.zeros_like(embedded)
     grad_anchors = np.zeros_like(model.anchors)
-    for k in range(num_classes):
-        c = coeffs[k]
+    for k, (c, result) in enumerate(zip(coeffs, results)):
         if c == 0.0:
             continue
-        plan = plans[k]
-        row_mass = plan.sum(axis=1)
-        col_mass = plan.sum(axis=0)
-        # d cost(i,j) / d z_i = 2 (z_i - q_j); chain through z = A x
-        grad_embedded = 2.0 * (embedded * row_mass[None, :] - model.anchors[k] @ plan.T)
-        grad_transform += c * (grad_embedded @ doc.support.T)
+        plan = result.plan
+        anchor = model.anchors[k]
+        grad_embedded += c * 2.0 * (embedded * plan.sum(axis=1)[None, :] - anchor @ plan.T)
         # d cost(i,j) / d q_j = -2 (z_i - q_j)
-        grad_anchors[k] += c * 2.0 * (model.anchors[k] * col_mass[None, :] - embedded @ plan)
+        grad_anchors[k] = c * 2.0 * (anchor * plan.sum(axis=0)[None, :] - embedded @ plan)
+    if np.any(coeffs != 0.0):
+        grad_transform = grad_embedded @ doc.support.T
+    else:
+        grad_transform = np.zeros_like(model.transform)
     return loss, grad_transform, grad_anchors, stat, nonconverged
 
 
@@ -200,11 +190,7 @@ def batch_gradients(model: AnchorModel, batch: list[DocumentMeasure], cfg: Train
         if doc.size == 0:
             raise ValueError("batch contains an empty document")
 
-    if cfg.threads > 1 and len(batch) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            terms = list(pool.map(lambda d: _document_terms(model, d, cfg), batch))
-    else:
-        terms = [_document_terms(model, doc, cfg) for doc in batch]
+    terms = _ordered_map(lambda doc: _document_terms(model, doc, cfg), batch, cfg.threads)
 
     scale = 1.0 / len(batch)
     grad_transform = np.zeros_like(model.transform)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,3 +29,23 @@ def lp_transport_value(cost: np.ndarray, source: np.ndarray, target: np.ndarray)
     res = linprog(cost.ravel(), A_eq=np.array(a_eq), b_eq=np.array(b_eq), bounds=(0, None), method="highs")
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def exact_ot_uniform(cost) -> float:
+    """Exact OT value for uniform equal-size marginals by enumeration (test oracle).
+
+    With both marginals uniform over n atoms the optimum of the transport LP
+    is attained at a permutation, so the value is the minimum over all n!
+    permutations of the mean assigned cost. Refuses n > 8.
+    """
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValueError(f"cost must be square, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("cost entries must be finite")
+    n = c.shape[0]
+    if n > 8:
+        raise ValueError(f"n={n} exceeds the n<=8 enumeration limit")
+    rows = np.arange(n)
+    best = min(float(c[rows, perm].sum()) for perm in itertools.permutations(range(n)))
+    return best / n

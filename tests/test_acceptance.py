@@ -16,9 +16,10 @@ from anchorwmd.cli import main
 from anchorwmd.data import corpus_to_measures, load_corpus, load_word_vectors, remap_labels, save_corpus_lines, save_word_vectors
 from anchorwmd.interpret import compute_importance_table, tfidf_top_words, top_k_words
 from anchorwmd.model import AnchorModel, DocumentMeasure
-from anchorwmd.ot import SinkhornConfig, exact_ot_uniform, ground_cost_matrix, sinkhorn
+from anchorwmd.ot import SinkhornConfig, ground_cost_matrix, sinkhorn
 from anchorwmd.synthetic import planted_two_cluster_data
 from anchorwmd.training import TrainConfig, batch_gradients, infonce_loss, train, triplet_loss
+from conftest import exact_ot_uniform
 
 
 def _report(name: str) -> None:

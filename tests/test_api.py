@@ -1,0 +1,31 @@
+import numpy as np
+import pytest
+
+import anchorwmd
+from anchorwmd.model import AnchorModel, DocumentMeasure, anchor_transport
+from anchorwmd.ot import SinkhornConfig, ground_cost_matrix, sinkhorn
+
+
+def test_every_exported_name_resolves():
+    for name in anchorwmd.__all__:
+        assert getattr(anchorwmd, name) is not None, name
+
+
+def test_kernel_matches_direct_solves(rng):
+    d, n, p = 4, 5, 3
+    transform = np.eye(d) + 0.2 * rng.standard_normal((d, d))
+    anchors = rng.standard_normal((3, d, p))
+    model = AnchorModel(transform, anchors, ["a", "b", "c"])
+    weights = rng.uniform(0.2, 1.0, n)
+    doc = DocumentMeasure(np.arange(n), rng.standard_normal((d, n)), weights / weights.sum())
+    cfg = SinkhornConfig(epsilon=0.05)
+
+    embedded, results = anchor_transport(model, doc, cfg)
+
+    assert np.array_equal(embedded, transform @ doc.support)
+    assert len(results) == model.num_classes
+    for k, result in enumerate(results):
+        direct = sinkhorn(ground_cost_matrix(transform @ doc.support, anchors[k]), doc.weights, np.full(p, 1 / p), cfg)
+        assert result.distance == direct.distance
+        assert result.reg_distance == direct.reg_distance
+        assert result.distance != pytest.approx(result.reg_distance)

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from anchorwmd.classify import (
-    anchor_nn_classify,
-    error_rate,
-    knn_predict_corpus,
-    wmd_knn_classify,
-    write_predictions,
-)
+from anchorwmd.classify import anchor_nn_classify, error_rate, knn_predict_corpus, write_predictions
 from anchorwmd.model import AnchorModel, DocumentMeasure
 from anchorwmd.ot import SinkhornConfig
 
@@ -67,6 +61,10 @@ class TestAnchorNN:
         assert pred_flipped.predicted_class == 1 - pred.predicted_class
 
 
+def knn_label(test_doc, train, k):
+    return knn_predict_corpus([test_doc], train, [k])[k][0]
+
+
 class TestWmdKnn:
     def test_k1_returns_identical_doc_label(self, rng):
         train = [
@@ -74,14 +72,14 @@ class TestWmdKnn:
             make_doc(rng.standard_normal((2, 2)), [0.5, 0.5], label=1),
         ]
         test = make_doc(train[1].support, train[1].weights)
-        assert wmd_knn_classify(test, train, k=1) == 1
+        assert knn_label(test, train, k=1) == 1
 
     def test_k_equals_corpus_size_single_class(self, rng):
         train = [
             make_doc(rng.standard_normal((2, 2)), [0.5, 0.5], label=3) for _ in range(4)
         ]
         test = make_doc(rng.standard_normal((2, 2)), [0.5, 0.5])
-        assert wmd_knn_classify(test, train, k=4) == 3
+        assert knn_label(test, train, k=4) == 3
 
     def test_three_doc_hand_case(self):
         # single-word docs: WMD is the squared point distance
@@ -91,7 +89,7 @@ class TestWmdKnn:
             make_doc([[5.0]], [1.0], label=2),
         ]
         test = make_doc([[1.2]], [1.0])
-        assert wmd_knn_classify(test, train, k=1) == 1
+        assert knn_label(test, train, k=1) == 1
 
     def test_vote_tie_breaks_by_mean_distance(self):
         train = [
@@ -102,7 +100,7 @@ class TestWmdKnn:
         ]
         # test at 1.0: neighbours 0.9 (1), 1.4 (1), 0.0 (0), 2.0 (0) -> 2-2 tie,
         # class 1 mean (0.01+0.16)/2 beats class 0 mean (1+1)/2
-        assert wmd_knn_classify(make_doc([[1.0]], [1.0]), train, k=4) == 1
+        assert knn_label(make_doc([[1.0]], [1.0]), train, k=4) == 1
 
     def test_self_classification_has_zero_error(self, rng):
         train = [
@@ -113,20 +111,10 @@ class TestWmdKnn:
         sweep = knn_predict_corpus(train, train, ks=[1])
         assert error_rate(sweep[1], [doc.label for doc in train]) == 0.0
 
-    def test_sweep_matches_single_calls(self, rng):
-        train = [
-            make_doc(rng.standard_normal((2, 2)), [0.5, 0.5], label=i % 2) for i in range(6)
-        ]
-        test = [make_doc(rng.standard_normal((2, 2)), [0.5, 0.5]) for _ in range(3)]
-        sweep = knn_predict_corpus(test, train, ks=[1, 3], threads=2)
-        for i, doc in enumerate(test):
-            assert sweep[1][i] == wmd_knn_classify(doc, train, k=1)
-            assert sweep[3][i] == wmd_knn_classify(doc, train, k=3)
-
     def test_invalid_k_rejected(self, rng):
         train = [make_doc(rng.standard_normal((2, 2)), [0.5, 0.5], label=0)]
         with pytest.raises(ValueError):
-            wmd_knn_classify(train[0], train, k=0)
+            knn_predict_corpus([train[0]], train, [0])
 
 
 class TestErrorRate:

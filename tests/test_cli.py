@@ -154,6 +154,24 @@ class TestTrainCommand:
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", [{"epochs": "3"}, {"lr": "0.1"}, {"absolute_epsilon": 1}])
+    def test_config_value_of_wrong_type_rejected(self, fixture_paths, tmp_path, capsys, values):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        code = main(
+            [
+                "train",
+                "--vectors", fixture_paths["vectors"],
+                "--corpus", fixture_paths["train"],
+                "--out", str(tmp_path / "typed"),
+                "--config", str(config),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and repr(next(iter(values))) in err[0]
+
 
 @pytest.fixture(scope="module")
 def trained(fixture_paths, tmp_path_factory):
@@ -226,6 +244,43 @@ class TestEvalCommand:
             assert code == 0
             outs.append((out / "predictions.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [({"transform": [[1.0]], "class_names": ["a"], "dim": 1, "num_classes": 1, "p": 1}, "anchors"), ([1, 2], "list")],
+    )
+    def test_malformed_checkpoint_is_one_line_error(self, fixture_paths, tmp_path, capsys, payload, named):
+        checkpoint = tmp_path / "broken.json"
+        checkpoint.write_text(json.dumps(payload))
+        code = main(
+            [
+                "eval",
+                "--vectors", fixture_paths["vectors"],
+                "--corpus", fixture_paths["test"],
+                "--checkpoint", str(checkpoint),
+                "--out", str(tmp_path / "broken_eval"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and named in err[0]
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, fixture_paths, trained, tmp_path, capsys, threads):
+        code = main(
+            [
+                "eval",
+                "--vectors", fixture_paths["vectors"],
+                "--corpus", fixture_paths["test"],
+                "--checkpoint", trained,
+                "--out", str(tmp_path / "no_threads"),
+                "--threads", threads,
+            ]
+        )
+        assert code == 1
+        assert "threads must be at least 1" in capsys.readouterr().err
 
 
 class TestInterpretCommand:
@@ -307,6 +362,22 @@ class TestBaselineCommand:
         assert code == 0
         lines = (out / "k_sweep.csv").read_text().strip().splitlines()
         assert [row.split(",")[0] for row in lines[1:]] == ["1", "3", "5"]
+
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, fixture_paths, tmp_path, capsys, threads):
+        code = main(
+            [
+                "baseline",
+                "--vectors", fixture_paths["vectors"],
+                "--corpus", fixture_paths["train"],
+                "--test-corpus", fixture_paths["test"],
+                "--out", str(tmp_path / "no_threads"),
+                "--threads", threads,
+            ]
+        )
+        assert code == 1
+        assert "threads must be at least 1" in capsys.readouterr().err
 
 
 class TestExportVizCommand:

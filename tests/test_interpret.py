@@ -5,13 +5,37 @@ from anchorwmd.data import Corpus, Document
 from anchorwmd.interpret import (
     compute_importance_table,
     export_projection,
-    importance,
     pca_2d,
     tfidf_top_words,
     top_k_words,
-    word_anchor_distance,
 )
 from anchorwmd.model import AnchorModel
+
+
+def brute_force_scores(z, anchors):
+    """Reference min anchor distances and importances of one transformed word."""
+    dists = np.array(
+        [min(float(np.sum((z - anchor[:, j]) ** 2)) for j in range(anchor.shape[1])) for anchor in anchors]
+    )
+    return dists, dists.sum() - len(anchors) * dists
+
+
+def word_scores(z, anchors):
+    """Min anchor distances and importances of one word from a one-word table."""
+    anchors = np.asarray(anchors, dtype=float)
+    model = AnchorModel(np.eye(anchors.shape[1]), anchors, [str(k) for k in range(anchors.shape[0])])
+    table = compute_importance_table(model, ["w"], np.asarray(z, dtype=float).reshape(1, -1))
+    return table.min_distances[0], table.importances[0]
+
+
+def word_anchor_distance(z, anchor):
+    """Min squared distance from one word to one anchor, via a one-class table."""
+    return float(word_scores(z, np.asarray(anchor, dtype=float)[None])[0][0])
+
+
+def importance(z, anchors, class_id):
+    """Importance of one word for one class, via a one-word table."""
+    return float(word_scores(z, anchors)[1][class_id])
 
 
 class TestWordAnchorDistance:
@@ -84,14 +108,12 @@ class TestImportanceTable:
         vectors = rng.standard_normal((4, 2))
         table = compute_importance_table(model, words, vectors)
         for i in range(4):
-            z = model.transform @ vectors[i]
-            for y in range(3):
-                assert table.min_distances[i, y] == pytest.approx(
-                    word_anchor_distance(z, model.anchors[y])
-                )
-                assert table.importances[i, y] == pytest.approx(
-                    importance(z, model.anchors, y)
-                )
+            single = compute_importance_table(model, [words[i]], vectors[i : i + 1])
+            assert table.min_distances[i] == pytest.approx(single.min_distances[0])
+            assert table.importances[i] == pytest.approx(single.importances[0])
+            dists, scores = brute_force_scores(model.transform @ vectors[i], model.anchors)
+            assert table.min_distances[i] == pytest.approx(dists)
+            assert table.importances[i] == pytest.approx(scores)
 
     def test_zero_sum_invariant(self, rng):
         model = self.make_model(rng)
@@ -221,3 +243,17 @@ class TestExportProjection:
         kinds = [line.split("\t")[0] for line in lines[1:]]
         assert kinds.count("anchor") == 4  # 2 classes x p=2
         assert kinds.count("word") == 4  # 2 classes x top-2
+
+    def test_anchor_rows_score_each_column_for_its_class(self, tmp_path, rng):
+        model = AnchorModel(np.eye(3), rng.standard_normal((3, 3, 2)), ["a", "b", "c"])
+        vectors = rng.standard_normal((4, 3))
+        table = compute_importance_table(model, [f"w{i}" for i in range(4)], vectors)
+        path = tmp_path / "projection.tsv"
+        export_projection(model, table, vectors, top_words_per_class=1, path=str(path))
+        anchor_rows = [line.split("\t") for line in path.read_text().splitlines()[1:] if line.startswith("anchor")]
+        assert len(anchor_rows) == 3 * 2
+        for row in anchor_rows:
+            k = model.class_names.index(row[1])
+            j = int(row[2].removeprefix("anchor"))
+            _, scores = brute_force_scores(model.anchors[k][:, j], model.anchors)
+            assert float(row[5]) == pytest.approx(scores[k])

@@ -7,13 +7,12 @@ import pytest
 from anchorwmd.model import (
     AnchorModel,
     DocumentMeasure,
-    doc_anchor_distance,
-    embed_document,
+    anchor_transport,
     init_anchors,
     load_checkpoint,
     save_checkpoint,
 )
-from anchorwmd.ot import SinkhornConfig
+from anchorwmd.ot import SinkhornConfig, ground_cost_matrix
 from conftest import lp_transport_value
 
 
@@ -42,37 +41,57 @@ class TestDocumentMeasure:
             doc.support[0, 0] = 1.0
 
 
+def embed(doc, transform, num_classes=2, p=2):
+    """The embedded support that the kernel transports, for a given transform."""
+    anchors = np.zeros((num_classes, doc.dim, p))
+    model = AnchorModel(transform, anchors, [str(k) for k in range(num_classes)])
+    embedded, results = anchor_transport(model, doc)
+    assert len(results) == num_classes
+    return embedded, results
+
+
+def transport_to(doc, anchor, config=None):
+    """The kernel's single result for an identity-transform one-class model."""
+    anchor = np.asarray(anchor, dtype=float)
+    model = AnchorModel(np.eye(anchor.shape[0]), anchor[None], ["only"])
+    _, results = anchor_transport(model, doc, config)
+    return results[0]
+
+
 class TestEmbedDocument:
     def test_identity_transform(self, rng):
         doc = make_doc(rng.standard_normal((3, 4)), np.full(4, 0.25))
-        out = embed_document(doc, np.eye(3))
-        assert out.support == pytest.approx(doc.support)
-        assert out.weights == pytest.approx(doc.weights)
+        embedded, results = embed(doc, np.eye(3))
+        assert embedded == pytest.approx(doc.support)
+        # the document's weights are the source marginal of every solve
+        for result in results:
+            assert result.plan.sum(axis=1) == pytest.approx(doc.weights)
 
     def test_scalar_matrix(self):
         doc = make_doc(np.array([[1.0], [-1.0]]), [1.0])
-        out = embed_document(doc, 2.0 * np.eye(2))
-        assert out.support[:, 0] == pytest.approx([2.0, -2.0])
+        embedded, _ = embed(doc, 2.0 * np.eye(2))
+        assert embedded[:, 0] == pytest.approx([2.0, -2.0])
 
     def test_basis_vector_selects_column(self, rng):
         a = rng.standard_normal((3, 3))
         doc = make_doc(np.array([[0.0], [1.0], [0.0]]), [1.0])
-        out = embed_document(doc, a)
-        assert out.support[:, 0] == pytest.approx(a[:, 1])
+        embedded, _ = embed(doc, a)
+        assert embedded[:, 0] == pytest.approx(a[:, 1])
 
     def test_linearity(self, rng):
         a = rng.standard_normal((4, 4))
         x = rng.standard_normal((4, 3))
         y = rng.standard_normal((4, 3))
         alpha, beta = 0.7, -1.3
-        combo = embed_document(make_doc(alpha * x + beta * y, np.full(3, 1 / 3)), a)
+        combo, _ = embed(make_doc(alpha * x + beta * y, np.full(3, 1 / 3)), a)
         separate = alpha * (a @ x) + beta * (a @ y)
-        assert combo.support == pytest.approx(separate, abs=1e-9)
+        assert combo == pytest.approx(separate, abs=1e-9)
 
     def test_dimension_mismatch(self):
         doc = make_doc(np.zeros((3, 1)), [1.0])
+        model = AnchorModel(np.eye(2), np.zeros((2, 2, 2)), ["a", "b"])
         with pytest.raises(ValueError):
-            embed_document(doc, np.eye(2))
+            anchor_transport(model, doc)
 
 
 class TestDocAnchorDistance:
@@ -80,14 +99,14 @@ class TestDocAnchorDistance:
         q = np.array([1.5, -2.0])
         doc = make_doc(q.reshape(2, 1), [1.0])
         anchor = np.tile(q.reshape(2, 1), (1, 4))
-        res = doc_anchor_distance(doc, anchor)
+        res = transport_to(doc, anchor)
         assert res.distance == pytest.approx(0.0, abs=1e-12)
 
     def test_single_support_point_forces_plan(self, rng):
         z = rng.standard_normal((3, 4))
         w = np.array([0.1, 0.2, 0.3, 0.4])
         q = rng.standard_normal((3, 1))
-        res = doc_anchor_distance(make_doc(z, w), q)
+        res = transport_to(make_doc(z, w), q)
         expected = sum(w[i] * np.sum((z[:, i] - q[:, 0]) ** 2) for i in range(4))
         assert res.distance == pytest.approx(expected, rel=1e-9)
 
@@ -95,13 +114,11 @@ class TestDocAnchorDistance:
         z = rng.standard_normal((3, 4))
         w = np.array([2.0, 4.0, 5.0, 1.0]) / 12.0
         anchor = rng.standard_normal((3, 3))
-        from anchorwmd.ot import ground_cost_matrix
-
         cost = ground_cost_matrix(z, anchor)
         cfg = SinkhornConfig(
             epsilon=0.001 * float(cost.mean()), relative=False, max_iters=5000, tolerance=1e-9
         )
-        res = doc_anchor_distance(make_doc(z, w), anchor, cfg)
+        res = transport_to(make_doc(z, w), anchor, cfg)
         exact = lp_transport_value(cost, w, np.full(3, 1 / 3))
         assert res.distance == pytest.approx(exact, rel=0.01)
 
@@ -110,8 +127,8 @@ class TestDocAnchorDistance:
         w = np.full(5, 0.2)
         anchor = rng.standard_normal((3, 4))
         cfg = SinkhornConfig(max_iters=2000, tolerance=1e-10)
-        base = doc_anchor_distance(make_doc(z, w), anchor, cfg)
-        shuffled = doc_anchor_distance(make_doc(z, w), anchor[:, [2, 0, 3, 1]], cfg)
+        base = transport_to(make_doc(z, w), anchor, cfg)
+        shuffled = transport_to(make_doc(z, w), anchor[:, [2, 0, 3, 1]], cfg)
         assert base.distance == pytest.approx(shuffled.distance, abs=1e-6)
 
 

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from anchorwmd.ot import (
-    SinkhornConfig,
-    exact_ot_uniform,
-    ground_cost_matrix,
-    sinkhorn,
-    sinkhorn_cost_gradient,
-    validate_histogram,
-)
+from anchorwmd.ot import SinkhornConfig, ground_cost_matrix, sinkhorn, validate_histogram
+from conftest import exact_ot_uniform
 
 
 class TestValidateHistogram:
@@ -195,14 +189,16 @@ class TestSinkhornConfig:
 
 
 class TestCostGradient:
+    """The plan is the gradient of the regularized value w.r.t. the cost."""
+
     def test_single_atom(self):
         res = sinkhorn([[2.0]], [1.0], [1.0])
-        assert sinkhorn_cost_gradient(res) == pytest.approx(np.array([[1.0]]))
+        assert res.plan == pytest.approx(np.array([[1.0]]))
 
     def test_entries_sum_to_one(self, rng):
         c = rng.uniform(size=(3, 4))
         res = sinkhorn(c, np.full(3, 1 / 3), np.full(4, 0.25))
-        assert sinkhorn_cost_gradient(res).sum() == pytest.approx(1.0, abs=1e-12)
+        assert res.plan.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_central_differences(self, rng):
         # the envelope identity: grad of the regularized value is the plan
@@ -212,7 +208,7 @@ class TestCostGradient:
         cfg = SinkhornConfig(
             epsilon=0.1 * float(c.mean()), relative=False, max_iters=20000, tolerance=1e-13
         )
-        grad = sinkhorn_cost_gradient(sinkhorn(c, a, b, cfg))
+        grad = sinkhorn(c, a, b, cfg).plan
         h = 1e-4
         for i in range(3):
             for j in range(3):
@@ -222,13 +218,3 @@ class TestCostGradient:
                 down[i, j] -= h
                 fd = (sinkhorn(up, a, b, cfg).reg_distance - sinkhorn(down, a, b, cfg).reg_distance) / (2 * h)
                 assert fd == pytest.approx(grad[i, j], abs=1e-3)
-
-    def test_nonconverged_warns_but_returns(self, rng):
-        # smooth kernel + one iteration: row marginals cannot be exact yet
-        c = rng.uniform(size=(4, 4))
-        cfg = SinkhornConfig(epsilon=0.5, relative=True, max_iters=1, tolerance=1e-12)
-        res = sinkhorn(c, np.array([0.6, 0.2, 0.1, 0.1]), np.full(4, 0.25), cfg)
-        assert not res.converged
-        with pytest.warns(RuntimeWarning):
-            grad = sinkhorn_cost_gradient(res)
-        assert grad.shape == (4, 4)
