@@ -150,6 +150,8 @@ def _merge_options(args: argparse.Namespace) -> dict:
     for key, value in vars(args).items():
         if key in merged and value is not None:
             merged[key] = value
+    if merged["threads"] < 1:
+        raise ValueError(f"threads must be at least 1, got {merged['threads']}")
     return merged
 
 

@@ -247,8 +247,24 @@ def save_checkpoint(model: AnchorModel, path: str) -> None:
 _CHECKPOINT_KEYS = ("transform", "anchors", "class_names", "num_classes", "dim", "p")
 
 
+def _checkpoint_array(payload: dict, key: str) -> np.ndarray:
+    try:
+        values = np.asarray(payload[key])
+    except ValueError:  # ragged nesting
+        values = None
+    if values is None or values.dtype.kind not in "iuf":
+        raise ValueError(f"checkpoint {key!r} must be a numeric array")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"checkpoint {key!r} contains non-finite entries")
+    return values.astype(float)
+
+
 def load_checkpoint(path: str) -> AnchorModel:
-    """Read a model checkpoint written by :func:`save_checkpoint`."""
+    """Read a model checkpoint written by :func:`save_checkpoint`.
+
+    Raises ``ValueError`` naming the offending key when the file lacks a key
+    or holds a value of the wrong type.
+    """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -256,11 +272,20 @@ def load_checkpoint(path: str) -> AnchorModel:
     missing = [key for key in _CHECKPOINT_KEYS if key not in payload]
     if missing:
         raise ValueError(f"checkpoint is missing keys: {missing}")
+    for key in ("num_classes", "dim", "p"):
+        if type(payload[key]) is not int:
+            raise ValueError(f"checkpoint {key!r} must be an integer, got {payload[key]!r}")
+    names = payload["class_names"]
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise ValueError("checkpoint 'class_names' must be a list of strings")
+    vocab_hash = payload.get("vocab_hash", "")
+    if not isinstance(vocab_hash, str):
+        raise ValueError("checkpoint 'vocab_hash' must be a string")
     model = AnchorModel(
-        transform=np.asarray(payload["transform"], dtype=float),
-        anchors=np.asarray(payload["anchors"], dtype=float),
-        class_names=list(payload["class_names"]),
-        vocab_hash=payload.get("vocab_hash", ""),
+        transform=_checkpoint_array(payload, "transform"),
+        anchors=_checkpoint_array(payload, "anchors"),
+        class_names=names,
+        vocab_hash=vocab_hash,
     )
     expected = (payload["num_classes"], payload["dim"], payload["p"])
     if model.anchors.shape != expected:

@@ -1,9 +1,22 @@
 """Entropic regularized optimal transport between empirical measures.
 
-Provides squared-Euclidean ground costs and a log-domain stabilized Sinkhorn
-solver with a final projection onto the marginal polytope. By the envelope
-theorem the solver's plan is also the gradient of the regularized transport
-value with respect to the cost matrix.
+Provides squared-Euclidean ground costs and a stabilized Sinkhorn solver with
+a final projection onto the marginal polytope. By the envelope theorem the
+solver's plan is also the gradient of the regularized transport value with
+respect to the cost matrix.
+
+The solver runs stabilized scaling iterations with log-domain absorption
+(Schmitzer 2019, "Stabilized sparse scaling algorithms for entropy
+regularized transport problems"). Its first iteration runs in the log domain
+and yields dual potentials ``f``, ``g``; later iterations are plain Sinkhorn
+scalings ``u = a / (K @ v)``, ``v = b / (K.T @ u)`` on the absorbed kernel
+``K = exp(f + (-cost / epsilon) + g)``, two matrix-vector products each, and
+read the marginal gaps off the same products. When a scaling leaves
+[1e-50, 1e50] its logarithm is absorbed into ``f`` and ``g`` and ``K`` is
+rebuilt with one exp pass; when a scaling overflows or underflows to zero,
+that half-step is redone in the log domain instead. Either way the iterates
+are, in exact arithmetic, those of log-domain Sinkhorn, so iteration counts
+and results match it up to floating-point rounding.
 """
 
 from __future__ import annotations
@@ -140,8 +153,84 @@ def _round_to_marginals(plan: np.ndarray, row_sums: np.ndarray, col_sums: np.nda
     return plan
 
 
+# A scaling vector outside [_SCALING_LOW, _SCALING_HIGH] is absorbed into the
+# dual potentials before its magnitude can cost precision in the kernel.
+_SCALING_LOW = 1e-50
+_SCALING_HIGH = 1e50
+
+
+def _absorbed_kernel(log_kernel: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return np.exp(f[:, None] + log_kernel + g[None, :])
+
+
+def _in_range(scaling: np.ndarray) -> bool:
+    # NaN-safe: a NaN entry fails both comparisons
+    return bool(scaling.min() >= _SCALING_LOW and scaling.max() <= _SCALING_HIGH)
+
+
+def _is_usable(scaling: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(scaling)) and scaling.min() > 0)
+
+
+def _scaling_iterations(
+    log_kernel: np.ndarray, a: np.ndarray, b: np.ndarray, config: SinkhornConfig
+) -> tuple[np.ndarray, int, bool]:
+    """Sinkhorn iterations on positive histograms; returns (plan, iterations, converged).
+
+    The iterate after each step is ``u[:, None] * kernel * v[None, :]`` with
+    ``kernel = exp(f + log_kernel + g)``, equal to the log-domain iterate
+    ``exp(f + log u + log_kernel + g + log v)``. Stored scalings are always
+    finite and positive.
+    """
+    log_a = np.log(a)
+    log_b = np.log(b)
+    # first iteration in the log domain, from v = 0; afterwards every row and
+    # column of the kernel carries mass, so the scalings start finite
+    f = log_a - _logsumexp(log_kernel, axis=1)
+    g = log_b - _logsumexp(log_kernel + f[:, None], axis=0)
+    kernel = _absorbed_kernel(log_kernel, f, g)
+    u = np.ones(a.size)
+    v = np.ones(b.size)
+    kernel_v = kernel.sum(axis=1)
+    kernel_t_u = kernel.sum(axis=0)
+    iterations = 1
+    while True:
+        row_gap = float(np.abs(u * kernel_v - a).sum())
+        col_gap = float(np.abs(v * kernel_t_u - b).sum())
+        if max(row_gap, col_gap) <= config.tolerance:
+            return u[:, None] * kernel * v[None, :], iterations, True
+        if iterations == config.max_iters:
+            return u[:, None] * kernel * v[None, :], iterations, False
+        iterations += 1
+
+        u = a / kernel_v
+        if not _in_range(u):
+            if _is_usable(u):
+                f = f + np.log(u)
+            else:
+                f = log_a - _logsumexp(log_kernel + (g + np.log(v))[None, :], axis=1)
+            g = g + np.log(v)
+            kernel = _absorbed_kernel(log_kernel, f, g)
+            u = np.ones(a.size)
+            v = np.ones(b.size)
+        kernel_t_u = kernel.T @ u
+
+        v = b / kernel_t_u
+        if not _in_range(v):
+            if _is_usable(v):
+                g = g + np.log(v)
+            else:
+                g = log_b - _logsumexp(log_kernel + (f + np.log(u))[:, None], axis=0)
+            f = f + np.log(u)
+            kernel = _absorbed_kernel(log_kernel, f, g)
+            u = np.ones(a.size)
+            v = np.ones(b.size)
+            kernel_t_u = kernel.sum(axis=0)
+        kernel_v = kernel @ v
+
+
 def sinkhorn(cost, source, target, config: SinkhornConfig | None = None) -> SinkhornResult:
-    """Solve entropic OT between two histograms with log-domain iterations.
+    """Solve entropic OT between two histograms by stabilized scaling iterations.
 
     Parameters
     ----------
@@ -180,36 +269,21 @@ def sinkhorn(cost, source, target, config: SinkhornConfig | None = None) -> Sink
     cost_sub = cost_full[np.ix_(keep_a, keep_b)]
 
     eps = config.effective_epsilon(cost_sub)
-    log_kernel = -cost_sub / eps
-    log_a = np.log(a)
-    log_b = np.log(b)
-    u = np.zeros(a.size)
-    v = np.zeros(b.size)
+    # overflow and underflow of a scaling are detected and repaired in the
+    # iterations; underflow of negligible plan entries to zero is expected
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        plan, iterations, converged = _scaling_iterations(-cost_sub / eps, a, b, config)
+        plan = _round_to_marginals(plan, a, b)
 
-    converged = False
-    iterations = 0
-    plan = np.exp(log_kernel)
-    for iterations in range(1, config.max_iters + 1):
-        u = log_a - _logsumexp(log_kernel + v[None, :], axis=1)
-        v = log_b - _logsumexp(log_kernel + u[:, None], axis=0)
-        plan = np.exp(u[:, None] + log_kernel + v[None, :])
-        row_gap = float(np.abs(plan.sum(axis=1) - a).sum())
-        col_gap = float(np.abs(plan.sum(axis=0) - b).sum())
-        if max(row_gap, col_gap) <= config.tolerance:
-            converged = True
-            break
+        if keep_a.all() and keep_b.all():
+            full_plan = plan
+        else:
+            full_plan = np.zeros_like(cost_full)
+            full_plan[np.ix_(keep_a, keep_b)] = plan
 
-    plan = _round_to_marginals(plan, a, b)
-
-    if keep_a.all() and keep_b.all():
-        full_plan = plan
-    else:
-        full_plan = np.zeros_like(cost_full)
-        full_plan[np.ix_(keep_a, keep_b)] = plan
-
-    distance = float(np.sum(full_plan * cost_full))
-    positive = plan[plan > 0]
-    entropy_term = float(np.sum(positive * np.log(positive)) - plan.sum())
+        distance = float(np.sum(full_plan * cost_full))
+        positive = plan[plan > 0]
+        entropy_term = float(np.sum(positive * np.log(positive)) - plan.sum())
     return SinkhornResult(
         distance=distance,
         plan=full_plan,

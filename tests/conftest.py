@@ -49,3 +49,58 @@ def exact_ot_uniform(cost) -> float:
     rows = np.arange(n)
     best = min(float(c[rows, perm].sum()) for perm in itertools.permutations(range(n)))
     return best / n
+
+
+def log_domain_sinkhorn(cost, source, target, config=None):
+    """Sinkhorn with every iteration in the log domain (test oracle for ``ot.sinkhorn``).
+
+    Three n×m exp passes per iteration: two log-sum-exp updates of the dual
+    potentials and the plan whose marginals are checked. Zero-weight
+    stripping, rounding and the reported values follow ``ot.sinkhorn``.
+    """
+    from anchorwmd.ot import SinkhornConfig, SinkhornResult, _logsumexp, _round_to_marginals
+
+    if config is None:
+        config = SinkhornConfig()
+    cost_full = np.asarray(cost, dtype=float)
+    a_full = np.asarray(source, dtype=float)
+    b_full = np.asarray(target, dtype=float)
+    keep_a = a_full > 0
+    keep_b = b_full > 0
+    a = a_full[keep_a]
+    b = b_full[keep_b]
+    cost_sub = cost_full[np.ix_(keep_a, keep_b)]
+
+    eps = config.effective_epsilon(cost_sub)
+    log_kernel = -cost_sub / eps
+    log_a = np.log(a)
+    log_b = np.log(b)
+    u = np.zeros(a.size)
+    v = np.zeros(b.size)
+    converged = False
+    iterations = 0
+    with np.errstate(under="ignore"):
+        for iterations in range(1, config.max_iters + 1):
+            u = log_a - _logsumexp(log_kernel + v[None, :], axis=1)
+            v = log_b - _logsumexp(log_kernel + u[:, None], axis=0)
+            plan = np.exp(u[:, None] + log_kernel + v[None, :])
+            row_gap = float(np.abs(plan.sum(axis=1) - a).sum())
+            col_gap = float(np.abs(plan.sum(axis=0) - b).sum())
+            if max(row_gap, col_gap) <= config.tolerance:
+                converged = True
+                break
+        plan = _round_to_marginals(plan, a, b)
+
+    full_plan = np.zeros_like(cost_full)
+    full_plan[np.ix_(keep_a, keep_b)] = plan
+    distance = float(np.sum(full_plan * cost_full))
+    positive = plan[plan > 0]
+    entropy_term = float(np.sum(positive * np.log(positive)) - plan.sum())
+    return SinkhornResult(
+        distance=distance,
+        plan=full_plan,
+        iterations_used=iterations,
+        converged=converged,
+        reg_distance=distance + eps * entropy_term,
+        epsilon=eps,
+    )

@@ -192,6 +192,16 @@ def trained(fixture_paths, tmp_path_factory):
     return str(out / "checkpoint.json")
 
 
+_VALID_CHECKPOINT = {
+    "transform": [[1.0]],
+    "anchors": [[[0.5]]],
+    "class_names": ["a"],
+    "dim": 1,
+    "num_classes": 1,
+    "p": 1,
+}
+
+
 class TestEvalCommand:
     def test_eval_writes_predictions_and_prints_rate(self, fixture_paths, trained, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -248,7 +258,21 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize(
         "payload, named",
-        [({"transform": [[1.0]], "class_names": ["a"], "dim": 1, "num_classes": 1, "p": 1}, "anchors"), ([1, 2], "list")],
+        [({"transform": [[1.0]], "class_names": ["a"], "dim": 1, "num_classes": 1, "p": 1}, "anchors"), ([1, 2], "list")]
+        + [
+            pytest.param({**_VALID_CHECKPOINT, key: value}, f"'{key}'", id=case)
+            for case, key, value in [
+                ("class_names_int", "class_names", 5),
+                ("class_names_not_str", "class_names", [1]),
+                ("num_classes_str", "num_classes", "1"),
+                ("dim_float", "dim", 1.0),
+                ("p_bool", "p", True),
+                ("transform_str", "transform", [["x"]]),
+                ("transform_null", "transform", None),
+                ("anchors_nan", "anchors", [[[float("nan")]]]),
+                ("anchors_ragged", "anchors", [[[1.0], [1.0, 2.0]]]),
+            ]
+        ],
     )
     def test_malformed_checkpoint_is_one_line_error(self, fixture_paths, tmp_path, capsys, payload, named):
         checkpoint = tmp_path / "broken.json"
@@ -323,6 +347,21 @@ class TestInterpretCommand:
         top_lines = (out / "top_words_north.tsv").read_text().strip().splitlines()
         vocab_size = len(fixture_paths["synth"].train.vocabulary())
         assert len(top_lines) == 1 + vocab_size
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, fixture_paths, trained, tmp_path, capsys, threads):
+        code = main(
+            [
+                "interpret",
+                "--vectors", fixture_paths["vectors"],
+                "--corpus", fixture_paths["train"],
+                "--checkpoint", trained,
+                "--out", str(tmp_path / "no_threads"),
+                "--threads", threads,
+            ]
+        )
+        assert code == 1
+        assert "threads must be at least 1" in capsys.readouterr().err
 
 
 class TestBaselineCommand:
@@ -399,3 +438,18 @@ class TestExportVizCommand:
         # 2 classes x (p=4 anchors + 5 words)
         assert len(lines) == 1 + 2 * (4 + 5)
         assert "wrote" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, fixture_paths, trained, tmp_path, capsys, threads):
+        code = main(
+            [
+                "export-viz",
+                "--vectors", fixture_paths["vectors"],
+                "--corpus", fixture_paths["train"],
+                "--checkpoint", trained,
+                "--out", str(tmp_path / "no_threads"),
+                "--threads", threads,
+            ]
+        )
+        assert code == 1
+        assert "threads must be at least 1" in capsys.readouterr().err

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from anchorwmd import ot
 from anchorwmd.ot import SinkhornConfig, ground_cost_matrix, sinkhorn, validate_histogram
-from conftest import exact_ot_uniform
+from conftest import exact_ot_uniform, log_domain_sinkhorn
 
 
 class TestValidateHistogram:
@@ -167,6 +170,100 @@ class TestSinkhorn:
                 gaps.append(abs(sinkhorn(c, w, w, cfg).distance - exact))
             assert gaps[1] <= gaps[0] + 1e-9
             assert gaps[2] <= gaps[1] + 1e-9
+
+
+def _random_problem(rng, n, m, d, zero_weights=False):
+    cost = ground_cost_matrix(rng.standard_normal((d, n)), rng.standard_normal((d, m)))
+    a = rng.uniform(0.1, 1.0, n)
+    b = np.full(m, 1.0)
+    if zero_weights:
+        a[[1, n // 2]] = 0.0
+        b[m - 1] = 0.0
+    return cost, a / a.sum(), b / b.sum()
+
+
+def _counting(monkeypatch, name):
+    """Replace ``ot.<name>`` by a wrapper that counts its calls."""
+    inner = getattr(ot, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ot, name, wrapper)
+    return calls
+
+
+class TestMatchesLogDomainOracle:
+    """The scaling iterations reproduce log-domain Sinkhorn step for step."""
+
+    @pytest.mark.parametrize("zero_weights", [False, True], ids=["dense", "zero_weights"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SinkhornConfig(epsilon=0.1),
+            SinkhornConfig(epsilon=0.01),
+            SinkhornConfig(epsilon=20.0, relative=False),
+        ],
+        ids=["rel0.1", "rel0.01", "abs20"],
+    )
+    @pytest.mark.parametrize("n, m", [(112, 112), (112, 16)], ids=["doc_doc", "doc_anchor"])
+    def test_same_iterates(self, rng, n, m, config, zero_weights):
+        cost, a, b = _random_problem(rng, n, m, 300, zero_weights)
+        res = sinkhorn(cost, a, b, config)
+        oracle = log_domain_sinkhorn(cost, a, b, config)
+        assert res.iterations_used == oracle.iterations_used
+        assert res.converged == oracle.converged
+        assert res.epsilon == oracle.epsilon
+        assert res.distance == pytest.approx(oracle.distance, rel=1e-9)
+        assert res.reg_distance == pytest.approx(oracle.reg_distance, rel=1e-9)
+        assert np.abs(res.plan - oracle.plan).max() < 1e-12
+
+
+class TestHardPaths:
+    """Absorption and the log-domain fallback keep the plan finite and feasible."""
+
+    @staticmethod
+    def _solve_strictly(cost, a, b, config):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                return sinkhorn(cost, a, b, config)
+
+    @staticmethod
+    def _check_against_oracle(res, cost, a, b, config):
+        assert np.all(np.isfinite(res.plan))
+        assert np.all(res.plan >= 0)
+        assert np.abs(res.plan.sum(axis=1) - a).max() < 1e-12
+        assert np.abs(res.plan.sum(axis=0) - b).max() < 1e-12
+        oracle = log_domain_sinkhorn(cost, a, b, config)
+        assert res.distance == pytest.approx(oracle.distance, rel=1e-5)
+
+    def test_absorption(self, rng, monkeypatch):
+        # a sharp kernel in low dimension drives the scalings out of range
+        cost, a, b = _random_problem(rng, 20, 16, 3)
+        config = SinkhornConfig(epsilon=1e-3, max_iters=1000)
+        rebuilds = _counting(monkeypatch, "_absorbed_kernel")
+        log_steps = _counting(monkeypatch, "_logsumexp")
+        res = self._solve_strictly(cost, a, b, config)
+        assert len(log_steps) == 2  # the first iteration only
+        assert len(rebuilds) > 1
+        self._check_against_oracle(res, cost, a, b, config)
+
+    def test_non_finite_fallback(self, rng, monkeypatch):
+        # a subnormal source weight against costs near 1e8 makes K @ v
+        # underflow to zero in its row, so u = a / (K @ v) is infinite
+        cost, a, b = _random_problem(rng, 8, 6, 3)
+        cost *= 1e8 / cost.mean()
+        a[0] = 0.0
+        a /= a.sum()
+        a[0] = 1e-310
+        config = SinkhornConfig(epsilon=1e-3, relative=False, max_iters=300)
+        log_steps = _counting(monkeypatch, "_logsumexp")
+        res = self._solve_strictly(cost, a, b, config)
+        assert len(log_steps) > 2
+        self._check_against_oracle(res, cost, a, b, config)
 
 
 class TestSinkhornConfig:
