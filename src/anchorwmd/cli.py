@@ -152,6 +152,8 @@ def _merge_options(args: argparse.Namespace) -> dict:
             merged[key] = value
     if merged["threads"] < 1:
         raise ValueError(f"threads must be at least 1, got {merged['threads']}")
+    if merged["top_k"] < 1:
+        raise ValueError(f"top_k must be at least 1, got {merged['top_k']}")
     return merged
 
 

@@ -40,8 +40,11 @@ def _anchor_scores(points: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray,
     anchor k; the importance of point i for class y is
     ``sum_{k != y} D[i, k] - (Y - 1) * D[i, y]``.
     """
-    min_dists = np.stack([ground_cost_matrix(points, anchor).min(axis=1) for anchor in anchors], axis=1)
-    return min_dists, min_dists.sum(axis=1, keepdims=True) - len(anchors) * min_dists
+    num_classes, dim, p = anchors.shape
+    # one ground cost against all Y * p anchor columns, class-major
+    cost = ground_cost_matrix(points, anchors.transpose(1, 0, 2).reshape(dim, num_classes * p))
+    min_dists = cost.reshape(-1, num_classes, p).min(axis=2)
+    return min_dists, min_dists.sum(axis=1, keepdims=True) - num_classes * min_dists
 
 
 @dataclass
@@ -59,15 +62,17 @@ class ImportanceTable:
     importances: np.ndarray
 
     def write_tsv(self, path: str) -> None:
-        num_classes = len(self.class_names)
+        """One row per (word, class): word, class, importance, then the word's Y distances."""
+        names = self.class_names
+        importances = np.asarray(self.importances, dtype=float).tolist()
+        min_distances = np.asarray(self.min_distances, dtype=float).tolist()
         with open(path, "w", encoding="utf-8") as fh:
-            header = ["word", "class", "importance"] + [f"D_{k}" for k in range(num_classes)]
+            header = ["word", "class", "importance"] + [f"D_{k}" for k in range(len(names))]
             fh.write("\t".join(header) + "\n")
-            for i, word in enumerate(self.words):
-                for y in range(num_classes):
-                    row = [word, self.class_names[y], repr(float(self.importances[i, y]))]
-                    row += [repr(float(d)) for d in self.min_distances[i]]
-                    fh.write("\t".join(row) + "\n")
+            for word, scores, dists in zip(self.words, importances, min_distances):
+                # the D_k columns are the same on all Y rows of a word: format them once
+                tail = "\t".join(map(repr, dists)) + "\n"
+                fh.write("".join(f"{word}\t{name}\t{score!r}\t{tail}" for name, score in zip(names, scores)))
 
 
 def compute_importance_table(
@@ -92,19 +97,29 @@ def compute_importance_table(
 
 
 def top_k_words(table: ImportanceTable, class_id: int, k: int) -> list[tuple[str, float]]:
-    """The k most important words for a class, ties broken alphabetically."""
+    """The k most important words for a class, ties broken alphabetically.
+
+    Only the words scoring at least the k-th best score (ties included) are
+    sorted, so the result equals the first k of a full sort.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     if not (0 <= class_id < len(table.class_names)):
         raise ValueError(f"class id {class_id} out of range")
-    if k > len(table.words):
+    num_words = len(table.words)
+    if k > num_words:
         warnings.warn(
-            f"requested top-{k} but the vocabulary has {len(table.words)} words; returning all",
+            f"requested top-{k} but the vocabulary has {num_words} words; returning all",
             stacklevel=2,
         )
-        k = len(table.words)
+        k = num_words
+    column = np.asarray(table.importances)[:, class_id]
+    candidates = np.arange(num_words)
+    if k < num_words:
+        kth_best = np.partition(column, num_words - k)[num_words - k]
+        candidates = np.flatnonzero(column >= kth_best)
     scored = sorted(
-        zip(table.words, table.importances[:, class_id]),
+        zip([table.words[i] for i in candidates], column[candidates].tolist()),
         key=lambda pair: (-pair[1], pair[0]),
     )
     return [(word, float(score)) for word, score in scored[:k]]
@@ -117,6 +132,8 @@ def tfidf_top_words(corpus: Corpus, class_id: int, k: int) -> list[tuple[str, fl
     total; IDF is ``ln(Y / (1 + number of classes containing the term)) + 1``
     over the Y-class collection.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if not (0 <= class_id < corpus.num_classes):
         raise ValueError(f"class id {class_id} out of range")
     class_counts: list[Counter] = [Counter() for _ in range(corpus.num_classes)]
@@ -145,12 +162,17 @@ def pca_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (projections (N, 2), components (2, d)). If the centered data
     has rank below two the missing coordinate is zero-padded with a warning.
     Component signs are fixed so the dominant loading is positive.
+
+    A tall input (more rows than columns) is reduced to the (d, d) R factor
+    of its QR decomposition first: R has the same singular values and right
+    singular vectors as the centered data (Chan 1982).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array of row vectors")
     centered = pts - pts.mean(axis=0, keepdims=True)
-    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
+    factor = np.linalg.qr(centered, mode="r") if centered.shape[0] > centered.shape[1] else centered
+    _, singular, vt = np.linalg.svd(factor, full_matrices=False)
     cutoff = singular[0] * 1e-12 if singular.size else 0.0
     rank = int(np.sum(singular > cutoff))
     components = np.zeros((2, pts.shape[1]))

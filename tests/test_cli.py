@@ -173,6 +173,15 @@ class TestTrainCommand:
         assert err[0].startswith("error:") and repr(next(iter(values))) in err[0]
 
 
+def assert_top_k_rejected(code, capsys, out):
+    """Exit code 1, one ``error:`` line, and the run stopped before writing anything."""
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "top_k must be at least 1" in err[0]
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def trained(fixture_paths, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
@@ -363,6 +372,21 @@ class TestInterpretCommand:
         assert code == 1
         assert "threads must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("top_k", ["0", "-3"])
+    def test_top_k_below_one_rejected(self, fixture_paths, trained, tmp_path, capsys, top_k):
+        out = tmp_path / "no_top_k"
+        code = main(
+            [
+                "interpret",
+                "--vectors", fixture_paths["vectors"],
+                "--corpus", fixture_paths["train"],
+                "--checkpoint", trained,
+                "--out", str(out),
+                "--top-k", top_k,
+            ]
+        )
+        assert_top_k_rejected(code, capsys, out)
+
 
 class TestBaselineCommand:
     def test_knn_self_test_and_tfidf(self, fixture_paths, tmp_path, capsys):
@@ -418,6 +442,21 @@ class TestBaselineCommand:
         assert code == 1
         assert "threads must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("top_k", ["0", "-3"])
+    def test_top_k_below_one_rejected(self, fixture_paths, tmp_path, capsys, top_k):
+        out = tmp_path / "no_top_k"
+        code = main(
+            [
+                "baseline",
+                "--vectors", fixture_paths["vectors"],
+                "--corpus", fixture_paths["train"],
+                "--test-corpus", fixture_paths["test"],
+                "--out", str(out),
+                "--top-k", top_k,
+            ]
+        )
+        assert_top_k_rejected(code, capsys, out)
+
 
 class TestExportVizCommand:
     def test_projection_written(self, fixture_paths, trained, tmp_path, capsys):
@@ -453,3 +492,18 @@ class TestExportVizCommand:
         )
         assert code == 1
         assert "threads must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top_k", ["0", "-3"])
+    def test_top_k_below_one_rejected(self, fixture_paths, trained, tmp_path, capsys, top_k):
+        out = tmp_path / "no_top_k"
+        code = main(
+            [
+                "export-viz",
+                "--vectors", fixture_paths["vectors"],
+                "--corpus", fixture_paths["train"],
+                "--checkpoint", trained,
+                "--out", str(out),
+                "--top-k", top_k,
+            ]
+        )
+        assert_top_k_rejected(code, capsys, out)

@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from anchorwmd import interpret
 from anchorwmd.data import Corpus, Document
 from anchorwmd.interpret import (
+    ImportanceTable,
     compute_importance_table,
     export_projection,
     pca_2d,
@@ -10,6 +14,7 @@ from anchorwmd.interpret import (
     top_k_words,
 )
 from anchorwmd.model import AnchorModel
+from anchorwmd.ot import ground_cost_matrix
 
 
 def brute_force_scores(z, anchors):
@@ -18,6 +23,57 @@ def brute_force_scores(z, anchors):
         [min(float(np.sum((z - anchor[:, j]) ** 2)) for j in range(anchor.shape[1])) for anchor in anchors]
     )
     return dists, dists.sum() - len(anchors) * dists
+
+
+def per_anchor_scores(points, anchors):
+    """Reference ``_anchor_scores``: one ground cost per anchor, stacked by class."""
+    min_dists = np.stack([ground_cost_matrix(points, anchor).min(axis=1) for anchor in anchors], axis=1)
+    return min_dists, min_dists.sum(axis=1, keepdims=True) - len(anchors) * min_dists
+
+
+def reference_write_tsv(table, path):
+    """Reference ``ImportanceTable.write_tsv``: every field formatted row by row."""
+    num_classes = len(table.class_names)
+    with open(path, "w", encoding="utf-8") as fh:
+        header = ["word", "class", "importance"] + [f"D_{k}" for k in range(num_classes)]
+        fh.write("\t".join(header) + "\n")
+        for i, word in enumerate(table.words):
+            for y in range(num_classes):
+                row = [word, table.class_names[y], repr(float(table.importances[i, y]))]
+                row += [repr(float(d)) for d in table.min_distances[i]]
+                fh.write("\t".join(row) + "\n")
+
+
+def reference_top_k_words(table, class_id, k):
+    """Reference ``top_k_words``: a full sort of the vocabulary by (-score, word)."""
+    scored = sorted(zip(table.words, table.importances[:, class_id]), key=lambda pair: (-pair[1], pair[0]))
+    return [(word, float(score)) for word, score in scored[:k]]
+
+
+def direct_pca(points):
+    """Reference ``pca_2d``: SVD of the centered data itself, same sign rule."""
+    centered = points - points.mean(axis=0, keepdims=True)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    components = vt[:2].copy()
+    for row in range(2):
+        if components[row, np.argmax(np.abs(components[row]))] < 0:
+            components[row] = -components[row]
+    return centered @ components.T, components
+
+
+def random_table(rng, num_words, num_classes, levels=None):
+    """A random table; with ``levels`` every score is one of that many values (heavy ties)."""
+    words = [f"w{i:04d}" for i in rng.permutation(num_words)]
+    if levels is None:
+        importances = rng.standard_normal((num_words, num_classes)) * 10.0 ** rng.integers(-3, 4, (num_words, 1))
+    else:
+        importances = rng.integers(0, levels, (num_words, num_classes)) * 0.25 - 1.0
+    return ImportanceTable(
+        words=words,
+        class_names=[f"c{k}" for k in range(num_classes)],
+        min_distances=np.abs(rng.standard_normal((num_words, num_classes))) * 1e3,
+        importances=importances,
+    )
 
 
 def word_scores(z, anchors):
@@ -121,6 +177,22 @@ class TestImportanceTable:
         table = compute_importance_table(model, [f"w{i}" for i in range(10)], vectors)
         assert np.abs(table.importances.sum(axis=1)).max() < 1e-6
 
+    def test_anchor_scores_equal_per_anchor_loop(self, rng, monkeypatch):
+        points = rng.standard_normal((5, 40))
+        anchors = rng.standard_normal((4, 5, 3))
+        calls = []
+
+        def counting_ground_cost(*args):
+            calls.append(args)
+            return ground_cost_matrix(*args)
+
+        monkeypatch.setattr(interpret, "ground_cost_matrix", counting_ground_cost)
+        min_dists, importances = interpret._anchor_scores(points, anchors)
+        assert len(calls) == 1
+        ref_dists, ref_importances = per_anchor_scores(points, anchors)
+        assert np.array_equal(min_dists, ref_dists)
+        assert np.array_equal(importances, ref_importances)
+
     def test_tsv_output(self, tmp_path, rng):
         model = self.make_model(rng)
         table = compute_importance_table(model, ["w0", "w1"], rng.standard_normal((2, 2)))
@@ -129,6 +201,78 @@ class TestImportanceTable:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "word\tclass\timportance\tD_0\tD_1\tD_2"
         assert len(lines) == 1 + 2 * 3
+
+
+class TestWriteTsvOracle:
+    @pytest.mark.parametrize(
+        "num_words, num_classes, levels",
+        [(50, 4, None), (30, 1, None), (40, 3, 3)],
+        ids=["random", "one_class", "ties"],
+    )
+    def test_bytes_equal_reference(self, tmp_path, rng, num_words, num_classes, levels):
+        table = random_table(rng, num_words, num_classes, levels)
+        table.importances[0, 0] = -0.0
+        table.write_tsv(str(tmp_path / "new.tsv"))
+        reference_write_tsv(table, str(tmp_path / "ref.tsv"))
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+
+    def test_int_valued_table_prints_floats(self, tmp_path, rng):
+        table = ImportanceTable(
+            words=["a", "b", "c"],
+            class_names=["x", "y"],
+            min_distances=rng.integers(0, 5, (3, 2)),
+            importances=rng.integers(-5, 5, (3, 2)),
+        )
+        table.write_tsv(str(tmp_path / "new.tsv"))
+        reference_write_tsv(table, str(tmp_path / "ref.tsv"))
+        written = (tmp_path / "new.tsv").read_bytes()
+        assert written == (tmp_path / "ref.tsv").read_bytes()
+        assert all("." in field for field in written.decode().splitlines()[1].split("\t")[2:])
+
+
+class TestTopKOracle:
+    @pytest.mark.parametrize("levels", [None, 2, 5], ids=["random", "two_levels", "five_levels"])
+    def test_equals_full_sort(self, rng, levels):
+        table = random_table(rng, 60, 3, levels)
+        for class_id in range(3):
+            for k in (1, 2, 7, 30, 59, 60):
+                assert top_k_words(table, class_id, k) == reference_top_k_words(table, class_id, k)
+
+    def test_ties_exactly_at_kth_score(self):
+        # scores 5 > 4 = 4 = 4 = 4 > 1: every k from 2 to 5 cuts through the tie
+        table = ImportanceTable(
+            words=["f", "a", "e", "c", "b", "d"],
+            class_names=["only"],
+            min_distances=np.zeros((6, 1)),
+            importances=np.array([[4.0], [1.0], [4.0], [5.0], [4.0], [4.0]]),
+        )
+        for k in range(1, 7):
+            assert top_k_words(table, 0, k) == reference_top_k_words(table, 0, k)
+        assert [w for w, _ in top_k_words(table, 0, 3)] == ["c", "b", "d"]
+
+    def test_oversized_k_warns_and_equals_full_sort(self, rng):
+        table = random_table(rng, 20, 2, 3)
+        with pytest.warns(UserWarning, match="returning all"):
+            ranked = top_k_words(table, 1, 21)
+        assert ranked == reference_top_k_words(table, 1, 20)
+
+    def test_k_equal_vocabulary_does_not_warn(self, rng):
+        table = random_table(rng, 20, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert top_k_words(table, 0, 20) == reference_top_k_words(table, 0, 20)
+
+    def test_int_valued_table(self, rng):
+        table = ImportanceTable(
+            words=[f"w{i}" for i in range(30)],
+            class_names=["x", "y"],
+            min_distances=np.zeros((30, 2), dtype=int),
+            importances=rng.integers(-3, 3, (30, 2)),
+        )
+        for k in (1, 5, 29, 30):
+            ranked = top_k_words(table, 1, k)
+            assert ranked == reference_top_k_words(table, 1, k)
+            assert all(type(score) is float for _, score in ranked)
 
 
 class TestTopKWords:
@@ -141,8 +285,6 @@ class TestTopKWords:
 
     def test_sorted_descending_with_alphabetical_ties(self):
         table_importances = np.array([[1.0], [3.0], [3.0], [-2.0]])
-        from anchorwmd.interpret import ImportanceTable
-
         table = ImportanceTable(
             words=["zeta", "beta", "alpha", "mu"],
             class_names=["only"],
@@ -198,6 +340,11 @@ class TestTfidf:
         assert ranked[0] == "apple"
         assert set(ranked) == {"apple", "shared", "apricot"}
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            tfidf_top_words(toy_corpus(), 0, k)
+
     def test_absent_term_never_outranks_present(self):
         ranked = [w for w, _ in tfidf_top_words(toy_corpus(), 1, 10)]
         assert "apple" not in ranked
@@ -227,6 +374,25 @@ class TestPca:
         for row in range(2):
             dot = abs(float(np.dot(components[row], top2[row])))
             assert dot == pytest.approx(1.0, abs=1e-8)
+
+
+    @pytest.mark.parametrize("shape", [(60, 6), (6, 6), (4, 9)], ids=["tall", "square", "wide"])
+    def test_matches_direct_svd(self, rng, shape):
+        pts = rng.standard_normal(shape) * np.linspace(3.0, 0.5, shape[1])
+        proj, components = pca_2d(pts)
+        ref_proj, ref_components = direct_pca(pts)
+        for row in range(2):
+            assert abs(float(np.dot(components[row], ref_components[row])) - 1.0) < 1e-12
+        assert np.abs(proj - ref_proj).max() < 1e-9
+
+    def test_rank_one_tall_input_warns_and_pads(self, rng):
+        direction = rng.standard_normal(5)
+        pts = np.outer(rng.standard_normal(30), direction) + 2.0
+        with pytest.warns(UserWarning, match="rank 1"):
+            proj, components = pca_2d(pts)
+        assert np.all(components[1] == 0.0) and np.all(proj[:, 1] == 0.0)
+        centered = pts - pts.mean(axis=0)
+        assert np.abs(np.abs(proj[:, 0]) - np.linalg.norm(centered, axis=1)).max() < 1e-9
 
 
 class TestExportProjection:
