@@ -15,6 +15,7 @@ __all__ = [
     "anchor_nn_classify",
     "classify_corpus",
     "knn_predict_corpus",
+    "check_k_values",
     "error_rate",
     "write_predictions",
 ]
@@ -99,11 +100,16 @@ def knn_predict_corpus(
     """
     if not train_corpus:
         raise ValueError("train corpus is empty")
-    if any(k < 1 for k in ks):
-        raise ValueError("all k values must be at least 1")
+    check_k_values(ks)
     labels = [doc.label for doc in train_corpus]
     all_dists = _ordered_map(lambda doc: _wmd_distances(doc, train_corpus, config), test_docs, threads)
     return {k: [_knn_vote(dists, labels, k) for dists in all_dists] for k in ks}
+
+
+def check_k_values(ks) -> None:
+    """Reject a neighbour count below 1."""
+    if any(k < 1 for k in ks):
+        raise ValueError("all k values must be at least 1")
 
 
 def error_rate(predictions, truths) -> float:

@@ -2,7 +2,8 @@
 
 Option precedence is CLI flag over config-file value over built-in default;
 the merged configuration is echoed to the output directory as JSON so every
-run is reproducible from its artifacts.
+run is reproducible from its artifacts. Defaults come from ``TrainConfig`` and
+``SinkhornConfig``; each command builds the configs it reads before writing.
 """
 
 from __future__ import annotations
@@ -19,32 +20,38 @@ from .ot import SinkhornConfig
 
 logger = logging.getLogger(__name__)
 
+# option key -> config field; ``absolute_epsilon`` is ``not SinkhornConfig.relative``
+TRAIN_KEYS = dict(loss="loss_kind", margin="margin", tau="temperature", lr="learning_rate", l2="l2_coeff",
+                  epochs="epochs", batch_size="batch_size", seed="seed", p="anchor_points", threads="threads")
+SINKHORN_KEYS = dict(epsilon="epsilon", absolute_epsilon="relative", sinkhorn_iters="max_iters",
+                     sinkhorn_tol="tolerance")
+
+
+def _convert(key: str, value):
+    """An option value as its config field holds it, or back (the one conversion is a negation)."""
+    return not value if key == "absolute_epsilon" else value
+
+
+def _config_from(opts: dict, cls, keys: dict, **fields):
+    return cls(**{field: _convert(key, opts[key]) for key, field in keys.items()}, **fields)
+
+
 DEFAULTS = {
     "format": "auto",
-    "loss": "triplet",
-    "margin": 10.0,
-    "tau": 30.0,
-    "lr": 0.1,
-    "l2": 0.001,
-    "epochs": 50,
-    "batch_size": 32,
-    "seed": 0,
-    "p": 16,
-    "epsilon": 0.1,
-    "absolute_epsilon": False,
-    "sinkhorn_iters": 200,
-    "sinkhorn_tol": 1e-6,
-    "threads": 1,
-    "train_fraction": None,
-    "k": 7,
-    "k_sweep": None,
-    "top_k": 30,
-    "vectors": None,
-    "corpus": None,
-    "test_corpus": None,
-    "checkpoint": None,
-    "out": None,
+    **{key: _convert(key, getattr(config, field))
+       for config, keys in ((training.TrainConfig(), TRAIN_KEYS), (SinkhornConfig(), SINKHORN_KEYS))
+       for key, field in keys.items()},
+    "train_fraction": None, "k": 7, "k_sweep": None, "top_k": 30,
+    "vectors": None, "corpus": None, "test_corpus": None, "checkpoint": None, "out": None,
 }
+
+
+def _option_type(key: str) -> type:
+    """The type an option's value takes, as a flag and in a config file."""
+    default = DEFAULTS[key]
+    if default is None:
+        return float if key == "train_fraction" else str
+    return type(default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,76 +61,71 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def option(p, key, help=None, **kwargs):
+        kind = _option_type(key)
+        typed = {"action": "store_true", "default": None} if kind is bool else {"type": kind}
+        p.add_argument("--" + key.replace("_", "-"), help=help, **typed, **kwargs)
+
     def add_io(p, checkpoint=False, test_corpus=False):
-        p.add_argument("--vectors", help="word-vector text file")
-        p.add_argument("--corpus", help="corpus path (lines file or class directory)")
-        p.add_argument("--format", choices=["auto", "lines", "dirs"], help="corpus format")
+        option(p, "vectors", "word-vector text file")
+        option(p, "corpus", "corpus path (lines file or class directory)")
+        option(p, "format", "corpus format", choices=["auto", "lines", "dirs"])
         if test_corpus:
-            p.add_argument("--test-corpus", dest="test_corpus", help="held-out corpus path")
-            p.add_argument(
-                "--train-fraction",
-                dest="train_fraction",
-                type=float,
-                help="stratified split fraction when no test corpus is given",
-            )
+            option(p, "test_corpus", "held-out corpus path")
+            option(p, "train_fraction", "stratified split fraction when no test corpus is given")
         if checkpoint:
-            p.add_argument("--checkpoint", help="model checkpoint JSON")
-        p.add_argument("--out", help="output directory")
+            option(p, "checkpoint", "model checkpoint JSON")
+        option(p, "out", "output directory")
         p.add_argument("--config", help="JSON config file (lower precedence than flags)")
-        p.add_argument("--threads", type=int, help="worker threads for transport solves")
-        p.add_argument("--epsilon", type=float, help="Sinkhorn regularization strength")
-        p.add_argument(
-            "--absolute-epsilon",
-            dest="absolute_epsilon",
-            action="store_true",
-            default=None,
-            help="treat --epsilon as an absolute value instead of a cost-mean multiple",
-        )
-        p.add_argument("--sinkhorn-iters", dest="sinkhorn_iters", type=int, help="solver iteration cap")
-        p.add_argument("--sinkhorn-tol", dest="sinkhorn_tol", type=float, help="L1 marginal stop tolerance")
+
+    def add_solver(p):
+        option(p, "threads", "worker threads for transport solves")
+        option(p, "epsilon", "Sinkhorn regularization strength")
+        option(p, "absolute_epsilon", "treat --epsilon as an absolute value instead of a cost-mean multiple")
+        option(p, "sinkhorn_iters", "solver iteration cap")
+        option(p, "sinkhorn_tol", "L1 marginal stop tolerance")
 
     p_train = sub.add_parser("train", help="fit the transform and anchors")
     add_io(p_train, test_corpus=True)
-    p_train.add_argument("--loss", choices=["triplet", "infonce"], help="contrastive loss kind")
-    p_train.add_argument("--margin", type=float, help="triplet margin")
-    p_train.add_argument("--tau", type=float, help="InfoNCE temperature")
-    p_train.add_argument("--lr", type=float, help="Adam learning rate")
-    p_train.add_argument("--l2", type=float, help="L2 coefficient on the transform")
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--batch-size", dest="batch_size", type=int)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--p", type=int, help="support points per anchor")
+    add_solver(p_train)
+    option(p_train, "loss", "contrastive loss kind", choices=training.LOSS_KINDS)
+    option(p_train, "margin", "triplet margin")
+    option(p_train, "tau", "InfoNCE temperature")
+    option(p_train, "lr", "Adam learning rate")
+    option(p_train, "l2", "L2 coefficient on the transform")
+    option(p_train, "epochs")
+    option(p_train, "batch_size")
+    option(p_train, "seed")
+    option(p_train, "p", "support points per anchor")
 
     p_eval = sub.add_parser("eval", help="error rate of a checkpoint on a corpus")
     add_io(p_eval, checkpoint=True)
+    add_solver(p_eval)
 
     p_int = sub.add_parser("interpret", help="importance scores, top words, projection")
     add_io(p_int, checkpoint=True)
-    p_int.add_argument("--top-k", dest="top_k", type=int, help="words per class in rankings")
+    option(p_int, "top_k", "words per class in rankings")
 
     p_base = sub.add_parser("baseline", help="raw-WMD KNN and TF-IDF baselines")
     add_io(p_base, test_corpus=True)
-    p_base.add_argument("--k", type=int, help="KNN neighbour count")
-    p_base.add_argument("--k-sweep", dest="k_sweep", help="comma-separated k values to sweep")
-    p_base.add_argument("--top-k", dest="top_k", type=int, help="TF-IDF words per class")
-    p_base.add_argument("--seed", type=int)
+    add_solver(p_base)
+    option(p_base, "k", "KNN neighbour count")
+    option(p_base, "k_sweep", "comma-separated k values to sweep")
+    option(p_base, "top_k", "TF-IDF words per class")
+    option(p_base, "seed")
 
     p_viz = sub.add_parser("export-viz", help="2-D projection of anchors and top words")
     add_io(p_viz, checkpoint=True)
-    p_viz.add_argument("--top-k", dest="top_k", type=int, help="words per class to project")
+    option(p_viz, "top_k", "words per class to project")
 
     return parser
 
 
 def _fits_default(key: str, value) -> bool:
     """Whether a config-file value has the type the option takes on the command line."""
-    default = DEFAULTS[key]
-    if default is None:
-        if value is None:
-            return True
-        expected = float if key == "train_fraction" else str
-    else:
-        expected = type(default)
+    if value is None and DEFAULTS[key] is None:
+        return True
+    expected = _option_type(key)
     if isinstance(value, bool) or expected is bool:  # bool is an int subclass
         return type(value) is expected
     if expected is float:
@@ -166,12 +168,25 @@ def _require(opts: dict, *keys: str) -> None:
 
 
 def _sinkhorn_config(opts: dict) -> SinkhornConfig:
-    return SinkhornConfig(
-        epsilon=opts["epsilon"],
-        relative=not opts["absolute_epsilon"],
-        max_iters=opts["sinkhorn_iters"],
-        tolerance=opts["sinkhorn_tol"],
-    )
+    return _config_from(opts, SinkhornConfig, SINKHORN_KEYS)
+
+
+def _split_spec(opts: dict) -> data.SplitSpec | None:
+    """The stratified split to apply, or None with a test corpus or no fraction given."""
+    if opts["test_corpus"] or opts["train_fraction"] is None:
+        return None
+    return data.SplitSpec(train_fraction=opts["train_fraction"], seed=opts["seed"])
+
+
+def _k_values(opts: dict) -> list[int]:
+    """``k`` and the ``k_sweep`` values, sorted and distinct."""
+    sweep = [x for x in (opts["k_sweep"] or "").split(",") if x.strip()]
+    try:
+        ks = sorted({opts["k"], *(int(x) for x in sweep)})
+    except ValueError:
+        raise ValueError(f"k_sweep must be comma-separated integers, got {opts['k_sweep']!r}") from None
+    classify.check_k_values(ks)
+    return ks
 
 
 def _prepare_out(opts: dict, command: str) -> str:
@@ -188,37 +203,44 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_-]+", "_", name)
 
 
-def _load_train_test(opts: dict) -> tuple[data.Corpus, data.Corpus | None]:
+def _write_ranking(path: str, ranked: list[tuple[str, float]], score_name: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"rank\tword\t{score_name}\n")
+        for rank, (word, score) in enumerate(ranked, 1):
+            fh.write(f"{rank}\t{word}\t{score!r}\n")
+
+
+def _load_train_test(opts: dict, spec: data.SplitSpec | None) -> tuple[data.Corpus, data.Corpus | None]:
     corpus = data.load_corpus(opts["corpus"], opts["format"])
-    if opts.get("test_corpus"):
+    if opts["test_corpus"]:
         test = data.load_corpus(opts["test_corpus"], opts["format"])
         return corpus, data.remap_labels(test, corpus.class_names)
-    if opts.get("train_fraction"):
-        spec = data.SplitSpec(train_fraction=opts["train_fraction"], seed=opts["seed"])
+    if spec is not None:
         return data.split(corpus, spec)
     return corpus, None
 
 
+def _load_for_checkpoint(opts: dict):
+    """The checkpoint, its word vectors and the corpus labelled in the checkpoint's class order."""
+    fitted = model_mod.load_checkpoint(opts["checkpoint"])
+    table = data.load_word_vectors(opts["vectors"])
+    if fitted.vocab_hash and fitted.vocab_hash != table.vocab_hash:
+        raise ValueError(
+            "word-vector file does not match the checkpoint (vocabulary hash mismatch)"
+        )
+    corpus = data.remap_labels(data.load_corpus(opts["corpus"], opts["format"]), fitted.class_names)
+    return fitted, table, corpus
+
+
 def cmd_train(opts: dict) -> int:
     _require(opts, "vectors", "corpus", "out")
+    cfg = _config_from(opts, training.TrainConfig, TRAIN_KEYS, sinkhorn=_sinkhorn_config(opts))
+    spec = _split_spec(opts)
     out = _prepare_out(opts, "train")
     table = data.load_word_vectors(opts["vectors"])
-    train_corpus, held_out = _load_train_test(opts)
+    train_corpus, held_out = _load_train_test(opts, spec)
     measures, _ = data.corpus_to_measures(train_corpus, table)
 
-    cfg = training.TrainConfig(
-        loss_kind=opts["loss"],
-        margin=opts["margin"],
-        temperature=opts["tau"],
-        learning_rate=opts["lr"],
-        l2_coeff=opts["l2"],
-        epochs=opts["epochs"],
-        batch_size=opts["batch_size"],
-        seed=opts["seed"],
-        anchor_points=opts["p"],
-        threads=opts["threads"],
-        sinkhorn=_sinkhorn_config(opts),
-    )
     fitted, history = training.train(
         measures, cfg, class_names=train_corpus.class_names, vocab_hash=table.vocab_hash
     )
@@ -227,7 +249,7 @@ def cmd_train(opts: dict) -> int:
     if held_out is not None:
         data.save_corpus_lines(held_out, os.path.join(out, "test_split.tsv"))
 
-    predictions = classify.classify_corpus(measures, fitted, cfg.sinkhorn, threads=opts["threads"])
+    predictions = classify.classify_corpus(measures, fitted, cfg.sinkhorn, threads=cfg.threads)
     train_error = classify.error_rate(
         [p.predicted_class for p in predictions], [m.label for m in measures]
     )
@@ -238,16 +260,10 @@ def cmd_train(opts: dict) -> int:
 
 def cmd_eval(opts: dict) -> int:
     _require(opts, "vectors", "corpus", "checkpoint", "out")
-    out = _prepare_out(opts, "eval")
-    fitted = model_mod.load_checkpoint(opts["checkpoint"])
-    table = data.load_word_vectors(opts["vectors"])
-    if fitted.vocab_hash and fitted.vocab_hash != table.vocab_hash:
-        raise ValueError(
-            "word-vector file does not match the checkpoint (vocabulary hash mismatch)"
-        )
-    corpus = data.remap_labels(data.load_corpus(opts["corpus"], opts["format"]), fitted.class_names)
-    measures, doc_ids = data.corpus_to_measures(corpus, table)
     cfg = _sinkhorn_config(opts)
+    out = _prepare_out(opts, "eval")
+    fitted, table, corpus = _load_for_checkpoint(opts)
+    measures, doc_ids = data.corpus_to_measures(corpus, table)
     predictions = classify.classify_corpus(measures, fitted, cfg, threads=opts["threads"])
     err = classify.error_rate([p.predicted_class for p in predictions], [m.label for m in measures])
     classify.write_predictions(
@@ -258,15 +274,7 @@ def cmd_eval(opts: dict) -> int:
 
 
 def _importance_inputs(opts: dict):
-    fitted = model_mod.load_checkpoint(opts["checkpoint"])
-    table = data.load_word_vectors(opts["vectors"])
-    if fitted.vocab_hash and fitted.vocab_hash != table.vocab_hash:
-        raise ValueError(
-            "word-vector file does not match the checkpoint (vocabulary hash mismatch)"
-        )
-    corpus = data.remap_labels(
-        data.load_corpus(opts["corpus"], opts["format"]), fitted.class_names
-    )
+    fitted, table, corpus = _load_for_checkpoint(opts)
     words = [w for w in corpus.vocabulary() if w in table]
     if not words:
         raise ValueError("no corpus token has a word vector")
@@ -290,11 +298,7 @@ def cmd_interpret(opts: dict) -> int:
 
     for class_id, class_name in enumerate(fitted.class_names):
         ranked = interpret.top_k_words(table, class_id, opts["top_k"])
-        path = os.path.join(out, f"top_words_{_safe_name(class_name)}.tsv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("rank\tword\timportance\n")
-            for rank, (word, score) in enumerate(ranked, 1):
-                fh.write(f"{rank}\t{word}\t{score!r}\n")
+        _write_ranking(os.path.join(out, f"top_words_{_safe_name(class_name)}.tsv"), ranked, "importance")
         shown = sum(totals.get(word, 0) for word, _ in ranked)
         in_class = sum(per_class[class_id].get(word, 0) for word, _ in ranked)
         share = in_class / shown if shown else 0.0
@@ -311,21 +315,19 @@ def cmd_interpret(opts: dict) -> int:
 
 def cmd_baseline(opts: dict) -> int:
     _require(opts, "vectors", "corpus", "out")
+    cfg = _sinkhorn_config(opts)
+    spec = _split_spec(opts)
+    ks = _k_values(opts)
     out = _prepare_out(opts, "baseline")
     table = data.load_word_vectors(opts["vectors"])
-    train_corpus, test_corpus = _load_train_test(opts)
+    train_corpus, test_corpus = _load_train_test(opts, spec)
     if test_corpus is None:
         test_corpus = train_corpus
         logger.warning("no test corpus or split given; evaluating KNN on the training set")
     train_measures, _ = data.corpus_to_measures(train_corpus, table)
     test_measures, test_ids = data.corpus_to_measures(test_corpus, table)
-    cfg = _sinkhorn_config(opts)
 
     k_main = opts["k"]
-    ks = {k_main}
-    if opts.get("k_sweep"):
-        ks.update(int(x) for x in str(opts["k_sweep"]).split(",") if x.strip())
-    ks = sorted(ks)
     sweep = classify.knn_predict_corpus(test_measures, train_measures, ks, cfg, threads=opts["threads"])
     truths = [m.label for m in test_measures]
     with open(os.path.join(out, "knn_predictions.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -340,11 +342,7 @@ def cmd_baseline(opts: dict) -> int:
 
     for class_id, class_name in enumerate(train_corpus.class_names):
         ranked = interpret.tfidf_top_words(train_corpus, class_id, opts["top_k"])
-        path = os.path.join(out, f"tfidf_top_words_{_safe_name(class_name)}.tsv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("rank\tword\tscore\n")
-            for rank, (word, score) in enumerate(ranked, 1):
-                fh.write(f"{rank}\t{word}\t{score!r}\n")
+        _write_ranking(os.path.join(out, f"tfidf_top_words_{_safe_name(class_name)}.tsv"), ranked, "score")
     return 0
 
 

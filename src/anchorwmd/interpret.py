@@ -221,13 +221,13 @@ def export_projection(
             for j in range(p):
                 x, y = anchor_proj[k * p + j]
                 fh.write(
-                    f"anchor\t{class_name}\tanchor{j:02d}\t{x!r}\t{y!r}\t"
+                    f"anchor\t{class_name}\tanchor{j:02d}\t{float(x)!r}\t{float(y)!r}\t"
                     f"{float(anchor_importances[k * p + j, k])!r}\n"
                 )
                 rows += 1
             for word, score in top_k_words(table, k, top_words_per_class):
                 x, y = word_proj[word_row[word]]
-                fh.write(f"word\t{class_name}\t{word}\t{x!r}\t{y!r}\t{score!r}\n")
+                fh.write(f"word\t{class_name}\t{word}\t{float(x)!r}\t{float(y)!r}\t{score!r}\n")
                 rows += 1
     logger.info("wrote %d projection rows to %s", rows, path)
     return rows

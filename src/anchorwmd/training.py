@@ -137,8 +137,7 @@ class GradientBundle:
     grad_transform: np.ndarray
     grad_anchors: np.ndarray
     loss_value: float
-    hinge_active_fraction: float | None = None
-    softmax_entropy: float | None = None
+    stat: float  # hinge_active_fraction for triplet, softmax_entropy for infonce
     nonconverged_solves: int = 0
 
 
@@ -209,17 +208,13 @@ def batch_gradients(model: AnchorModel, batch: list[DocumentMeasure], cfg: Train
         loss += cfg.l2_coeff * float(np.sum(model.transform**2))
         grad_transform += 2.0 * cfg.l2_coeff * model.transform
 
-    bundle = GradientBundle(
+    return GradientBundle(
         grad_transform=grad_transform,
         grad_anchors=grad_anchors,
         loss_value=loss,
+        stat=stat,
         nonconverged_solves=nonconverged,
     )
-    if cfg.loss_kind == "triplet":
-        bundle.hinge_active_fraction = stat
-    else:
-        bundle.softmax_entropy = stat
-    return bundle
 
 
 @dataclass
@@ -326,8 +321,7 @@ def train(
                 cfg.learning_rate,
             )
             total_loss += bundle.loss_value * len(batch)
-            stat = bundle.hinge_active_fraction if cfg.loss_kind == "triplet" else bundle.softmax_entropy
-            total_stat += stat * len(batch)
+            total_stat += bundle.stat * len(batch)
             total_nonconverged += bundle.nonconverged_solves
         history.append(
             EpochStats(

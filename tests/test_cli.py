@@ -173,12 +173,12 @@ class TestTrainCommand:
         assert err[0].startswith("error:") and repr(next(iter(values))) in err[0]
 
 
-def assert_top_k_rejected(code, capsys, out):
-    """Exit code 1, one ``error:`` line, and the run stopped before writing anything."""
+def assert_rejected(code, capsys, out, message):
+    """Exit code 1, one ``error:`` line naming the problem, and the run stopped before writing anything."""
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error:") and "top_k must be at least 1" in err[0]
+    assert err[0].startswith("error:") and message in err[0]
     assert not out.exists()
 
 
@@ -312,8 +312,7 @@ class TestEvalCommand:
                 "--threads", threads,
             ]
         )
-        assert code == 1
-        assert "threads must be at least 1" in capsys.readouterr().err
+        assert_rejected(code, capsys, tmp_path / "no_threads", "threads must be at least 1")
 
 
 class TestInterpretCommand:
@@ -357,21 +356,6 @@ class TestInterpretCommand:
         vocab_size = len(fixture_paths["synth"].train.vocabulary())
         assert len(top_lines) == 1 + vocab_size
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one_rejected(self, fixture_paths, trained, tmp_path, capsys, threads):
-        code = main(
-            [
-                "interpret",
-                "--vectors", fixture_paths["vectors"],
-                "--corpus", fixture_paths["train"],
-                "--checkpoint", trained,
-                "--out", str(tmp_path / "no_threads"),
-                "--threads", threads,
-            ]
-        )
-        assert code == 1
-        assert "threads must be at least 1" in capsys.readouterr().err
-
     @pytest.mark.parametrize("top_k", ["0", "-3"])
     def test_top_k_below_one_rejected(self, fixture_paths, trained, tmp_path, capsys, top_k):
         out = tmp_path / "no_top_k"
@@ -385,7 +369,7 @@ class TestInterpretCommand:
                 "--top-k", top_k,
             ]
         )
-        assert_top_k_rejected(code, capsys, out)
+        assert_rejected(code, capsys, out, "top_k must be at least 1")
 
 
 class TestBaselineCommand:
@@ -439,8 +423,7 @@ class TestBaselineCommand:
                 "--threads", threads,
             ]
         )
-        assert code == 1
-        assert "threads must be at least 1" in capsys.readouterr().err
+        assert_rejected(code, capsys, tmp_path / "no_threads", "threads must be at least 1")
 
     @pytest.mark.parametrize("top_k", ["0", "-3"])
     def test_top_k_below_one_rejected(self, fixture_paths, tmp_path, capsys, top_k):
@@ -455,7 +438,7 @@ class TestBaselineCommand:
                 "--top-k", top_k,
             ]
         )
-        assert_top_k_rejected(code, capsys, out)
+        assert_rejected(code, capsys, out, "top_k must be at least 1")
 
 
 class TestExportVizCommand:
@@ -478,21 +461,6 @@ class TestExportVizCommand:
         assert len(lines) == 1 + 2 * (4 + 5)
         assert "wrote" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one_rejected(self, fixture_paths, trained, tmp_path, capsys, threads):
-        code = main(
-            [
-                "export-viz",
-                "--vectors", fixture_paths["vectors"],
-                "--corpus", fixture_paths["train"],
-                "--checkpoint", trained,
-                "--out", str(tmp_path / "no_threads"),
-                "--threads", threads,
-            ]
-        )
-        assert code == 1
-        assert "threads must be at least 1" in capsys.readouterr().err
-
     @pytest.mark.parametrize("top_k", ["0", "-3"])
     def test_top_k_below_one_rejected(self, fixture_paths, trained, tmp_path, capsys, top_k):
         out = tmp_path / "no_top_k"
@@ -506,4 +474,51 @@ class TestExportVizCommand:
                 "--top-k", top_k,
             ]
         )
-        assert_top_k_rejected(code, capsys, out)
+        assert_rejected(code, capsys, out, "top_k must be at least 1")
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        pytest.param(command, [flag, value], message, id=f"{command}{flag}={value}")
+        for commands, flag, value, message in [
+            (("train", "eval", "baseline"), "--epsilon", "0", "epsilon must be positive"),
+            (("train", "eval", "baseline"), "--sinkhorn-iters", "0", "max_iters must be at least 1"),
+            (("train", "eval", "baseline"), "--sinkhorn-tol", "0", "tolerance must be positive"),
+            (("train",), "--epochs", "0", "epochs and batch_size must be at least 1"),
+            (("train",), "--p", "0", "anchor_points must be at least 1"),
+            (("train", "baseline"), "--train-fraction", "0", "train_fraction must lie strictly between"),
+            (("train", "baseline"), "--train-fraction", "1.5", "train_fraction must lie strictly between"),
+            (("baseline",), "--k", "0", "all k values must be at least 1"),
+            (("baseline",), "--k-sweep", "0", "all k values must be at least 1"),
+            (("baseline",), "--k-sweep", "1,x", "k_sweep must be comma-separated integers"),
+        ]
+        for command in commands
+    ],
+)
+def test_invalid_value_rejected_before_writing(fixture_paths, trained, tmp_path, capsys, command, flags, message):
+    out = tmp_path / "rejected"
+    argv = [command, "--vectors", fixture_paths["vectors"], "--corpus", fixture_paths["train"], "--out", str(out)]
+    if command == "eval":
+        argv += ["--checkpoint", trained]
+    assert_rejected(main(argv + flags), capsys, out, message)
+
+
+@pytest.mark.parametrize("command", ["interpret", "export-viz"])
+@pytest.mark.parametrize("flag", ["--threads", "--epsilon"])
+def test_solver_flags_not_taken_without_solves(fixture_paths, trained, tmp_path, capsys, command, flag):
+    out = tmp_path / "usage"
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            [
+                command,
+                "--vectors", fixture_paths["vectors"],
+                "--corpus", fixture_paths["train"],
+                "--checkpoint", trained,
+                "--out", str(out),
+                flag, "1",
+            ]
+        )
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()

@@ -410,6 +410,23 @@ class TestExportProjection:
         assert kinds.count("anchor") == 4  # 2 classes x p=2
         assert kinds.count("word") == 4  # 2 classes x top-2
 
+    def test_coordinates_parse_as_the_projection(self, tmp_path, rng):
+        model = AnchorModel(rng.standard_normal((3, 3)), rng.standard_normal((2, 3, 2)), ["a", "b"])
+        words = [f"w{i}" for i in range(5)]
+        vectors = rng.standard_normal((5, 3))
+        table = compute_importance_table(model, words, vectors)
+        path = tmp_path / "projection.tsv"
+        export_projection(model, table, vectors, top_words_per_class=2, path=str(path))
+        anchor_cols = np.concatenate([model.anchors[k].T for k in range(2)])
+        proj, _ = pca_2d(np.concatenate([(model.transform @ vectors.T).T, anchor_cols]))
+        rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
+        for kind, class_name, label, pc1, pc2, _ in rows:
+            if kind == "anchor":
+                expected = proj[len(words) + 2 * model.class_names.index(class_name) + int(label[len("anchor"):])]
+            else:
+                expected = proj[words.index(label)]
+            assert [float(pc1), float(pc2)] == expected.tolist()
+
     def test_anchor_rows_score_each_column_for_its_class(self, tmp_path, rng):
         model = AnchorModel(np.eye(3), rng.standard_normal((3, 3, 2)), ["a", "b", "c"])
         vectors = rng.standard_normal((4, 3))

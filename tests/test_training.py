@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from anchorwmd.model import AnchorModel, DocumentMeasure
+from anchorwmd.model import AnchorModel, DocumentMeasure, anchor_transport
 from anchorwmd.ot import SinkhornConfig
 from anchorwmd.training import (
     AdamState,
@@ -165,7 +165,7 @@ class TestBatchGradients:
         bundle = batch_gradients(model, [doc], cfg)
         assert bundle.grad_anchors == pytest.approx(np.zeros_like(anchors))
         assert bundle.grad_transform == pytest.approx(2 * 0.01 * model.transform)
-        assert bundle.hinge_active_fraction == pytest.approx(0.0)
+        assert bundle.stat == pytest.approx(0.0)
 
     @pytest.mark.parametrize("loss_kind", ["triplet", "infonce"])
     def test_matches_finite_differences(self, rng, loss_kind):
@@ -173,7 +173,7 @@ class TestBatchGradients:
         bundle = batch_gradients(model, docs, cfg)
         if loss_kind == "triplet":
             # the check is only meaningful with at least one active hinge
-            assert bundle.hinge_active_fraction > 0
+            assert bundle.stat > 0
 
         def loss_at(transform, anchors):
             trial = AnchorModel(transform, anchors, model.class_names)
@@ -207,8 +207,14 @@ class TestBatchGradients:
     def test_infonce_uniform_distance_stats(self, rng):
         docs, model, cfg = _tiny_setup(rng, "infonce")
         bundle = batch_gradients(model, docs, cfg)
-        assert bundle.softmax_entropy is not None
-        assert bundle.hinge_active_fraction is None
+        entropies = []
+        for doc in docs:
+            _, results = anchor_transport(model, doc, cfg.sinkhorn)
+            scores = -np.array([r.reg_distance for r in results]) / cfg.temperature
+            probs = np.exp(scores - scores.max())
+            probs /= probs.sum()
+            entropies.append(-np.sum(probs * np.log(probs)))
+        assert bundle.stat == pytest.approx(np.mean(entropies), rel=1e-12)
 
     def test_threads_do_not_change_result(self, rng):
         docs, model, cfg = _tiny_setup(rng, "triplet", n_docs=4)
