@@ -371,6 +371,10 @@ class TestInterpretCommand:
         )
         assert_rejected(code, capsys, out, "top_k must be at least 1")
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, fixture_paths, trained, tmp_path, capsys, threads):
+        assert_flag_not_taken(fixture_paths, trained, tmp_path, capsys, "interpret", "--threads", threads)
+
 
 class TestBaselineCommand:
     def test_knn_self_test_and_tfidf(self, fixture_paths, tmp_path, capsys):
@@ -476,6 +480,10 @@ class TestExportVizCommand:
         )
         assert_rejected(code, capsys, out, "top_k must be at least 1")
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, fixture_paths, trained, tmp_path, capsys, threads):
+        assert_flag_not_taken(fixture_paths, trained, tmp_path, capsys, "export-viz", "--threads", threads)
+
 
 @pytest.mark.parametrize(
     "command, flags, message",
@@ -504,9 +512,8 @@ def test_invalid_value_rejected_before_writing(fixture_paths, trained, tmp_path,
     assert_rejected(main(argv + flags), capsys, out, message)
 
 
-@pytest.mark.parametrize("command", ["interpret", "export-viz"])
-@pytest.mark.parametrize("flag", ["--threads", "--epsilon"])
-def test_solver_flags_not_taken_without_solves(fixture_paths, trained, tmp_path, capsys, command, flag):
+def assert_flag_not_taken(fixture_paths, trained, tmp_path, capsys, command, flag, value):
+    """``command`` runs no transport solve, so ``flag`` is a usage error and nothing is written."""
     out = tmp_path / "usage"
     with pytest.raises(SystemExit) as exit_info:
         main(
@@ -516,9 +523,15 @@ def test_solver_flags_not_taken_without_solves(fixture_paths, trained, tmp_path,
                 "--corpus", fixture_paths["train"],
                 "--checkpoint", trained,
                 "--out", str(out),
-                flag, "1",
+                flag, value,
             ]
         )
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["interpret", "export-viz"])
+@pytest.mark.parametrize("flag", ["--epsilon", "--sinkhorn-iters", "--sinkhorn-tol"])
+def test_solver_flags_not_taken_without_solves(fixture_paths, trained, tmp_path, capsys, command, flag):
+    assert_flag_not_taken(fixture_paths, trained, tmp_path, capsys, command, flag, "1")
