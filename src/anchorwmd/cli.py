@@ -172,9 +172,11 @@ def _sinkhorn_config(opts: dict) -> SinkhornConfig:
 
 
 def _split_spec(opts: dict) -> data.SplitSpec | None:
-    """The stratified split to apply, or None with a test corpus or no fraction given."""
-    if opts["test_corpus"] or opts["train_fraction"] is None:
+    """The stratified split to apply, or None when no fraction is given."""
+    if opts["train_fraction"] is None:
         return None
+    if opts["test_corpus"]:
+        raise ValueError("train_fraction and test_corpus exclude each other; give one of them")
     return data.SplitSpec(train_fraction=opts["train_fraction"], seed=opts["seed"])
 
 
@@ -289,18 +291,12 @@ def cmd_interpret(opts: dict) -> int:
     table = interpret.compute_importance_table(fitted, words, vectors)
     table.write_tsv(os.path.join(out, "importance.tsv"))
 
-    totals = {}
-    per_class: list[dict[str, int]] = [{} for _ in fitted.class_names]
-    for doc in corpus.documents:
-        for token, count in doc.counts.items():
-            totals[token] = totals.get(token, 0) + count
-            per_class[doc.label][token] = per_class[doc.label].get(token, 0) + count
-
+    per_class = corpus.class_token_counts()
     for class_id, class_name in enumerate(fitted.class_names):
         ranked = interpret.top_k_words(table, class_id, opts["top_k"])
         _write_ranking(os.path.join(out, f"top_words_{_safe_name(class_name)}.tsv"), ranked, "importance")
-        shown = sum(totals.get(word, 0) for word, _ in ranked)
-        in_class = sum(per_class[class_id].get(word, 0) for word, _ in ranked)
+        shown = sum(counts[word] for counts in per_class for word, _ in ranked)
+        in_class = sum(per_class[class_id][word] for word, _ in ranked)
         share = in_class / shown if shown else 0.0
         print(
             f"{class_name}: top-{len(ranked)} words appear {shown} times in the corpus, "

@@ -95,6 +95,13 @@ class Corpus:
             sizes[doc.label] += 1
         return sizes
 
+    def class_token_counts(self) -> list[Counter]:
+        """Per class, every token's count summed over the class's documents."""
+        counts = [Counter() for _ in range(self.num_classes)]
+        for doc in self.documents:
+            counts[doc.label].update(doc.counts)
+        return counts
+
 
 def load_corpus(path: str, fmt: str = "auto") -> Corpus:
     """Read a corpus in ``lines`` or ``dirs`` format (``auto`` picks by path type)."""

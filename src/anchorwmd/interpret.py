@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Corpus
-from .model import AnchorModel
+from .model import AnchorModel, anchor_columns
 from .ot import ground_cost_matrix
 
 __all__ = [
@@ -40,9 +40,8 @@ def _anchor_scores(points: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray,
     anchor k; the importance of point i for class y is
     ``sum_{k != y} D[i, k] - (Y - 1) * D[i, y]``.
     """
-    num_classes, dim, p = anchors.shape
-    # one ground cost against all Y * p anchor columns, class-major
-    cost = ground_cost_matrix(points, anchors.transpose(1, 0, 2).reshape(dim, num_classes * p))
+    num_classes, _, p = anchors.shape
+    cost = ground_cost_matrix(points, anchor_columns(anchors))
     min_dists = cost.reshape(-1, num_classes, p).min(axis=2)
     return min_dists, min_dists.sum(axis=1, keepdims=True) - num_classes * min_dists
 
@@ -136,9 +135,7 @@ def tfidf_top_words(corpus: Corpus, class_id: int, k: int) -> list[tuple[str, fl
         raise ValueError("k must be at least 1")
     if not (0 <= class_id < corpus.num_classes):
         raise ValueError(f"class id {class_id} out of range")
-    class_counts: list[Counter] = [Counter() for _ in range(corpus.num_classes)]
-    for doc in corpus.documents:
-        class_counts[doc.label].update(doc.counts)
+    class_counts = corpus.class_token_counts()
     own = class_counts[class_id]
     if not own:
         raise ValueError(f"class {corpus.class_names[class_id]!r} has no documents")
@@ -206,9 +203,9 @@ def export_projection(
     """
     vectors = np.asarray(word_vectors, dtype=float)
     transformed = (model.transform @ vectors.T).T  # (V, d)
-    anchor_cols = np.concatenate([model.anchors[k].T for k in range(model.num_classes)])  # (Y p, d)
-    _, anchor_importances = _anchor_scores(anchor_cols.T, model.anchors)
-    projections, _ = pca_2d(np.concatenate([transformed, anchor_cols]))
+    columns = anchor_columns(model.anchors)  # (d, Y p)
+    _, anchor_importances = _anchor_scores(columns, model.anchors)
+    projections, _ = pca_2d(np.concatenate([transformed, columns.T]))
     word_proj = projections[: len(table.words)]
     anchor_proj = projections[len(table.words) :]
 

@@ -29,6 +29,7 @@ from .ot import (
 __all__ = [
     "DocumentMeasure",
     "AnchorModel",
+    "anchor_columns",
     "anchor_transport",
     "init_anchors",
     "save_checkpoint",
@@ -122,6 +123,12 @@ class AnchorModel:
         return self.anchors.shape[2]
 
 
+def anchor_columns(anchors: np.ndarray) -> np.ndarray:
+    """(Y, d, p) anchors as one (d, Y * p) matrix, class-major: anchor k is columns k*p to (k+1)*p."""
+    num_classes, dim, p = anchors.shape
+    return anchors.transpose(1, 0, 2).reshape(dim, num_classes * p)
+
+
 def anchor_transport(
     model: AnchorModel, doc: DocumentMeasure, config: SinkhornConfig | None = None
 ) -> tuple[np.ndarray, list[SinkhornResult]]:
@@ -129,9 +136,11 @@ def anchor_transport(
 
     Returns the embedded support ``model.transform @ doc.support`` (d, n)
     and one :class:`SinkhornResult` per class, each against the uniform
-    measure 1/p on that anchor's columns. Training ranks classes by
-    ``reg_distance`` (the value its gradient differentiates); nearest-anchor
-    classification takes the argmin of ``distance``.
+    measure 1/p on that anchor's columns. One ground cost is built against
+    all Y * p anchor columns in :func:`anchor_columns` order, and class k's
+    solve takes its (n, p) slice. Training ranks classes by ``reg_distance``
+    (the value its gradient differentiates); nearest-anchor classification
+    takes the argmin of ``distance``.
     """
     if doc.dim != model.dim:
         raise ValueError(
@@ -140,9 +149,10 @@ def anchor_transport(
     embedded = model.transform @ doc.support
     p = model.num_support_points
     target = np.full(p, 1.0 / p)
+    cost = ground_cost_matrix(embedded, anchor_columns(model.anchors))
     results = [
-        sinkhorn(ground_cost_matrix(embedded, anchor), doc.weights, target, config)
-        for anchor in model.anchors
+        sinkhorn(cost[:, k * p : (k + 1) * p], doc.weights, target, config)
+        for k in range(model.num_classes)
     ]
     return embedded, results
 

@@ -7,16 +7,17 @@ respect to the cost matrix.
 
 The solver runs stabilized scaling iterations with log-domain absorption
 (Schmitzer 2019, "Stabilized sparse scaling algorithms for entropy
-regularized transport problems"). Its first iteration runs in the log domain
-and yields dual potentials ``f``, ``g``; later iterations are plain Sinkhorn
-scalings ``u = a / (K @ v)``, ``v = b / (K.T @ u)`` on the absorbed kernel
-``K = exp(f + (-cost / epsilon) + g)``, two matrix-vector products each, and
-read the marginal gaps off the same products. When a scaling leaves
-[1e-50, 1e50] its logarithm is absorbed into ``f`` and ``g`` and ``K`` is
-rebuilt with one exp pass; when a scaling overflows or underflows to zero,
-that half-step is redone in the log domain instead. Either way the iterates
-are, in exact arithmetic, those of log-domain Sinkhorn, so iteration counts
-and results match it up to floating-point rounding.
+regularized transport problems"): plain Sinkhorn scalings
+``u = a / (K @ v)``, ``v = b / (K.T @ u)`` on the absorbed kernel
+``K = exp(f + (-cost / epsilon) + g)``, two matrix-vector products per
+iteration, with the marginal gaps read off the same products. Iterations
+start from ``f = g = 0``. Both half-steps follow one rule: a scaling inside
+[1e-50, 1e50] is kept; one outside it but finite and positive is absorbed
+into its potential and ``K`` rebuilt with one exp pass; any other scaling
+(overflowed, or underflowed to zero, as on a kernel row that underflows
+entirely) has its half-step done in the log domain instead. Either way the
+iterates are, in exact arithmetic, those of log-domain Sinkhorn, so
+iteration counts and results match it up to floating-point rounding.
 """
 
 from __future__ import annotations
@@ -163,70 +164,52 @@ def _absorbed_kernel(log_kernel: np.ndarray, f: np.ndarray, g: np.ndarray) -> np
     return np.exp(f[:, None] + log_kernel + g[None, :])
 
 
-def _in_range(scaling: np.ndarray) -> bool:
-    # NaN-safe: a NaN entry fails both comparisons
-    return bool(scaling.min() >= _SCALING_LOW and scaling.max() <= _SCALING_HIGH)
-
-
-def _is_usable(scaling: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(scaling)) and scaling.min() > 0)
-
-
 def _scaling_iterations(
     log_kernel: np.ndarray, a: np.ndarray, b: np.ndarray, config: SinkhornConfig
 ) -> tuple[np.ndarray, int, bool]:
     """Sinkhorn iterations on positive histograms; returns (plan, iterations, converged).
 
-    The iterate after each step is ``u[:, None] * kernel * v[None, :]`` with
-    ``kernel = exp(f + log_kernel + g)``, equal to the log-domain iterate
-    ``exp(f + log u + log_kernel + g + log v)``. Stored scalings are always
-    finite and positive.
+    The iterate is ``u[:, None] * kernel * v[None, :]`` with ``kernel =
+    exp(f + log_kernel + g)``, equal to the log-domain iterate ``exp(f + log u
+    + log_kernel + g + log v)``. Side 0 is the rows (``a``, ``f``, ``u``),
+    side 1 the columns (``b``, ``g``, ``v``); both half-steps run one rule.
+    ``products`` holds ``kernel @ v`` and ``kernel.T @ u``, so ``u *
+    products[0]`` and ``v * products[1]`` are the iterate's marginals.
     """
-    log_a = np.log(a)
-    log_b = np.log(b)
-    # first iteration in the log domain, from v = 0; afterwards every row and
-    # column of the kernel carries mass, so the scalings start finite
-    f = log_a - _logsumexp(log_kernel, axis=1)
-    g = log_b - _logsumexp(log_kernel + f[:, None], axis=0)
-    kernel = _absorbed_kernel(log_kernel, f, g)
-    u = np.ones(a.size)
-    v = np.ones(b.size)
-    kernel_v = kernel.sum(axis=1)
-    kernel_t_u = kernel.sum(axis=0)
-    iterations = 1
+    marginals = (a, b)
+    potentials = [np.zeros(a.size), np.zeros(b.size)]
+    scalings = [np.ones(a.size), np.ones(b.size)]
+    kernel = np.exp(log_kernel)
+    kernels = (kernel, kernel.T)
+    products = [kernel.sum(axis=1), None]
+    iterations = 0
     while True:
-        row_gap = float(np.abs(u * kernel_v - a).sum())
-        col_gap = float(np.abs(v * kernel_t_u - b).sum())
-        if max(row_gap, col_gap) <= config.tolerance:
-            return u[:, None] * kernel * v[None, :], iterations, True
-        if iterations == config.max_iters:
-            return u[:, None] * kernel * v[None, :], iterations, False
         iterations += 1
-
-        u = a / kernel_v
-        if not _in_range(u):
-            if _is_usable(u):
-                f = f + np.log(u)
-            else:
-                f = log_a - _logsumexp(log_kernel + (g + np.log(v))[None, :], axis=1)
-            g = g + np.log(v)
-            kernel = _absorbed_kernel(log_kernel, f, g)
-            u = np.ones(a.size)
-            v = np.ones(b.size)
-        kernel_t_u = kernel.T @ u
-
-        v = b / kernel_t_u
-        if not _in_range(v):
-            if _is_usable(v):
-                g = g + np.log(v)
-            else:
-                g = log_b - _logsumexp(log_kernel + (f + np.log(u))[:, None], axis=0)
-            f = f + np.log(u)
-            kernel = _absorbed_kernel(log_kernel, f, g)
-            u = np.ones(a.size)
-            v = np.ones(b.size)
-            kernel_t_u = kernel.sum(axis=0)
-        kernel_v = kernel @ v
+        for side, other in ((0, 1), (1, 0)):
+            scaling = marginals[side] / products[side]
+            # NaN-safe: a NaN entry fails both comparisons
+            if not (scaling.min() >= _SCALING_LOW and scaling.max() <= _SCALING_HIGH):
+                # absorb both scalings into the potentials and restart them at 1;
+                # a scaling with no finite log is redone as a log-domain half-step
+                potentials[other] = potentials[other] + np.log(scalings[other])
+                if np.all(np.isfinite(scaling)) and scaling.min() > 0:
+                    potentials[side] = potentials[side] + np.log(scaling)
+                else:
+                    potentials[side] = np.log(marginals[side]) - _logsumexp(
+                        (log_kernel, log_kernel.T)[side] + potentials[other][None, :], axis=1
+                    )
+                kernel = _absorbed_kernel(log_kernel, *potentials)
+                kernels = (kernel, kernel.T)
+                scaling = np.ones(scaling.size)
+                scalings[other] = np.ones(scalings[other].size)
+                products[side] = kernels[side].sum(axis=1)
+            scalings[side] = scaling
+            products[other] = kernels[other] @ scaling
+        u, v = scalings
+        gap = max(float(np.abs(u * products[0] - a).sum()), float(np.abs(v * products[1] - b).sum()))
+        converged = gap <= config.tolerance
+        if converged or iterations == config.max_iters:
+            return u[:, None] * kernel * v[None, :], iterations, converged
 
 
 def sinkhorn(cost, source, target, config: SinkhornConfig | None = None) -> SinkhornResult:

@@ -502,6 +502,16 @@ class TestExportVizCommand:
             (("baseline",), "--k-sweep", "1,x", "k_sweep must be comma-separated integers"),
         ]
         for command in commands
+    ]
+    + [
+        pytest.param(
+            command,
+            ["--test-corpus", "<test corpus>", "--train-fraction", value],
+            "train_fraction and test_corpus exclude each other",
+            id=f"{command}--train-fraction={value}--test-corpus",
+        )
+        for command in ("train", "baseline")
+        for value in ("0.5", "1.5")
     ],
 )
 def test_invalid_value_rejected_before_writing(fixture_paths, trained, tmp_path, capsys, command, flags, message):
@@ -509,7 +519,26 @@ def test_invalid_value_rejected_before_writing(fixture_paths, trained, tmp_path,
     argv = [command, "--vectors", fixture_paths["vectors"], "--corpus", fixture_paths["train"], "--out", str(out)]
     if command == "eval":
         argv += ["--checkpoint", trained]
+    flags = [fixture_paths["test"] if flag == "<test corpus>" else flag for flag in flags]
     assert_rejected(main(argv + flags), capsys, out, message)
+
+
+@pytest.mark.parametrize("command", ["train", "baseline"])
+def test_config_train_fraction_with_test_corpus_rejected(fixture_paths, tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train_fraction": 0.5}))
+    out = tmp_path / "rejected"
+    code = main(
+        [
+            command,
+            "--vectors", fixture_paths["vectors"],
+            "--corpus", fixture_paths["train"],
+            "--test-corpus", fixture_paths["test"],
+            "--config", str(config),
+            "--out", str(out),
+        ]
+    )
+    assert_rejected(code, capsys, out, "train_fraction and test_corpus exclude each other")
 
 
 def assert_flag_not_taken(fixture_paths, trained, tmp_path, capsys, command, flag, value):

@@ -275,3 +275,16 @@ class TestVocabulary:
             class_names=["only"],
         )
         assert corpus.vocabulary() == ["a", "b", "c"]
+
+
+class TestClassTokenCounts:
+    def test_sums_counts_within_each_class(self):
+        corpus = Corpus(
+            documents=[
+                Document("d0", 1, {"b": 1, "a": 2}),
+                Document("d1", 0, {"c": 3}),
+                Document("d2", 1, {"a": 1}),
+            ],
+            class_names=["x", "y", "empty"],
+        )
+        assert corpus.class_token_counts() == [{"c": 3}, {"a": 3, "b": 1}, {}]

@@ -4,9 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from anchorwmd import model as model_module
 from anchorwmd.model import (
     AnchorModel,
     DocumentMeasure,
+    anchor_columns,
     anchor_transport,
     init_anchors,
     load_checkpoint,
@@ -92,6 +94,26 @@ class TestEmbedDocument:
         model = AnchorModel(np.eye(2), np.zeros((2, 2, 2)), ["a", "b"])
         with pytest.raises(ValueError):
             anchor_transport(model, doc)
+
+    def test_one_ground_cost_per_document(self, rng, monkeypatch):
+        calls = []
+
+        def counting_ground_cost(*args):
+            calls.append(args)
+            return ground_cost_matrix(*args)
+
+        monkeypatch.setattr(model_module, "ground_cost_matrix", counting_ground_cost)
+        model = AnchorModel(np.eye(3), rng.standard_normal((4, 3, 2)), ["a", "b", "c", "d"])
+        _, results = anchor_transport(model, make_doc(rng.standard_normal((3, 5)), np.full(5, 0.2)))
+        assert len(calls) == 1
+        assert len(results) == 4
+
+    def test_anchor_columns_are_class_major(self, rng):
+        anchors = rng.standard_normal((4, 3, 2))
+        columns = anchor_columns(anchors)
+        assert columns.shape == (3, 8)
+        for k in range(4):
+            assert np.array_equal(columns[:, 2 * k : 2 * k + 2], anchors[k])
 
 
 class TestDocAnchorDistance:

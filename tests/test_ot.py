@@ -245,10 +245,21 @@ class TestHardPaths:
         cost, a, b = _random_problem(rng, 20, 16, 3)
         config = SinkhornConfig(epsilon=1e-3, max_iters=1000)
         rebuilds = _counting(monkeypatch, "_absorbed_kernel")
+        res = self._solve_strictly(cost, a, b, config)
+        assert len(rebuilds) > 1
+        self._check_against_oracle(res, cost, a, b, config)
+
+    def test_well_scaled_kernel_stays_in_scaling_domain(self, rng, monkeypatch):
+        # at the default relative epsilon a paper-shaped kernel keeps every
+        # scaling in range: no log-domain step and no kernel rebuild
+        cost, a, b = _random_problem(rng, 112, 16, 300)
+        config = SinkhornConfig(epsilon=0.1)
+        rebuilds = _counting(monkeypatch, "_absorbed_kernel")
         log_steps = _counting(monkeypatch, "_logsumexp")
         res = self._solve_strictly(cost, a, b, config)
-        assert len(log_steps) == 2  # the first iteration only
-        assert len(rebuilds) > 1
+        assert res.converged
+        assert len(log_steps) == 0
+        assert len(rebuilds) == 0
         self._check_against_oracle(res, cost, a, b, config)
 
     def test_non_finite_fallback(self, rng, monkeypatch):
