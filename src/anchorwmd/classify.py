@@ -38,8 +38,6 @@ def anchor_nn_classify(
     :func:`~anchorwmd.model.anchor_transport` and returns the argmin of the
     unregularized ``distance`` (first index wins exact ties).
     """
-    if doc.size == 0:
-        raise ValueError("cannot classify an empty document")
     _, results = anchor_transport(model, doc, config)
     distances = np.array([result.distance for result in results])
     return Prediction(predicted_class=int(np.argmin(distances)), anchor_distances=distances)

@@ -327,6 +327,8 @@ class SplitSpec:
     def __post_init__(self):
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError("train_fraction must lie strictly between 0 and 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def _apportion_train_counts(sizes: list[int], fraction: float) -> list[int]:

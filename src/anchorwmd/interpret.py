@@ -164,7 +164,7 @@ def pca_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of its QR decomposition first: R has the same singular values and right
     singular vectors as the centered data (Chan 1982).
     """
-    pts = np.asarray(points, dtype=float)
+    pts = np.asfortranarray(points, dtype=float)  # one layout, so C and Fortran inputs give the same bits
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array of row vectors")
     centered = pts - pts.mean(axis=0, keepdims=True)

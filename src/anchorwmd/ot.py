@@ -95,12 +95,12 @@ class SinkhornConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise ValueError("epsilon must be positive")
+        if not (0 < self.epsilon < np.inf):
+            raise ValueError("epsilon must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (self.tolerance > 0):
-            raise ValueError("tolerance must be positive")
+        if not (0 < self.tolerance < np.inf):
+            raise ValueError("tolerance must be positive and finite")
 
     def effective_epsilon(self, cost: np.ndarray) -> float:
         """Resolve the regularization strength for a concrete cost matrix."""

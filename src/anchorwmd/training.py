@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import AnchorModel, DocumentMeasure, _ordered_map, anchor_transport, init_anchors
+from .model import AnchorModel, DocumentMeasure, _ordered_map, anchor_columns, anchor_transport, init_anchors
 from .ot import SinkhornConfig
 
 __all__ = [
@@ -61,12 +61,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if not (self.temperature > 0):
-            raise ValueError("temperature must be positive")
-        if not (self.learning_rate >= 0):
-            raise ValueError("learning_rate must be non-negative")
-        if self.l2_coeff < 0:
-            raise ValueError("l2_coeff must be non-negative")
+        if not np.isfinite(self.margin):
+            raise ValueError("margin must be finite")
+        if not (0 < self.temperature < np.inf):
+            raise ValueError("temperature must be positive and finite")
+        if not (0 <= self.learning_rate < np.inf):
+            raise ValueError("learning_rate must be non-negative and finite")
+        if not (0 <= self.l2_coeff < np.inf):
+            raise ValueError("l2_coeff must be non-negative and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
         if self.anchor_points < 1:
@@ -80,10 +84,7 @@ def triplet_loss(doc_dists, label: int, margin: float) -> float:
 
     Returns ``sum_k max(W_label - W_k + margin, 0)`` over all ``k != label``.
     """
-    dists = _checked_dists(doc_dists, label)
-    hinges = np.maximum(dists[label] - dists + margin, 0.0)
-    hinges[label] = 0.0
-    return float(hinges.sum())
+    return _triplet_terms(_checked_dists(doc_dists, label), label, margin)[0]
 
 
 def infonce_loss(doc_dists, label: int, temperature: float) -> float:
@@ -92,10 +93,7 @@ def infonce_loss(doc_dists, label: int, temperature: float) -> float:
     The denominator runs over all classes including ``label``; computed with
     a max shift so large distance gaps cannot overflow.
     """
-    dists = _checked_dists(doc_dists, label)
-    scores = -dists / temperature
-    peak = scores.max()
-    return float(np.log(np.exp(scores - peak).sum()) + peak - scores[label])
+    return _infonce_terms(_checked_dists(doc_dists, label), label, temperature)[0]
 
 
 def _checked_dists(doc_dists, label: int) -> np.ndarray:
@@ -109,25 +107,28 @@ def _checked_dists(doc_dists, label: int) -> np.ndarray:
     return dists
 
 
-def _triplet_coefficients(dists: np.ndarray, label: int, margin: float) -> tuple[np.ndarray, float]:
-    """Per-class derivative of the triplet loss and the active-hinge fraction."""
-    active = dists[label] - dists + margin > 0
-    active[label] = False
+def _triplet_terms(dists: np.ndarray, label: int, margin: float) -> tuple[float, np.ndarray, float]:
+    """Triplet loss, its per-class derivative, and the active-hinge fraction."""
+    hinges = np.maximum(dists[label] - dists + margin, 0.0)
+    hinges[label] = 0.0
+    active = hinges > 0
     coeffs = np.where(active, -1.0, 0.0)
     coeffs[label] = float(active.sum())
-    return coeffs, float(active.sum()) / (dists.size - 1)
+    return float(hinges.sum()), coeffs, float(active.sum()) / (dists.size - 1)
 
 
-def _infonce_coefficients(dists: np.ndarray, label: int, temperature: float) -> tuple[np.ndarray, float]:
-    """Per-class derivative of the InfoNCE loss and the softmax entropy."""
+def _infonce_terms(dists: np.ndarray, label: int, temperature: float) -> tuple[float, np.ndarray, float]:
+    """InfoNCE loss, its per-class derivative, and the softmax entropy."""
     scores = -dists / temperature
-    scores -= scores.max()
-    probs = np.exp(scores)
-    probs /= probs.sum()
+    peak = scores.max()
+    probs = np.exp(scores - peak)
+    total = probs.sum()
+    probs /= total
     coeffs = -probs / temperature
     coeffs[label] += 1.0 / temperature
-    entropy = float(-np.sum(probs * np.log(probs)))
-    return coeffs, entropy
+    # log-probabilities stay finite where a probability underflows to 0
+    entropy = float(-np.sum(probs * (scores - peak - np.log(total))))
+    return float(np.log(total) + peak - scores[label]), coeffs, entropy
 
 
 @dataclass
@@ -142,37 +143,31 @@ class GradientBundle:
 
 
 def _document_terms(model: AnchorModel, doc: DocumentMeasure, cfg: TrainConfig):
-    """Loss, transform gradient, anchor gradients, and stats for one document."""
+    """Loss, embedded-word gradient, anchor gradients, and stats for one document.
+
+    Both gradients are None when every class coefficient is 0.
+    """
     if doc.label is None:
         raise ValueError("training documents must carry a class label")
     embedded, results = anchor_transport(model, doc, cfg.sinkhorn)
     dists = np.array([result.reg_distance for result in results])
     nonconverged = sum(not result.converged for result in results)
-
     if cfg.loss_kind == "triplet":
-        loss = triplet_loss(dists, doc.label, cfg.margin)
-        coeffs, stat = _triplet_coefficients(dists, doc.label, cfg.margin)
+        loss, coeffs, stat = _triplet_terms(dists, doc.label, cfg.margin)
     else:
-        loss = infonce_loss(dists, doc.label, cfg.temperature)
-        coeffs, stat = _infonce_coefficients(dists, doc.label, cfg.temperature)
+        loss, coeffs, stat = _infonce_terms(dists, doc.label, cfg.temperature)
+    if not np.any(coeffs):
+        return loss, None, None, stat, nonconverged
 
-    # d cost(i,j) / d z_i = 2 (z_i - q_j), summed over classes before one
-    # chain-rule product through z = A x
-    grad_embedded = np.zeros_like(embedded)
-    grad_anchors = np.zeros_like(model.anchors)
-    for k, (c, result) in enumerate(zip(coeffs, results)):
-        if c == 0.0:
-            continue
-        plan = result.plan
-        anchor = model.anchors[k]
-        grad_embedded += c * 2.0 * (embedded * plan.sum(axis=1)[None, :] - anchor @ plan.T)
-        # d cost(i,j) / d q_j = -2 (z_i - q_j)
-        grad_anchors[k] = c * 2.0 * (anchor * plan.sum(axis=0)[None, :] - embedded @ plan)
-    if np.any(coeffs != 0.0):
-        grad_transform = grad_embedded @ doc.support.T
-    else:
-        grad_transform = np.zeros_like(model.transform)
-    return loss, grad_transform, grad_anchors, stat, nonconverged
+    # d loss / d cost (n, Y * p): each class's plan times its coefficient, class-major
+    weighted = np.concatenate([c * result.plan for c, result in zip(coeffs, results)], axis=1)
+    columns = anchor_columns(model.anchors)
+    # d cost(i,j) / d z_i = 2 (z_i - q_j)
+    grad_embedded = 2.0 * (embedded * weighted.sum(axis=1) - columns @ weighted.T)
+    # d cost(i,j) / d q_j = -2 (z_i - q_j)
+    grad_columns = 2.0 * (columns * weighted.sum(axis=0) - embedded @ weighted)
+    grad_anchors = grad_columns.reshape(model.dim, model.num_classes, -1).transpose(1, 0, 2)
+    return loss, grad_embedded, grad_anchors, stat, nonconverged
 
 
 def batch_gradients(model: AnchorModel, batch: list[DocumentMeasure], cfg: TrainConfig) -> GradientBundle:
@@ -185,24 +180,27 @@ def batch_gradients(model: AnchorModel, batch: list[DocumentMeasure], cfg: Train
     """
     if not batch:
         raise ValueError("batch is empty")
-    for doc in batch:
-        if doc.size == 0:
-            raise ValueError("batch contains an empty document")
 
     terms = _ordered_map(lambda doc: _document_terms(model, doc, cfg), batch, cfg.threads)
 
     scale = 1.0 / len(batch)
-    grad_transform = np.zeros_like(model.transform)
     grad_anchors = np.zeros_like(model.anchors)
     loss = 0.0
     stat = 0.0
     nonconverged = 0
-    for doc_loss, doc_gt, doc_ga, doc_stat, doc_nc in terms:
+    grads_embedded, supports = [], []
+    for doc, (doc_loss, doc_ge, doc_ga, doc_stat, doc_nc) in zip(batch, terms):
         loss += doc_loss * scale
-        grad_transform += doc_gt * scale
-        grad_anchors += doc_ga * scale
         stat += doc_stat * scale
         nonconverged += doc_nc
+        if doc_ge is not None:
+            grad_anchors += doc_ga * scale
+            grads_embedded.append(doc_ge)
+            supports.append(doc.support)
+    grad_transform = np.zeros_like(model.transform)
+    if grads_embedded:
+        # z = A x: one product of the batch's embedded-word gradients with its supports
+        grad_transform = scale * (np.concatenate(grads_embedded, axis=1) @ np.concatenate(supports, axis=1).T)
 
     if cfg.l2_coeff > 0:
         loss += cfg.l2_coeff * float(np.sum(model.transform**2))

@@ -491,6 +491,14 @@ class TestExportVizCommand:
         pytest.param(command, [flag, value], message, id=f"{command}{flag}={value}")
         for commands, flag, value, message in [
             (("train", "eval", "baseline"), "--epsilon", "0", "epsilon must be positive"),
+            (("train", "eval", "baseline"), "--epsilon", "inf", "epsilon must be positive and finite"),
+            (("train", "eval", "baseline"), "--sinkhorn-tol", "inf", "tolerance must be positive and finite"),
+            (("train",), "--margin", "nan", "margin must be finite"),
+            (("train",), "--margin", "inf", "margin must be finite"),
+            (("train",), "--tau", "inf", "temperature must be positive and finite"),
+            (("train",), "--lr", "inf", "learning_rate must be non-negative and finite"),
+            (("train",), "--l2", "nan", "l2_coeff must be non-negative and finite"),
+            (("train",), "--seed", "-1", "seed must be non-negative"),
             (("train", "eval", "baseline"), "--sinkhorn-iters", "0", "max_iters must be at least 1"),
             (("train", "eval", "baseline"), "--sinkhorn-tol", "0", "tolerance must be positive"),
             (("train",), "--epochs", "0", "epochs and batch_size must be at least 1"),
@@ -512,6 +520,12 @@ class TestExportVizCommand:
         )
         for command in ("train", "baseline")
         for value in ("0.5", "1.5")
+    ]
+    + [
+        pytest.param(
+            "baseline", ["--train-fraction", "0.5", "--seed", "-1"], "seed must be non-negative",
+            id="baseline--train-fraction=0.5--seed=-1",
+        )
     ],
 )
 def test_invalid_value_rejected_before_writing(fixture_paths, trained, tmp_path, capsys, command, flags, message):

@@ -394,6 +394,14 @@ class TestPca:
         centered = pts - pts.mean(axis=0)
         assert np.abs(np.abs(proj[:, 0]) - np.linalg.norm(centered, axis=1)).max() < 1e-9
 
+    @pytest.mark.parametrize("shape", [(500, 40), (40, 40), (12, 40)], ids=["tall", "square", "wide"])
+    def test_memory_layout_does_not_change_bits(self, rng, shape):
+        pts = rng.standard_normal(shape)
+        proj, components = pca_2d(pts)
+        for other in (np.asfortranarray(pts), np.hstack([pts, pts])[:, : shape[1]]):
+            other_proj, other_components = pca_2d(other)
+            assert np.array_equal(other_proj, proj) and np.array_equal(other_components, components)
+
 
 class TestExportProjection:
     def test_writes_anchor_and_word_rows(self, tmp_path, rng):

@@ -16,7 +16,7 @@ from anchorwmd.training import (
     triplet_loss,
     write_loss_history,
 )
-from anchorwmd.training import _infonce_coefficients, _triplet_coefficients
+from anchorwmd.training import _infonce_terms, _triplet_terms
 
 
 def make_doc(support, weights, label=0):
@@ -77,7 +77,7 @@ class TestLossCoefficients:
     def test_infonce_uniform_softmax(self):
         for y in (2, 3, 5):
             dists = np.full(y, 4.0)
-            coeffs, _ = _infonce_coefficients(dists, 0, 30.0)
+            _, coeffs, _ = _infonce_terms(dists, 0, 30.0)
             assert coeffs[0] == pytest.approx((y - 1) / (y * 30.0), abs=1e-12)
             for k in range(1, y):
                 assert coeffs[k] == pytest.approx(-1.0 / (y * 30.0), abs=1e-12)
@@ -92,10 +92,10 @@ class TestLossCoefficients:
             while np.any(np.abs(dists[label] - np.delete(dists, label) + margin) < 0.01):
                 dists = rng.uniform(1, 30, size=y)
             for loss, coeff_fn in (
-                (lambda d: triplet_loss(d, label, margin), lambda d: _triplet_coefficients(d, label, margin)),
-                (lambda d: infonce_loss(d, label, 30.0), lambda d: _infonce_coefficients(d, label, 30.0)),
+                (lambda d: triplet_loss(d, label, margin), lambda d: _triplet_terms(d, label, margin)),
+                (lambda d: infonce_loss(d, label, 30.0), lambda d: _infonce_terms(d, label, 30.0)),
             ):
-                coeffs, _ = coeff_fn(dists)
+                _, coeffs, _ = coeff_fn(dists)
                 for k in range(y):
                     up = dists.copy()
                     up[k] += h
@@ -103,6 +103,23 @@ class TestLossCoefficients:
                     down[k] -= h
                     fd = (loss(up) - loss(down)) / (2 * h)
                     assert coeffs[k] == pytest.approx(fd, abs=1e-6)
+
+
+class TestLossTerms:
+    def test_values_equal_public_losses(self, rng):
+        for _ in range(50):
+            y = int(rng.integers(2, 6))
+            dists = rng.uniform(0, 50, size=y)
+            label = int(rng.integers(y))
+            margin = float(rng.uniform(0, 15))
+            assert _triplet_terms(dists, label, margin)[0] == triplet_loss(dists, label, margin)
+            assert _infonce_terms(dists, label, 30.0)[0] == infonce_loss(dists, label, 30.0)
+
+    def test_entropy_finite_when_a_probability_underflows(self):
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            loss, coeffs, entropy = _infonce_terms(np.array([0.0, 1e6]), 0, 30.0)
+        assert loss == 0.0 and entropy == 0.0
+        assert np.all(coeffs == 0.0)
 
 
 class TestAdam:
@@ -155,7 +172,69 @@ def _tiny_setup(rng, loss_kind, n_docs=2, y=2, d=3, p=2, words=3, l2=0.0):
     return docs, model, cfg
 
 
+def _reference_batch_gradients(model, batch, cfg):
+    """Per-document, per-class gradient assembly, each document with its own d x d transform term."""
+    grad_transform = 2.0 * cfg.l2_coeff * model.transform
+    grad_anchors = np.zeros_like(model.anchors)
+    loss = cfg.l2_coeff * float(np.sum(model.transform**2))
+    active_docs = 0
+    for doc in batch:
+        embedded, results = anchor_transport(model, doc, cfg.sinkhorn)
+        dists = np.array([result.reg_distance for result in results])
+        if cfg.loss_kind == "triplet":
+            loss += triplet_loss(dists, doc.label, cfg.margin) / len(batch)
+            active = dists[doc.label] - dists + cfg.margin > 0
+            active[doc.label] = False
+            coeffs = np.where(active, -1.0, 0.0)
+            coeffs[doc.label] = active.sum()
+        else:
+            loss += infonce_loss(dists, doc.label, cfg.temperature) / len(batch)
+            probs = np.exp(-(dists - dists.min()) / cfg.temperature)
+            probs /= probs.sum()
+            coeffs = -probs / cfg.temperature
+            coeffs[doc.label] += 1.0 / cfg.temperature
+        active_docs += bool(np.any(coeffs != 0.0))
+        grad_embedded = np.zeros_like(embedded)
+        for k, (c, result) in enumerate(zip(coeffs, results)):
+            plan = result.plan
+            anchor = model.anchors[k]
+            grad_embedded += c * 2.0 * (embedded * plan.sum(axis=1)[None, :] - anchor @ plan.T)
+            grad_anchors[k] += c * 2.0 * (anchor * plan.sum(axis=0)[None, :] - embedded @ plan) / len(batch)
+        grad_transform += grad_embedded @ doc.support.T / len(batch)
+    return grad_transform, grad_anchors, loss, active_docs
+
+
+def _mixed_batch(rng, y, d=6, p=3, docs_per_class=2):
+    """Well-separated classes: documents on their own anchor leave every hinge slack,
+    documents drawn from the next class's anchor have active hinges."""
+    centers = 20.0 * np.eye(y, d)
+    anchors = centers[:, :, None] + 0.3 * rng.standard_normal((y, d, p))
+    model = AnchorModel(np.eye(d) + 0.05 * rng.standard_normal((d, d)), anchors, [str(k) for k in range(y)])
+    docs = []
+    for label in range(y):
+        for source in [label] * docs_per_class + [(label + 1) % y]:
+            n = int(rng.integers(2, 6))
+            w = rng.uniform(0.2, 1.0, size=n)
+            support = centers[source][:, None] + 0.3 * rng.standard_normal((d, n))
+            docs.append(make_doc(support, w / w.sum(), label=label))
+    return docs, model
+
+
 class TestBatchGradients:
+    @pytest.mark.parametrize("y", [3, 5])
+    @pytest.mark.parametrize("loss_kind", ["triplet", "infonce"])
+    def test_matches_per_class_reference(self, rng, loss_kind, y):
+        docs, model = _mixed_batch(rng, y)
+        cfg = TrainConfig(loss_kind=loss_kind, margin=10.0, temperature=30.0, l2_coeff=0.001)
+        bundle = batch_gradients(model, docs, cfg)
+        ref_transform, ref_anchors, ref_loss, active_docs = _reference_batch_gradients(model, docs, cfg)
+        if loss_kind == "triplet":
+            # both the all-slack early exit and the batch product are exercised
+            assert 0 < active_docs < len(docs)
+        for got, ref in ((bundle.grad_transform, ref_transform), (bundle.grad_anchors, ref_anchors)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert bundle.loss_value == pytest.approx(ref_loss, rel=1e-12)
+
     def test_inactive_hinges_leave_only_regularizer(self, rng):
         # doc sits on anchor 0; anchor 1 is far, so every hinge is slack
         q = np.array([[1.0], [0.0]])
