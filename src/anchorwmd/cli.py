@@ -156,6 +156,8 @@ def _merge_options(args: argparse.Namespace) -> dict:
         raise ValueError(f"threads must be at least 1, got {merged['threads']}")
     if merged["top_k"] < 1:
         raise ValueError(f"top_k must be at least 1, got {merged['top_k']}")
+    if merged["seed"] < 0:
+        raise ValueError(f"seed must be non-negative, got {merged['seed']}")
     return merged
 
 

@@ -22,7 +22,7 @@ from .ot import (
     SinkhornConfig,
     SinkhornResult,
     ground_cost_matrix,
-    sinkhorn,
+    sinkhorn_stack,
     validate_histogram,
 )
 
@@ -137,10 +137,10 @@ def anchor_transport(
     Returns the embedded support ``model.transform @ doc.support`` (d, n)
     and one :class:`SinkhornResult` per class, each against the uniform
     measure 1/p on that anchor's columns. One ground cost is built against
-    all Y * p anchor columns in :func:`anchor_columns` order, and class k's
-    solve takes its (n, p) slice. Training ranks classes by ``reg_distance``
-    (the value its gradient differentiates); nearest-anchor classification
-    takes the argmin of ``distance``.
+    all Y * p anchor columns in :func:`anchor_columns` order, cut into its Y
+    (n, p) class slices, and solved as one stack. Training ranks classes by
+    ``reg_distance`` (the value its gradient differentiates); nearest-anchor
+    classification takes the argmin of ``distance``.
     """
     if doc.dim != model.dim:
         raise ValueError(
@@ -150,11 +150,8 @@ def anchor_transport(
     p = model.num_support_points
     target = np.full(p, 1.0 / p)
     cost = ground_cost_matrix(embedded, anchor_columns(model.anchors))
-    results = [
-        sinkhorn(cost[:, k * p : (k + 1) * p], doc.weights, target, config)
-        for k in range(model.num_classes)
-    ]
-    return embedded, results
+    stack = cost.reshape(doc.size, model.num_classes, p).transpose(1, 0, 2)
+    return embedded, sinkhorn_stack(stack, doc.weights, target, config)
 
 
 def _ordered_map(fn, items: list, threads: int) -> list:

@@ -5,19 +5,34 @@ a final projection onto the marginal polytope. By the envelope theorem the
 solver's plan is also the gradient of the regularized transport value with
 respect to the cost matrix.
 
-The solver runs stabilized scaling iterations with log-domain absorption
+There is one solver core, :func:`sinkhorn_stack`: a (B, n, m) stack of
+problems that share one source and one target histogram, one histogram
+against many as in Cuturi 2013, "Sinkhorn Distances", Alg. 1, with the
+matrix-vector products of all problems made in one stacked call.
+:func:`sinkhorn` is its stack of one. Validation, zero-weight stripping and
+rounding run once per stack; relative epsilon, potentials, iteration counts
+and convergence are per problem, and a problem leaves the iterations as
+soon as it meets the stopping rule. So a problem's result does not depend
+on what it is stacked with: it equals, to the bit, the solve of its matrix
+alone.
+
+The iterations are stabilized scaling iterations with log-domain absorption
 (Schmitzer 2019, "Stabilized sparse scaling algorithms for entropy
 regularized transport problems"): plain Sinkhorn scalings
 ``u = a / (K @ v)``, ``v = b / (K.T @ u)`` on the absorbed kernel
 ``K = exp(f + (-cost / epsilon) + g)``, two matrix-vector products per
 iteration, with the marginal gaps read off the same products. Iterations
-start from ``f = g = 0``. Both half-steps follow one rule: a scaling inside
-[1e-50, 1e50] is kept; one outside it but finite and positive is absorbed
-into its potential and ``K`` rebuilt with one exp pass; any other scaling
-(overflowed, or underflowed to zero, as on a kernel row that underflows
-entirely) has its half-step done in the log domain instead. Either way the
-iterates are, in exact arithmetic, those of log-domain Sinkhorn, so
-iteration counts and results match it up to floating-point rounding.
+start from ``f = g = 0``. Both half-steps follow one rule, decided per
+problem: a scaling inside [1e-50, 1e50] is kept; one outside it but finite
+and positive is absorbed into its potential and ``K`` rebuilt with one exp
+pass; any other scaling (overflowed, or underflowed to zero, as on a kernel
+row that underflows entirely) has its half-step done in the log domain
+instead. Either way the iterates are, in exact arithmetic, those of
+log-domain Sinkhorn, so iteration counts and results match it up to
+floating-point rounding. Iterations stop once both L1 marginal gaps are
+within the tolerance. The column gap is evaluated lazily: right after the
+column half-step it is at rounding level, so it is read only for problems
+whose row gap already meets the tolerance.
 """
 
 from __future__ import annotations
@@ -32,6 +47,7 @@ __all__ = [
     "validate_histogram",
     "ground_cost_matrix",
     "sinkhorn",
+    "sinkhorn_stack",
 ]
 
 _TINY = np.finfo(float).tiny
@@ -102,12 +118,19 @@ class SinkhornConfig:
         if not (0 < self.tolerance < np.inf):
             raise ValueError("tolerance must be positive and finite")
 
-    def effective_epsilon(self, cost: np.ndarray) -> float:
-        """Resolve the regularization strength for a concrete cost matrix."""
-        if not self.relative:
-            return self.epsilon
-        mean = float(np.mean(cost))
-        return self.epsilon * mean if mean > 0 else self.epsilon
+    def effective_epsilon(self, cost: np.ndarray):
+        """Resolve the regularization strength for a concrete cost matrix.
+
+        Given a (B, n, m) stack, returns the (B,) strengths of its matrices,
+        each the one that matrix gets alone.
+        """
+        cost = np.asarray(cost, dtype=float)
+        if self.relative:
+            mean = cost.reshape(*cost.shape[:-2], -1).mean(axis=-1)
+            eps = np.where(mean > 0, self.epsilon * mean, self.epsilon)
+        else:
+            eps = np.full(cost.shape[:-2], self.epsilon)
+        return float(eps) if eps.ndim == 0 else eps
 
 
 @dataclass(frozen=True)
@@ -135,22 +158,22 @@ def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _round_to_marginals(plan: np.ndarray, row_sums: np.ndarray, col_sums: np.ndarray) -> np.ndarray:
-    """Project a positive matrix onto the transportation polytope.
+    """Project a positive matrix, or each of a (B, n, m) stack, onto the transportation polytope.
 
     Scales rows then columns down to their prescribed sums and distributes
     the leftover mass as a rank-one correction, so the returned matrix meets
     both marginals up to floating-point error regardless of how early the
     iterations stopped.
     """
-    row = plan.sum(axis=1)
-    plan = plan * np.minimum(row_sums / np.maximum(row, _TINY), 1.0)[:, None]
-    col = plan.sum(axis=0)
-    plan = plan * np.minimum(col_sums / np.maximum(col, _TINY), 1.0)[None, :]
-    missing_row = np.maximum(row_sums - plan.sum(axis=1), 0.0)
-    missing_col = np.maximum(col_sums - plan.sum(axis=0), 0.0)
-    deficit = missing_row.sum()
-    if deficit > _TINY:
-        plan = plan + np.outer(missing_row, missing_col) / deficit
+    # row and column sums as products with ones, which BLAS runs faster than sum()
+    ones_n, ones_m = np.ones(plan.shape[-2]), np.ones(plan.shape[-1])
+    plan = plan * np.minimum(row_sums / np.maximum(plan @ ones_m, _TINY), 1.0)[..., :, None]
+    plan *= np.minimum(col_sums / np.maximum(ones_n @ plan, _TINY), 1.0)[..., None, :]
+    missing_row = np.maximum(row_sums - plan @ ones_m, 0.0)
+    missing_col = np.maximum(col_sums - ones_n @ plan, 0.0)
+    deficit = missing_row.sum(axis=-1, keepdims=True)
+    share = np.divide(missing_col, deficit, out=np.zeros_like(missing_col), where=deficit > _TINY)
+    plan += missing_row[..., :, None] * share[..., None, :]
     return plan
 
 
@@ -161,55 +184,164 @@ _SCALING_HIGH = 1e50
 
 
 def _absorbed_kernel(log_kernel: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return np.exp(f[:, None] + log_kernel + g[None, :])
+    return np.exp(f[..., :, None] + log_kernel + g[..., None, :])
+
+
+def _apply(kernel: np.ndarray, scaling: np.ndarray, side: int) -> np.ndarray:
+    """Per problem, ``kernel @ scaling`` (side 0) or ``kernel.T @ scaling`` (side 1)."""
+    if side == 0:
+        return np.matmul(kernel, scaling[:, :, None])[:, :, 0]
+    return np.matmul(scaling[:, None, :], kernel)[:, 0, :]
 
 
 def _scaling_iterations(
     log_kernel: np.ndarray, a: np.ndarray, b: np.ndarray, config: SinkhornConfig
-) -> tuple[np.ndarray, int, bool]:
-    """Sinkhorn iterations on positive histograms; returns (plan, iterations, converged).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sinkhorn iterations on a (B, n, m) stack of problems sharing positive histograms.
 
-    The iterate is ``u[:, None] * kernel * v[None, :]`` with ``kernel =
-    exp(f + log_kernel + g)``, equal to the log-domain iterate ``exp(f + log u
-    + log_kernel + g + log v)``. Side 0 is the rows (``a``, ``f``, ``u``),
-    side 1 the columns (``b``, ``g``, ``v``); both half-steps run one rule.
-    ``products`` holds ``kernel @ v`` and ``kernel.T @ u``, so ``u *
-    products[0]`` and ``v * products[1]`` are the iterate's marginals.
+    Returns the (B, n, m) plans and, per problem, the iterations used and
+    whether it converged. ``a`` and ``b`` are (1, n) and (1, m) rows, which a
+    stack of one meets without broadcasting. Problem k's iterate is
+    ``u[k][:, None] * kernel[k] * v[k][None, :]`` with ``kernel[k] = exp(f[k]
+    + log_kernel[k] + g[k])``, equal to the log-domain iterate ``exp(f + log
+    u + log_kernel + g + log v)``. Side 0 is the rows (``a``, ``f``, ``u``),
+    side 1 the columns (``b``, ``g``, ``v``); both half-steps run one rule,
+    decided per problem. ``products`` holds ``kernel @ v`` and ``kernel.T @
+    u``, so ``u * products[0]`` and ``v * products[1]`` are the iterates'
+    marginals. A problem leaves the working arrays once it meets the stopping
+    rule, so every problem's iterates are those it would have alone.
     """
+    num = log_kernel.shape[0]
+    plans = np.empty_like(log_kernel)
+    iterations = np.zeros(num, dtype=int)
+    converged = np.zeros(num, dtype=bool)
+    active = np.arange(num)  # stack index of each working problem
     marginals = (a, b)
-    potentials = [np.zeros(a.size), np.zeros(b.size)]
-    scalings = [np.ones(a.size), np.ones(b.size)]
+    potentials = [np.zeros((num, a.size)), np.zeros((num, b.size))]
+    scalings = [np.ones((num, a.size)), np.ones((num, b.size))]
     kernel = np.exp(log_kernel)
-    kernels = (kernel, kernel.T)
-    products = [kernel.sum(axis=1), None]
-    iterations = 0
+    products = [_apply(kernel, scalings[1], 0), None]
+    iteration = 0
     while True:
-        iterations += 1
+        iteration += 1
         for side, other in ((0, 1), (1, 0)):
             scaling = marginals[side] / products[side]
             # NaN-safe: a NaN entry fails both comparisons
             if not (scaling.min() >= _SCALING_LOW and scaling.max() <= _SCALING_HIGH):
+                hit = ~((scaling.min(axis=1) >= _SCALING_LOW) & (scaling.max(axis=1) <= _SCALING_HIGH))
                 # absorb both scalings into the potentials and restart them at 1;
                 # a scaling with no finite log is redone as a log-domain half-step
-                potentials[other] = potentials[other] + np.log(scalings[other])
-                if np.all(np.isfinite(scaling)) and scaling.min() > 0:
-                    potentials[side] = potentials[side] + np.log(scaling)
-                else:
-                    potentials[side] = np.log(marginals[side]) - _logsumexp(
-                        (log_kernel, log_kernel.T)[side] + potentials[other][None, :], axis=1
+                potentials[other][hit] += np.log(scalings[other][hit])
+                out = scaling[hit]
+                finite = np.all(np.isfinite(out), axis=1) & (out.min(axis=1) > 0)
+                absorbed = potentials[side][hit]
+                absorbed[finite] += np.log(out[finite])
+                if not finite.all():
+                    lost = np.flatnonzero(hit)[~finite]
+                    absorbed[~finite] = np.log(marginals[side]) - _logsumexp(
+                        log_kernel[lost] + np.expand_dims(potentials[other][lost], 1 + side), axis=2 - side
                     )
-                kernel = _absorbed_kernel(log_kernel, *potentials)
-                kernels = (kernel, kernel.T)
-                scaling = np.ones(scaling.size)
-                scalings[other] = np.ones(scalings[other].size)
-                products[side] = kernels[side].sum(axis=1)
+                potentials[side][hit] = absorbed
+                kernel[hit] = _absorbed_kernel(log_kernel[hit], potentials[0][hit], potentials[1][hit])
+                scaling[hit] = 1.0
+                scalings[other][hit] = 1.0
+                products[side][hit] = _apply(kernel[hit], scalings[other][hit], side)
             scalings[side] = scaling
-            products[other] = kernels[other] @ scaling
+            products[other] = _apply(kernel, scaling, other)
         u, v = scalings
-        gap = max(float(np.abs(u * products[0] - a).sum()), float(np.abs(v * products[1] - b).sum()))
-        converged = gap <= config.tolerance
-        if converged or iterations == config.max_iters:
-            return u[:, None] * kernel * v[None, :], iterations, converged
+        # stop at L1 gaps <= tolerance on both sides; the column gap, at rounding
+        # level right after the column half-step, is read only once the row gap is
+        row_gap = np.abs(u * products[0] - a).sum(axis=1)
+        if iteration < config.max_iters and row_gap.min() > config.tolerance:
+            continue
+        met = row_gap <= config.tolerance
+        met[met] = np.abs(v[met] * products[1][met] - b).sum(axis=1) <= config.tolerance
+        done = met if iteration < config.max_iters else np.ones_like(met)
+        if not done.any():
+            continue
+        finished = active[done]
+        iterations[finished] = iteration
+        converged[finished] = met[done]
+        if finished.size == num:
+            # no problem froze earlier: the working stack is the whole stack
+            return u[:, :, None] * kernel * v[:, None, :], iterations, converged
+        plans[finished] = u[done][:, :, None] * kernel[done] * v[done][:, None, :]
+        if done.all():
+            return plans, iterations, converged
+        keep = ~done
+        active = active[keep]
+        log_kernel = log_kernel[keep]
+        kernel = kernel[keep]
+        potentials = [potential[keep] for potential in potentials]
+        scalings = [scaling[keep] for scaling in scalings]
+        products[0] = products[0][keep]
+
+
+def sinkhorn_stack(costs, source, target, config: SinkhornConfig | None = None) -> list[SinkhornResult]:
+    """Solve a (B, n, m) stack of entropic OT problems sharing both histograms.
+
+    Problem k transports ``source`` to ``target`` under ``costs[k]``; the
+    result list holds one :class:`SinkhornResult` per problem, each equal to
+    the bit to what :func:`sinkhorn` gives on ``costs[k]`` alone. Validation,
+    zero-weight stripping and rounding are those of :func:`sinkhorn`, done
+    once for the stack; relative epsilon, iteration counts and convergence
+    are per problem.
+    """
+    if config is None:
+        config = SinkhornConfig()
+    # C order: on a strided view the same values solve to different last bits
+    cost_full = np.ascontiguousarray(costs, dtype=float)
+    if cost_full.ndim != 3 or cost_full.shape[0] == 0:
+        raise ValueError(f"costs must be a non-empty (B, n, m) stack, got shape {cost_full.shape}")
+    if not np.isfinite(cost_full).all():
+        raise ValueError("cost contains NaN" if np.isnan(cost_full).any() else "cost entries must be finite")
+    a_full = validate_histogram(source)
+    b_full = validate_histogram(target)
+    if cost_full.shape[1:] != (a_full.size, b_full.size):
+        raise ValueError(
+            f"cost shape {cost_full.shape[1:]} does not match histogram lengths "
+            f"({a_full.size}, {b_full.size})"
+        )
+
+    keep_a = a_full > 0
+    keep_b = b_full > 0
+    stripped = not (keep_a.all() and keep_b.all())
+    if stripped:
+        kept = (slice(None),) + np.ix_(keep_a, keep_b)
+        cost = np.ascontiguousarray(cost_full[kept])
+    else:
+        cost = cost_full
+    a = a_full[None, keep_a]
+    b = b_full[None, keep_b]
+    num = cost.shape[0]
+
+    eps = config.effective_epsilon(cost)
+    # overflow and underflow of a scaling are detected and repaired in the
+    # iterations; underflow of negligible plan entries to zero is expected
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        plans, iterations, converged = _scaling_iterations(cost / -eps[:, None, None], a, b, config)
+        plans = _round_to_marginals(plans, a, b)
+        distances = (plans * cost).reshape(num, -1).sum(axis=1)
+        # a zero entry adds 0 * log(tiny) = 0
+        log_plans = np.log(np.maximum(plans, _TINY))
+        mass = plans.reshape(num, -1).sum(axis=1)
+        entropy_terms = (plans * log_plans).reshape(num, -1).sum(axis=1) - mass
+    if stripped:
+        full_plans = np.zeros_like(cost_full)
+        full_plans[kept] = plans
+    else:
+        full_plans = plans
+    return [
+        SinkhornResult(
+            distance=float(distances[k]),
+            plan=full_plans[k],
+            iterations_used=int(iterations[k]),
+            converged=bool(converged[k]),
+            reg_distance=float(distances[k] + eps[k] * entropy_terms[k]),
+            epsilon=float(eps[k]),
+        )
+        for k in range(num)
+    ]
 
 
 def sinkhorn(cost, source, target, config: SinkhornConfig | None = None) -> SinkhornResult:
@@ -227,51 +359,9 @@ def sinkhorn(cost, source, target, config: SinkhornConfig | None = None) -> Sink
     violation drops to ``config.tolerance`` or ``config.max_iters`` is
     reached; either way the returned plan is rounded onto the marginal
     polytope, so its row and column sums match the inputs to float accuracy.
+    This is :func:`sinkhorn_stack` on a stack of one.
     """
-    if config is None:
-        config = SinkhornConfig()
     cost_full = np.asarray(cost, dtype=float)
     if cost_full.ndim != 2:
         raise ValueError(f"cost must be a 2-D matrix, got shape {cost_full.shape}")
-    if np.any(np.isnan(cost_full)):
-        raise ValueError("cost contains NaN")
-    if not np.all(np.isfinite(cost_full)):
-        raise ValueError("cost entries must be finite")
-    a_full = validate_histogram(source)
-    b_full = validate_histogram(target)
-    if cost_full.shape != (a_full.size, b_full.size):
-        raise ValueError(
-            f"cost shape {cost_full.shape} does not match histogram lengths "
-            f"({a_full.size}, {b_full.size})"
-        )
-
-    keep_a = a_full > 0
-    keep_b = b_full > 0
-    a = a_full[keep_a]
-    b = b_full[keep_b]
-    cost_sub = cost_full[np.ix_(keep_a, keep_b)]
-
-    eps = config.effective_epsilon(cost_sub)
-    # overflow and underflow of a scaling are detected and repaired in the
-    # iterations; underflow of negligible plan entries to zero is expected
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        plan, iterations, converged = _scaling_iterations(-cost_sub / eps, a, b, config)
-        plan = _round_to_marginals(plan, a, b)
-
-        if keep_a.all() and keep_b.all():
-            full_plan = plan
-        else:
-            full_plan = np.zeros_like(cost_full)
-            full_plan[np.ix_(keep_a, keep_b)] = plan
-
-        distance = float(np.sum(full_plan * cost_full))
-        positive = plan[plan > 0]
-        entropy_term = float(np.sum(positive * np.log(positive)) - plan.sum())
-    return SinkhornResult(
-        distance=distance,
-        plan=full_plan,
-        iterations_used=iterations,
-        converged=converged,
-        reg_distance=distance + eps * entropy_term,
-        epsilon=eps,
-    )
+    return sinkhorn_stack(cost_full[None], source, target, config)[0]

@@ -1,4 +1,6 @@
 import itertools
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
@@ -7,6 +9,15 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def pytest_configure(config):
+    """Keep hypothesis's on-disk caches, written from collection on, out of the checkout."""
+    from hypothesis.configuration import set_hypothesis_home_dir
+
+    storage = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(storage)
+    config.add_cleanup(lambda: shutil.rmtree(storage, ignore_errors=True))
 
 
 def lp_transport_value(cost: np.ndarray, source: np.ndarray, target: np.ndarray) -> float:

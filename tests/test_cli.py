@@ -498,7 +498,7 @@ class TestExportVizCommand:
             (("train",), "--tau", "inf", "temperature must be positive and finite"),
             (("train",), "--lr", "inf", "learning_rate must be non-negative and finite"),
             (("train",), "--l2", "nan", "l2_coeff must be non-negative and finite"),
-            (("train",), "--seed", "-1", "seed must be non-negative"),
+            (("train", "baseline"), "--seed", "-1", "seed must be non-negative"),
             (("train", "eval", "baseline"), "--sinkhorn-iters", "0", "max_iters must be at least 1"),
             (("train", "eval", "baseline"), "--sinkhorn-tol", "0", "tolerance must be positive"),
             (("train",), "--epochs", "0", "epochs and batch_size must be at least 1"),

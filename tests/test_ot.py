@@ -2,9 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorwmd import ot
-from anchorwmd.ot import SinkhornConfig, ground_cost_matrix, sinkhorn, validate_histogram
+from anchorwmd.ot import SinkhornConfig, ground_cost_matrix, sinkhorn, sinkhorn_stack, validate_histogram
 from conftest import exact_ot_uniform, log_domain_sinkhorn
 
 
@@ -275,6 +277,127 @@ class TestHardPaths:
         res = self._solve_strictly(cost, a, b, config)
         assert len(log_steps) > 2
         self._check_against_oracle(res, cost, a, b, config)
+
+
+def _assert_same_result(stacked, alone):
+    assert stacked.distance == alone.distance
+    assert stacked.reg_distance == alone.reg_distance
+    assert stacked.epsilon == alone.epsilon
+    assert stacked.iterations_used == alone.iterations_used
+    assert stacked.converged == alone.converged
+    assert np.array_equal(stacked.plan, alone.plan)
+
+
+class TestSinkhornStack:
+    """The stacked core solves every problem as it would be solved alone."""
+
+    CONFIG = SinkhornConfig(epsilon=0.05, max_iters=40)
+
+    @staticmethod
+    def _mixed_stack(rng):
+        """Four problems sharing a source with zero-weight atoms.
+
+        Under ``CONFIG`` they converge after different iteration counts (d=300
+        and d=30 costs), hit ``max_iters`` (d=3), and need absorption (a row
+        a thousand mean costs away) while the others do not.
+        """
+        n, m = 12, 7
+        a = rng.uniform(0.1, 1.0, n)
+        a[[3, 8]] = 0.0
+        b = np.full(m, 1.0 / m)
+        costs = [
+            ground_cost_matrix(rng.standard_normal((d, n)), rng.standard_normal((d, m))) for d in (300, 30, 3, 300)
+        ]
+        costs[3][0] += 1e3 * costs[3].mean()
+        return np.stack(costs), a / a.sum(), b
+
+    def test_each_problem_matches_log_domain_oracle(self, rng):
+        costs, a, b = self._mixed_stack(rng)
+        results = sinkhorn_stack(costs, a, b, self.CONFIG)
+        iterations = [res.iterations_used for res in results]
+        assert len(set(iterations)) == len(results)
+        assert [res.converged for res in results] == [True, True, False, True]
+        assert iterations[2] == self.CONFIG.max_iters
+        for cost, res in zip(costs, results):
+            oracle = log_domain_sinkhorn(cost, a, b, self.CONFIG)
+            assert res.iterations_used == oracle.iterations_used
+            assert res.converged == oracle.converged
+            assert res.epsilon == oracle.epsilon
+            assert res.distance == pytest.approx(oracle.distance, rel=1e-9)
+            assert res.reg_distance == pytest.approx(oracle.reg_distance, rel=1e-9)
+            assert np.all(res.plan[[3, 8], :] == 0.0)
+
+    def test_absorption_stays_with_its_problem(self, rng, monkeypatch):
+        costs, a, b = self._mixed_stack(rng)
+        rebuilt = []
+        inner = ot._absorbed_kernel
+
+        def counting(log_kernel, f, g):
+            rebuilt.append(log_kernel.shape[0])
+            return inner(log_kernel, f, g)
+
+        monkeypatch.setattr(ot, "_absorbed_kernel", counting)
+        for cost in costs[:3]:
+            sinkhorn(cost, a, b, self.CONFIG)
+        assert rebuilt == []
+        sinkhorn(costs[3], a, b, self.CONFIG)
+        alone = len(rebuilt)
+        assert alone > 0
+        results = sinkhorn_stack(costs, a, b, self.CONFIG)
+        # every rebuild in the stack is the one problem's, as often as alone
+        assert rebuilt[alone:] == [1] * alone
+        monkeypatch.undo()
+        for cost, res in zip(costs, results):
+            _assert_same_result(res, sinkhorn(cost, a, b, self.CONFIG))
+
+    @pytest.mark.parametrize(
+        "config", [SinkhornConfig(epsilon=0.1), SinkhornConfig(epsilon=0.01)], ids=["rel0.1", "rel0.01"]
+    )
+    def test_bit_identical_to_solo_solves(self, rng, config):
+        # one document against five 16-point anchors, sliced as anchor_transport
+        # does: a strided (Y, n, p) view, each solo solve on a C-order copy
+        classes, n, p, d = 5, 112, 16, 300
+        weights = rng.uniform(0.1, 1.0, n)
+        weights /= weights.sum()
+        target = np.full(p, 1.0 / p)
+        cost = ground_cost_matrix(rng.standard_normal((d, n)), rng.standard_normal((d, classes * p)))
+        results = sinkhorn_stack(cost.reshape(n, classes, p).transpose(1, 0, 2), weights, target, config)
+        assert len(results) == classes
+        for k, res in enumerate(results):
+            _assert_same_result(res, sinkhorn(cost[:, k * p : (k + 1) * p].copy(), weights, target, config))
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(
+        data=st.data(),
+        num=st.integers(1, 6),
+        n=st.integers(1, 8),
+        m=st.integers(1, 8),
+        relative=st.booleans(),
+        epsilon=st.sampled_from([1e-3, 0.05, 1.0, 50.0]),
+    )
+    def test_property_bit_identical_to_solo_solves(self, data, num, n, m, relative, epsilon):
+        weight = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+        a = np.array(data.draw(st.lists(weight, min_size=n, max_size=n).filter(any)))
+        b = np.array(data.draw(st.lists(weight, min_size=m, max_size=m).filter(any)))
+        entries = st.floats(1e-3, 1e8)
+        # drawn as (n, B, m), so the stack is a strided view, as in anchor_transport
+        costs = np.array(data.draw(st.lists(entries, min_size=num * n * m, max_size=num * n * m)))
+        costs = costs.reshape(n, num, m).transpose(1, 0, 2)
+        config = SinkhornConfig(epsilon=epsilon, relative=relative, max_iters=30)
+        results = sinkhorn_stack(costs, a / a.sum(), b / b.sum(), config)
+        for cost, res in zip(costs, results):
+            _assert_same_result(res, sinkhorn(cost.copy(), a / a.sum(), b / b.sum(), config))
+
+    def test_rejects_malformed_stacks(self):
+        w = np.array([0.5, 0.5])
+        with pytest.raises(ValueError, match="non-empty"):
+            sinkhorn_stack(np.zeros((0, 2, 2)), w, w)
+        with pytest.raises(ValueError, match="non-empty"):
+            sinkhorn_stack(np.zeros((2, 2)), w, w)
+        with pytest.raises(ValueError, match="does not match"):
+            sinkhorn_stack(np.zeros((3, 2, 3)), w, w)
+        with pytest.raises(ValueError, match="NaN"):
+            sinkhorn_stack(np.array([np.zeros((2, 2)), np.full((2, 2), np.nan)]), w, w)
 
 
 class TestSinkhornConfig:
