@@ -38,9 +38,8 @@ def anchor_nn_classify(
     :func:`~anchorwmd.model.anchor_transport` and returns the argmin of the
     unregularized ``distance`` (first index wins exact ties).
     """
-    _, results = anchor_transport(model, doc, config)
-    distances = np.array([result.distance for result in results])
-    return Prediction(predicted_class=int(np.argmin(distances)), anchor_distances=distances)
+    _, result = anchor_transport(model, doc, config)
+    return Prediction(predicted_class=int(np.argmin(result.distance)), anchor_distances=result.distance)
 
 
 def classify_corpus(

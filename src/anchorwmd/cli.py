@@ -338,8 +338,8 @@ def cmd_baseline(opts: dict) -> int:
             fh.write(f"{k},{classify.error_rate(sweep[k], truths)!r}\n")
     print(f"wmd-knn (k={k_main}) error rate: {100.0 * classify.error_rate(sweep[k_main], truths):.1f}")
 
-    for class_id, class_name in enumerate(train_corpus.class_names):
-        ranked = interpret.tfidf_top_words(train_corpus, class_id, opts["top_k"])
+    rankings = interpret.tfidf_rankings(train_corpus, opts["top_k"])
+    for class_name, ranked in zip(train_corpus.class_names, rankings):
         _write_ranking(os.path.join(out, f"tfidf_top_words_{_safe_name(class_name)}.tsv"), ranked, "score")
     return 0
 

@@ -26,6 +26,7 @@ __all__ = [
     "compute_importance_table",
     "top_k_words",
     "tfidf_top_words",
+    "tfidf_rankings",
     "pca_2d",
     "export_projection",
 ]
@@ -131,26 +132,34 @@ def tfidf_top_words(corpus: Corpus, class_id: int, k: int) -> list[tuple[str, fl
     total; IDF is ``ln(Y / (1 + number of classes containing the term)) + 1``
     over the Y-class collection.
     """
+    return tfidf_rankings(corpus, k, [class_id])[0]
+
+
+def tfidf_rankings(corpus: Corpus, k: int, class_ids=None) -> list[list[tuple[str, float]]]:
+    """:func:`tfidf_top_words` of each of ``class_ids`` (default: every class) from one corpus count."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not (0 <= class_id < corpus.num_classes):
-        raise ValueError(f"class id {class_id} out of range")
     class_counts = corpus.class_token_counts()
-    own = class_counts[class_id]
-    if not own:
-        raise ValueError(f"class {corpus.class_names[class_id]!r} has no documents")
     doc_freq = Counter()
     for counts in class_counts:
         doc_freq.update(set(counts))
-    total = sum(own.values())
     num_classes = corpus.num_classes
-    scored = []
-    for term, count in own.items():
-        tf = count / total
-        idf = np.log(num_classes / (1 + doc_freq[term])) + 1.0
-        scored.append((term, float(tf * idf)))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[: min(k, len(scored))]
+    rankings = []
+    for class_id in range(num_classes) if class_ids is None else class_ids:
+        if not (0 <= class_id < num_classes):
+            raise ValueError(f"class id {class_id} out of range")
+        own = class_counts[class_id]
+        if not own:
+            raise ValueError(f"class {corpus.class_names[class_id]!r} has no documents")
+        total = sum(own.values())
+        scored = []
+        for term, count in own.items():
+            tf = count / total
+            idf = np.log(num_classes / (1 + doc_freq[term])) + 1.0
+            scored.append((term, float(tf * idf)))
+        scored.sort(key=lambda pair: (-pair[1], pair[0]))
+        rankings.append(scored[: min(k, len(scored))])
+    return rankings
 
 
 def pca_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -98,8 +98,8 @@ class AnchorModel:
         self.anchors = np.asarray(self.anchors, dtype=float)
         if self.transform.ndim != 2 or self.transform.shape[0] != self.transform.shape[1]:
             raise ValueError(f"transform must be square, got shape {self.transform.shape}")
-        if self.anchors.ndim != 3:
-            raise ValueError(f"anchors must be (num_classes, d, p), got shape {self.anchors.shape}")
+        if self.anchors.ndim != 3 or self.anchors.shape[2] < 1:
+            raise ValueError(f"anchors must be (num_classes, d, p >= 1), got shape {self.anchors.shape}")
         if self.anchors.shape[1] != self.transform.shape[0]:
             raise ValueError(
                 f"anchor dimension {self.anchors.shape[1]} does not match "
@@ -131,16 +131,17 @@ def anchor_columns(anchors: np.ndarray) -> np.ndarray:
 
 def anchor_transport(
     model: AnchorModel, doc: DocumentMeasure, config: SinkhornConfig | None = None
-) -> tuple[np.ndarray, list[SinkhornResult]]:
+) -> tuple[np.ndarray, SinkhornResult]:
     """Transport a raw document's embedded words to every class anchor.
 
     Returns the embedded support ``model.transform @ doc.support`` (d, n)
-    and one :class:`SinkhornResult` per class, each against the uniform
-    measure 1/p on that anchor's columns. One ground cost is built against
-    all Y * p anchor columns in :func:`anchor_columns` order, cut into its Y
-    (n, p) class slices, and solved as one stack. Training ranks classes by
-    ``reg_distance`` (the value its gradient differentiates); nearest-anchor
-    classification takes the argmin of ``distance``.
+    and the stacked :class:`SinkhornResult` of the Y classes ((Y,) values,
+    (Y, n, p) plans), each against the uniform measure 1/p on that anchor's
+    columns. One ground cost is built against all Y * p anchor columns in
+    :func:`anchor_columns` order, cut into its Y (n, p) class slices, and
+    solved as one stack. Training ranks classes by ``reg_distance`` (the
+    value its gradient differentiates); nearest-anchor classification takes
+    the argmin of ``distance``.
     """
     if doc.dim != model.dim:
         raise ValueError(

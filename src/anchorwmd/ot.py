@@ -8,8 +8,10 @@ respect to the cost matrix.
 There is one solver core, :func:`sinkhorn_stack`: a (B, n, m) stack of
 problems that share one source and one target histogram, one histogram
 against many as in Cuturi 2013, "Sinkhorn Distances", Alg. 1, with the
-matrix-vector products of all problems made in one stacked call.
-:func:`sinkhorn` is its stack of one. Validation, zero-weight stripping and
+matrix-vector products of all problems made in one stacked call. It returns
+one :class:`SinkhornResult` for the whole stack, with (B,) values and
+(B, n, m) plans; indexing it gives one problem's result. :func:`sinkhorn` is
+the stack of one. Both histograms must be strictly positive. Validation and
 rounding run once per stack; relative epsilon, potentials, iteration counts
 and convergence are per problem, and a problem leaves the iterations as
 soon as it meets the stopping rule. So a problem's result does not depend
@@ -54,17 +56,18 @@ _TINY = np.finfo(float).tiny
 
 
 def validate_histogram(weights, atol: float = 1e-9) -> np.ndarray:
-    """Check that ``weights`` is a probability histogram and return it as float64.
+    """Check that ``weights`` is a strictly positive probability histogram and return it as float64.
 
-    Entries must be finite, non-negative, and sum to 1 within ``atol``.
+    Entries must be finite, positive, and sum to 1 within ``atol``. A
+    zero-weight atom carries no mass; drop it before building the histogram.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError(f"histogram must be a non-empty 1-D array, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("histogram contains non-finite entries")
-    if np.any(w < 0):
-        raise ValueError("histogram contains negative entries")
+    if np.any(w <= 0):
+        raise ValueError("histogram entries must be positive")
     total = float(w.sum())
     if abs(total - 1.0) > atol:
         raise ValueError(f"histogram sums to {total}, expected 1 within {atol}")
@@ -135,21 +138,31 @@ class SinkhornConfig:
 
 @dataclass(frozen=True)
 class SinkhornResult:
-    """Solution of one entropic transport problem.
+    """Solution of one entropic transport problem, or of a stack of them.
 
     ``distance`` is the transport cost ``<plan, cost>`` of the rounded plan
     with the entropy term excluded. ``reg_distance`` is the full regularized
     objective ``<plan, cost> + epsilon * sum(plan * (log plan - 1))``; by the
     envelope theorem its gradient with respect to the cost matrix is exactly
     the plan, so it is the value the training loop differentiates.
+
+    From :func:`sinkhorn_stack` every value field is a (B,) array and
+    ``plan`` a (B, n, m) array; ``result[k]`` is problem k's result, with
+    Python scalars and an (n, m) plan, as :func:`sinkhorn` returns it.
     """
 
-    distance: float
+    distance: float | np.ndarray
     plan: np.ndarray
-    iterations_used: int
-    converged: bool
-    reg_distance: float
-    epsilon: float
+    iterations_used: int | np.ndarray
+    converged: bool | np.ndarray
+    reg_distance: float | np.ndarray
+    epsilon: float | np.ndarray
+
+    def __getitem__(self, k: int) -> SinkhornResult:
+        return SinkhornResult(
+            float(self.distance[k]), self.plan[k], int(self.iterations_used[k]),
+            bool(self.converged[k]), float(self.reg_distance[k]), float(self.epsilon[k]),
+        )
 
 
 def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
@@ -277,42 +290,28 @@ def _scaling_iterations(
         products[0] = products[0][keep]
 
 
-def sinkhorn_stack(costs, source, target, config: SinkhornConfig | None = None) -> list[SinkhornResult]:
+def sinkhorn_stack(costs, source, target, config: SinkhornConfig | None = None) -> SinkhornResult:
     """Solve a (B, n, m) stack of entropic OT problems sharing both histograms.
 
-    Problem k transports ``source`` to ``target`` under ``costs[k]``; the
-    result list holds one :class:`SinkhornResult` per problem, each equal to
-    the bit to what :func:`sinkhorn` gives on ``costs[k]`` alone. Validation,
-    zero-weight stripping and rounding are those of :func:`sinkhorn`, done
-    once for the stack; relative epsilon, iteration counts and convergence
-    are per problem.
+    Problem k transports ``source`` to ``target`` under ``costs[k]``. The one
+    returned :class:`SinkhornResult` holds (B,) values and (B, n, m) plans;
+    its ``[k]`` equals to the bit what :func:`sinkhorn` gives on ``costs[k]``
+    alone. Validation and rounding are those of :func:`sinkhorn`, done once
+    for the stack; relative epsilon, iteration counts and convergence are
+    per problem.
     """
     if config is None:
         config = SinkhornConfig()
     # C order: on a strided view the same values solve to different last bits
-    cost_full = np.ascontiguousarray(costs, dtype=float)
-    if cost_full.ndim != 3 or cost_full.shape[0] == 0:
-        raise ValueError(f"costs must be a non-empty (B, n, m) stack, got shape {cost_full.shape}")
-    if not np.isfinite(cost_full).all():
-        raise ValueError("cost contains NaN" if np.isnan(cost_full).any() else "cost entries must be finite")
-    a_full = validate_histogram(source)
-    b_full = validate_histogram(target)
-    if cost_full.shape[1:] != (a_full.size, b_full.size):
-        raise ValueError(
-            f"cost shape {cost_full.shape[1:]} does not match histogram lengths "
-            f"({a_full.size}, {b_full.size})"
-        )
-
-    keep_a = a_full > 0
-    keep_b = b_full > 0
-    stripped = not (keep_a.all() and keep_b.all())
-    if stripped:
-        kept = (slice(None),) + np.ix_(keep_a, keep_b)
-        cost = np.ascontiguousarray(cost_full[kept])
-    else:
-        cost = cost_full
-    a = a_full[None, keep_a]
-    b = b_full[None, keep_b]
+    cost = np.ascontiguousarray(costs, dtype=float)
+    if cost.ndim != 3 or cost.shape[0] == 0:
+        raise ValueError(f"costs must be a non-empty (B, n, m) stack, got shape {cost.shape}")
+    if not np.isfinite(cost).all():
+        raise ValueError("cost contains NaN" if np.isnan(cost).any() else "cost entries must be finite")
+    a = validate_histogram(source)[None]
+    b = validate_histogram(target)[None]
+    if cost.shape[1:] != (a.size, b.size):
+        raise ValueError(f"cost shape {cost.shape[1:]} does not match histogram lengths {(a.size, b.size)}")
     num = cost.shape[0]
 
     eps = config.effective_epsilon(cost)
@@ -326,22 +325,14 @@ def sinkhorn_stack(costs, source, target, config: SinkhornConfig | None = None) 
         log_plans = np.log(np.maximum(plans, _TINY))
         mass = plans.reshape(num, -1).sum(axis=1)
         entropy_terms = (plans * log_plans).reshape(num, -1).sum(axis=1) - mass
-    if stripped:
-        full_plans = np.zeros_like(cost_full)
-        full_plans[kept] = plans
-    else:
-        full_plans = plans
-    return [
-        SinkhornResult(
-            distance=float(distances[k]),
-            plan=full_plans[k],
-            iterations_used=int(iterations[k]),
-            converged=bool(converged[k]),
-            reg_distance=float(distances[k] + eps[k] * entropy_terms[k]),
-            epsilon=float(eps[k]),
-        )
-        for k in range(num)
-    ]
+    return SinkhornResult(
+        distance=distances,
+        plan=plans,
+        iterations_used=iterations,
+        converged=converged,
+        reg_distance=distances + eps * entropy_terms,
+        epsilon=eps,
+    )
 
 
 def sinkhorn(cost, source, target, config: SinkhornConfig | None = None) -> SinkhornResult:
@@ -350,18 +341,17 @@ def sinkhorn(cost, source, target, config: SinkhornConfig | None = None) -> Sink
     Parameters
     ----------
     cost : (n, m) array of non-negative finite entries.
-    source : length-n histogram (non-negative, sums to 1).
-    target : length-m histogram.
+    source : length-n histogram (positive, sums to 1).
+    target : length-m histogram (positive, sums to 1).
     config : solver settings; defaults to ``SinkhornConfig()``.
 
-    Zero-weight atoms are stripped before solving and their plan rows or
-    columns reinserted as zeros. Iterations stop once the L1 marginal
-    violation drops to ``config.tolerance`` or ``config.max_iters`` is
-    reached; either way the returned plan is rounded onto the marginal
-    polytope, so its row and column sums match the inputs to float accuracy.
-    This is :func:`sinkhorn_stack` on a stack of one.
+    Iterations stop once the L1 marginal violation drops to
+    ``config.tolerance`` or ``config.max_iters`` is reached; either way the
+    returned plan is rounded onto the marginal polytope, so its row and
+    column sums match the inputs to float accuracy. This is problem 0 of
+    :func:`sinkhorn_stack` on a stack of one, with Python scalar fields.
     """
-    cost_full = np.asarray(cost, dtype=float)
-    if cost_full.ndim != 2:
-        raise ValueError(f"cost must be a 2-D matrix, got shape {cost_full.shape}")
-    return sinkhorn_stack(cost_full[None], source, target, config)[0]
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2:
+        raise ValueError(f"cost must be a 2-D matrix, got shape {cost.shape}")
+    return sinkhorn_stack(cost[None], source, target, config)[0]

@@ -149,18 +149,17 @@ def _document_terms(model: AnchorModel, doc: DocumentMeasure, cfg: TrainConfig):
     """
     if doc.label is None:
         raise ValueError("training documents must carry a class label")
-    embedded, results = anchor_transport(model, doc, cfg.sinkhorn)
-    dists = np.array([result.reg_distance for result in results])
-    nonconverged = sum(not result.converged for result in results)
+    embedded, result = anchor_transport(model, doc, cfg.sinkhorn)
+    nonconverged = int(np.count_nonzero(~result.converged))
     if cfg.loss_kind == "triplet":
-        loss, coeffs, stat = _triplet_terms(dists, doc.label, cfg.margin)
+        loss, coeffs, stat = _triplet_terms(result.reg_distance, doc.label, cfg.margin)
     else:
-        loss, coeffs, stat = _infonce_terms(dists, doc.label, cfg.temperature)
+        loss, coeffs, stat = _infonce_terms(result.reg_distance, doc.label, cfg.temperature)
     if not np.any(coeffs):
         return loss, None, None, stat, nonconverged
 
     # d loss / d cost (n, Y * p): each class's plan times its coefficient, class-major
-    weighted = np.concatenate([c * result.plan for c, result in zip(coeffs, results)], axis=1)
+    weighted = np.concatenate(coeffs[:, None, None] * result.plan, axis=1)
     columns = anchor_columns(model.anchors)
     # d cost(i,j) / d z_i = 2 (z_i - q_j)
     grad_embedded = 2.0 * (embedded * weighted.sum(axis=1) - columns @ weighted.T)

@@ -66,24 +66,19 @@ def log_domain_sinkhorn(cost, source, target, config=None):
     """Sinkhorn with every iteration in the log domain (test oracle for ``ot.sinkhorn``).
 
     Three n×m exp passes per iteration: two log-sum-exp updates of the dual
-    potentials and the plan whose marginals are checked. Zero-weight
-    stripping, rounding and the reported values follow ``ot.sinkhorn``.
+    potentials and the plan whose marginals are checked. Rounding and the
+    reported values follow ``ot.sinkhorn``.
     """
     from anchorwmd.ot import SinkhornConfig, SinkhornResult, _logsumexp, _round_to_marginals
 
     if config is None:
         config = SinkhornConfig()
-    cost_full = np.asarray(cost, dtype=float)
-    a_full = np.asarray(source, dtype=float)
-    b_full = np.asarray(target, dtype=float)
-    keep_a = a_full > 0
-    keep_b = b_full > 0
-    a = a_full[keep_a]
-    b = b_full[keep_b]
-    cost_sub = cost_full[np.ix_(keep_a, keep_b)]
+    cost = np.asarray(cost, dtype=float)
+    a = np.asarray(source, dtype=float)
+    b = np.asarray(target, dtype=float)
 
-    eps = config.effective_epsilon(cost_sub)
-    log_kernel = -cost_sub / eps
+    eps = config.effective_epsilon(cost)
+    log_kernel = -cost / eps
     log_a = np.log(a)
     log_b = np.log(b)
     u = np.zeros(a.size)
@@ -102,14 +97,12 @@ def log_domain_sinkhorn(cost, source, target, config=None):
                 break
         plan = _round_to_marginals(plan, a, b)
 
-    full_plan = np.zeros_like(cost_full)
-    full_plan[np.ix_(keep_a, keep_b)] = plan
-    distance = float(np.sum(full_plan * cost_full))
+    distance = float(np.sum(plan * cost))
     positive = plan[plan > 0]
     entropy_term = float(np.sum(positive * np.log(positive)) - plan.sum())
     return SinkhornResult(
         distance=distance,
-        plan=full_plan,
+        plan=plan,
         iterations_used=iterations,
         converged=converged,
         reg_distance=distance + eps * entropy_term,

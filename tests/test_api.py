@@ -20,12 +20,13 @@ def test_kernel_matches_direct_solves(rng):
     doc = DocumentMeasure(np.arange(n), rng.standard_normal((d, n)), weights / weights.sum())
     cfg = SinkhornConfig(epsilon=0.05)
 
-    embedded, results = anchor_transport(model, doc, cfg)
+    embedded, result = anchor_transport(model, doc, cfg)
 
     assert np.array_equal(embedded, transform @ doc.support)
-    assert len(results) == model.num_classes
-    for k, result in enumerate(results):
+    assert result.distance.shape == (model.num_classes,)
+    assert result.plan.shape == (model.num_classes, n, p)
+    for k in range(model.num_classes):
         direct = sinkhorn(ground_cost_matrix(transform @ doc.support, anchors[k]), doc.weights, np.full(p, 1 / p), cfg)
-        assert result.distance == direct.distance
-        assert result.reg_distance == direct.reg_distance
-        assert result.distance != pytest.approx(result.reg_distance)
+        assert result[k].distance == direct.distance
+        assert result[k].reg_distance == direct.reg_distance
+        assert result[k].distance != pytest.approx(result[k].reg_distance)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from anchorwmd.cli import main
-from anchorwmd.data import save_corpus_lines, save_word_vectors
+from anchorwmd.data import Corpus, save_corpus_lines, save_word_vectors
 from anchorwmd.model import load_checkpoint
 from anchorwmd.synthetic import planted_two_cluster_data
 
@@ -281,7 +281,8 @@ class TestEvalCommand:
                 ("anchors_nan", "anchors", [[[float("nan")]]]),
                 ("anchors_ragged", "anchors", [[[1.0], [1.0, 2.0]]]),
             ]
-        ],
+        ]
+        + [pytest.param({**_VALID_CHECKPOINT, "anchors": [[[]]], "p": 0}, "p >= 1", id="anchors_no_points")],
     )
     def test_malformed_checkpoint_is_one_line_error(self, fixture_paths, tmp_path, capsys, payload, named):
         checkpoint = tmp_path / "broken.json"
@@ -396,6 +397,28 @@ class TestBaselineCommand:
         sweep = (out / "k_sweep.csv").read_text().strip().splitlines()
         assert sweep[0] == "k,error_rate"
         assert sweep[1].startswith("1,")
+
+    def test_corpus_counted_once(self, fixture_paths, tmp_path, monkeypatch):
+        calls = []
+        count = Corpus.class_token_counts
+
+        def counting(corpus):
+            calls.append(corpus)
+            return count(corpus)
+
+        monkeypatch.setattr(Corpus, "class_token_counts", counting)
+        code = main(
+            [
+                "baseline",
+                "--vectors", fixture_paths["vectors"],
+                "--corpus", fixture_paths["train"],
+                "--test-corpus", fixture_paths["test"],
+                "--out", str(tmp_path / "counted"),
+            ]
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert len(list((tmp_path / "counted").glob("tfidf_top_words_*.tsv"))) == len(calls[0].class_names)
 
     def test_k_sweep(self, fixture_paths, tmp_path):
         out = tmp_path / "sweep"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorwmd.data import (
     Corpus,
@@ -168,6 +170,25 @@ class TestToMeasure:
             counts = {f"w{i}": int(rng.integers(1, 50)) for i in range(7)}
             doc = to_measure(counts, table)
             assert abs(float(doc.weights.sum()) - 1.0) < 1e-15
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(counts=st.dictionaries(st.sampled_from(["aa", "bb", "cc", "xx", "yy"]), st.integers(0, 10**6), min_size=1))
+    def test_property_positive_weights_summing_to_one(self, counts):
+        # the solver's input contract: strictly positive weights summing to 1,
+        # aligned with word_ids and the support columns (xx, yy have no vectors)
+        table = self.table()
+        kept = sorted(t for t, c in counts.items() if c > 0 and t in table)
+        if not kept:
+            with pytest.raises(EmptyDocumentError):
+                to_measure(counts, table)
+            return
+        doc = to_measure(counts, table)
+        assert np.all(doc.weights > 0)
+        assert abs(float(doc.weights.sum()) - 1.0) <= 1e-9
+        assert doc.word_ids.tolist() == [table.index[t] for t in kept]
+        assert np.array_equal(doc.support, table.matrix[doc.word_ids].T)
+        total = sum(counts[t] for t in kept)
+        assert doc.weights == pytest.approx([counts[t] / total for t in kept], rel=1e-12)
 
     def test_insertion_order_irrelevant(self):
         a = to_measure({"aa": 1, "bb": 2, "cc": 3}, self.table())

@@ -10,6 +10,7 @@ from anchorwmd.interpret import (
     compute_importance_table,
     export_projection,
     pca_2d,
+    tfidf_rankings,
     tfidf_top_words,
     top_k_words,
 )
@@ -344,6 +345,13 @@ class TestTfidf:
     def test_k_below_one_rejected(self, k):
         with pytest.raises(ValueError, match="k must be at least 1"):
             tfidf_top_words(toy_corpus(), 0, k)
+
+    def test_rankings_equal_per_class_calls(self):
+        corpus = toy_corpus()
+        assert tfidf_rankings(corpus, 2) == [tfidf_top_words(corpus, c, 2) for c in range(corpus.num_classes)]
+        assert tfidf_rankings(corpus, 2, [1]) == [tfidf_top_words(corpus, 1, 2)]
+        with pytest.raises(ValueError, match="out of range"):
+            tfidf_top_words(corpus, 2, 2)
 
     def test_absent_term_never_outranks_present(self):
         ranked = [w for w, _ in tfidf_top_words(toy_corpus(), 1, 10)]

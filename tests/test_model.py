@@ -47,27 +47,27 @@ def embed(doc, transform, num_classes=2, p=2):
     """The embedded support that the kernel transports, for a given transform."""
     anchors = np.zeros((num_classes, doc.dim, p))
     model = AnchorModel(transform, anchors, [str(k) for k in range(num_classes)])
-    embedded, results = anchor_transport(model, doc)
-    assert len(results) == num_classes
-    return embedded, results
+    embedded, result = anchor_transport(model, doc)
+    assert result.plan.shape == (num_classes, doc.size, p)
+    return embedded, result
 
 
 def transport_to(doc, anchor, config=None):
     """The kernel's single result for an identity-transform one-class model."""
     anchor = np.asarray(anchor, dtype=float)
     model = AnchorModel(np.eye(anchor.shape[0]), anchor[None], ["only"])
-    _, results = anchor_transport(model, doc, config)
-    return results[0]
+    _, result = anchor_transport(model, doc, config)
+    return result[0]
 
 
 class TestEmbedDocument:
     def test_identity_transform(self, rng):
         doc = make_doc(rng.standard_normal((3, 4)), np.full(4, 0.25))
-        embedded, results = embed(doc, np.eye(3))
+        embedded, result = embed(doc, np.eye(3))
         assert embedded == pytest.approx(doc.support)
         # the document's weights are the source marginal of every solve
-        for result in results:
-            assert result.plan.sum(axis=1) == pytest.approx(doc.weights)
+        for plan in result.plan:
+            assert plan.sum(axis=1) == pytest.approx(doc.weights)
 
     def test_scalar_matrix(self):
         doc = make_doc(np.array([[1.0], [-1.0]]), [1.0])
@@ -104,9 +104,9 @@ class TestEmbedDocument:
 
         monkeypatch.setattr(model_module, "ground_cost_matrix", counting_ground_cost)
         model = AnchorModel(np.eye(3), rng.standard_normal((4, 3, 2)), ["a", "b", "c", "d"])
-        _, results = anchor_transport(model, make_doc(rng.standard_normal((3, 5)), np.full(5, 0.2)))
+        _, result = anchor_transport(model, make_doc(rng.standard_normal((3, 5)), np.full(5, 0.2)))
         assert len(calls) == 1
-        assert len(results) == 4
+        assert result.distance.shape == (4,)
 
     def test_anchor_columns_are_class_major(self, rng):
         anchors = rng.standard_normal((4, 3, 2))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorwmd import ot
+from anchorwmd.model import DocumentMeasure
 from anchorwmd.ot import SinkhornConfig, ground_cost_matrix, sinkhorn, sinkhorn_stack, validate_histogram
 from conftest import exact_ot_uniform, log_domain_sinkhorn
 
@@ -119,15 +120,16 @@ class TestSinkhorn:
         backward = sinkhorn(c.T, b, a, cfg)
         assert forward.distance == pytest.approx(backward.distance, abs=1e-9)
 
-    def test_zero_weight_atoms_stripped(self, rng):
+    def test_zero_weight_atoms_rejected(self, rng):
+        # a zero-weight atom carries no mass: callers drop it, the solver refuses it
         c = rng.uniform(size=(4, 3))
-        a = np.array([0.5, 0.0, 0.25, 0.25])
-        b = np.array([0.4, 0.6, 0.0])
-        res = sinkhorn(c, a, b)
-        assert np.all(res.plan[1, :] == 0.0)
-        assert np.all(res.plan[:, 2] == 0.0)
-        reduced = sinkhorn(c[np.ix_([0, 2, 3], [0, 1])], a[[0, 2, 3]], b[[0, 1]])
-        assert res.distance == pytest.approx(reduced.distance, abs=1e-12)
+        positive = np.array([0.4, 0.2, 0.4])
+        with pytest.raises(ValueError, match="must be positive"):
+            sinkhorn(c, [0.5, 0.0, 0.25, 0.25], positive)
+        with pytest.raises(ValueError, match="must be positive"):
+            sinkhorn(c, np.full(4, 0.25), [0.4, 0.6, 0.0])
+        with pytest.raises(ValueError, match="must be positive"):
+            DocumentMeasure(word_ids=[0, 1, 2], support=c[:2], weights=[0.5, 0.5, 0.0])
 
     def test_nan_cost_rejected(self):
         c = np.array([[0.0, np.nan], [1.0, 0.0]])
@@ -174,14 +176,18 @@ class TestSinkhorn:
             assert gaps[2] <= gaps[1] + 1e-9
 
 
-def _random_problem(rng, n, m, d, zero_weights=False):
+def _random_problem(rng, n, m, d, tiny=None):
+    """A random cost and two histograms; with ``tiny``, two source atoms and one
+    target atom carry about that share of the mass."""
     cost = ground_cost_matrix(rng.standard_normal((d, n)), rng.standard_normal((d, m)))
     a = rng.uniform(0.1, 1.0, n)
     b = np.full(m, 1.0)
-    if zero_weights:
-        a[[1, n // 2]] = 0.0
-        b[m - 1] = 0.0
-    return cost, a / a.sum(), b / b.sum()
+    a, b = a / a.sum(), b / b.sum()
+    if tiny is not None:
+        a[[1, n // 2]] = tiny
+        b[m - 1] = tiny
+        a, b = a / a.sum(), b / b.sum()
+    return cost, a, b
 
 
 def _counting(monkeypatch, name):
@@ -212,15 +218,17 @@ class TestMatchesLogDomainOracle:
     )
     @pytest.mark.parametrize("n, m", [(112, 112), (112, 16)], ids=["doc_doc", "doc_anchor"])
     def test_same_iterates(self, rng, n, m, config, zero_weights):
-        cost, a, b = _random_problem(rng, n, m, 300, zero_weights)
-        res = sinkhorn(cost, a, b, config)
-        oracle = log_domain_sinkhorn(cost, a, b, config)
-        assert res.iterations_used == oracle.iterations_used
-        assert res.converged == oracle.converged
-        assert res.epsilon == oracle.epsilon
-        assert res.distance == pytest.approx(oracle.distance, rel=1e-9)
-        assert res.reg_distance == pytest.approx(oracle.reg_distance, rel=1e-9)
-        assert np.abs(res.plan - oracle.plan).max() < 1e-12
+        # the solver rejects zero weights: atoms at 1e-12 and 1e-30 of the mass stand in
+        for tiny in (1e-12, 1e-30) if zero_weights else (None,):
+            cost, a, b = _random_problem(rng, n, m, 300, tiny)
+            res = sinkhorn(cost, a, b, config)
+            oracle = log_domain_sinkhorn(cost, a, b, config)
+            assert res.iterations_used == oracle.iterations_used
+            assert res.converged == oracle.converged
+            assert res.epsilon == oracle.epsilon
+            assert res.distance == pytest.approx(oracle.distance, rel=1e-9)
+            assert res.reg_distance == pytest.approx(oracle.reg_distance, rel=1e-9)
+            assert np.abs(res.plan - oracle.plan).max() < 1e-12
 
 
 class TestHardPaths:
@@ -280,6 +288,10 @@ class TestHardPaths:
 
 
 def _assert_same_result(stacked, alone):
+    # bit-equal values, both with the field types of a solo solve
+    for res in (stacked, alone):
+        assert (type(res.distance), type(res.reg_distance), type(res.epsilon)) == (float, float, float)
+        assert (type(res.iterations_used), type(res.converged), res.plan.ndim) == (int, bool, 2)
     assert stacked.distance == alone.distance
     assert stacked.reg_distance == alone.reg_distance
     assert stacked.epsilon == alone.epsilon
@@ -295,7 +307,7 @@ class TestSinkhornStack:
 
     @staticmethod
     def _mixed_stack(rng):
-        """Four problems sharing a source with zero-weight atoms.
+        """Four problems sharing a source with two near-zero weights (1e-12, 1e-30).
 
         Under ``CONFIG`` they converge after different iteration counts (d=300
         and d=30 costs), hit ``max_iters`` (d=3), and need absorption (a row
@@ -303,7 +315,7 @@ class TestSinkhornStack:
         """
         n, m = 12, 7
         a = rng.uniform(0.1, 1.0, n)
-        a[[3, 8]] = 0.0
+        a[[3, 8]] = 1e-12 * a.sum(), 1e-30 * a.sum()
         b = np.full(m, 1.0 / m)
         costs = [
             ground_cost_matrix(rng.standard_normal((d, n)), rng.standard_normal((d, m))) for d in (300, 30, 3, 300)
@@ -313,19 +325,19 @@ class TestSinkhornStack:
 
     def test_each_problem_matches_log_domain_oracle(self, rng):
         costs, a, b = self._mixed_stack(rng)
-        results = sinkhorn_stack(costs, a, b, self.CONFIG)
-        iterations = [res.iterations_used for res in results]
-        assert len(set(iterations)) == len(results)
-        assert [res.converged for res in results] == [True, True, False, True]
-        assert iterations[2] == self.CONFIG.max_iters
-        for cost, res in zip(costs, results):
+        stacked = sinkhorn_stack(costs, a, b, self.CONFIG)
+        assert len(set(stacked.iterations_used)) == len(costs)
+        assert stacked.converged.tolist() == [True, True, False, True]
+        assert stacked.iterations_used[2] == self.CONFIG.max_iters
+        for k, cost in enumerate(costs):
+            res = stacked[k]
             oracle = log_domain_sinkhorn(cost, a, b, self.CONFIG)
             assert res.iterations_used == oracle.iterations_used
             assert res.converged == oracle.converged
             assert res.epsilon == oracle.epsilon
             assert res.distance == pytest.approx(oracle.distance, rel=1e-9)
             assert res.reg_distance == pytest.approx(oracle.reg_distance, rel=1e-9)
-            assert np.all(res.plan[[3, 8], :] == 0.0)
+            assert res.plan[[3, 8]].sum(axis=1) == pytest.approx(a[[3, 8]], rel=1e-9)
 
     def test_absorption_stays_with_its_problem(self, rng, monkeypatch):
         costs, a, b = self._mixed_stack(rng)
@@ -343,12 +355,12 @@ class TestSinkhornStack:
         sinkhorn(costs[3], a, b, self.CONFIG)
         alone = len(rebuilt)
         assert alone > 0
-        results = sinkhorn_stack(costs, a, b, self.CONFIG)
+        stacked = sinkhorn_stack(costs, a, b, self.CONFIG)
         # every rebuild in the stack is the one problem's, as often as alone
         assert rebuilt[alone:] == [1] * alone
         monkeypatch.undo()
-        for cost, res in zip(costs, results):
-            _assert_same_result(res, sinkhorn(cost, a, b, self.CONFIG))
+        for k, cost in enumerate(costs):
+            _assert_same_result(stacked[k], sinkhorn(cost, a, b, self.CONFIG))
 
     @pytest.mark.parametrize(
         "config", [SinkhornConfig(epsilon=0.1), SinkhornConfig(epsilon=0.01)], ids=["rel0.1", "rel0.01"]
@@ -361,10 +373,10 @@ class TestSinkhornStack:
         weights /= weights.sum()
         target = np.full(p, 1.0 / p)
         cost = ground_cost_matrix(rng.standard_normal((d, n)), rng.standard_normal((d, classes * p)))
-        results = sinkhorn_stack(cost.reshape(n, classes, p).transpose(1, 0, 2), weights, target, config)
-        assert len(results) == classes
-        for k, res in enumerate(results):
-            _assert_same_result(res, sinkhorn(cost[:, k * p : (k + 1) * p].copy(), weights, target, config))
+        stacked = sinkhorn_stack(cost.reshape(n, classes, p).transpose(1, 0, 2), weights, target, config)
+        assert stacked.plan.shape == (classes, n, p)
+        for k in range(classes):
+            _assert_same_result(stacked[k], sinkhorn(cost[:, k * p : (k + 1) * p].copy(), weights, target, config))
 
     @settings(derandomize=True, database=None, deadline=None)
     @given(
@@ -376,17 +388,17 @@ class TestSinkhornStack:
         epsilon=st.sampled_from([1e-3, 0.05, 1.0, 50.0]),
     )
     def test_property_bit_identical_to_solo_solves(self, data, num, n, m, relative, epsilon):
-        weight = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
-        a = np.array(data.draw(st.lists(weight, min_size=n, max_size=n).filter(any)))
-        b = np.array(data.draw(st.lists(weight, min_size=m, max_size=m).filter(any)))
+        weight = st.one_of(st.sampled_from([1e-30, 1e-12]), st.floats(0.05, 1.0))
+        a = np.array(data.draw(st.lists(weight, min_size=n, max_size=n)))
+        b = np.array(data.draw(st.lists(weight, min_size=m, max_size=m)))
         entries = st.floats(1e-3, 1e8)
         # drawn as (n, B, m), so the stack is a strided view, as in anchor_transport
         costs = np.array(data.draw(st.lists(entries, min_size=num * n * m, max_size=num * n * m)))
         costs = costs.reshape(n, num, m).transpose(1, 0, 2)
         config = SinkhornConfig(epsilon=epsilon, relative=relative, max_iters=30)
-        results = sinkhorn_stack(costs, a / a.sum(), b / b.sum(), config)
-        for cost, res in zip(costs, results):
-            _assert_same_result(res, sinkhorn(cost.copy(), a / a.sum(), b / b.sum(), config))
+        stacked = sinkhorn_stack(costs, a / a.sum(), b / b.sum(), config)
+        for k, cost in enumerate(costs):
+            _assert_same_result(stacked[k], sinkhorn(cost.copy(), a / a.sum(), b / b.sum(), config))
 
     def test_rejects_malformed_stacks(self):
         w = np.array([0.5, 0.5])

@@ -179,8 +179,8 @@ def _reference_batch_gradients(model, batch, cfg):
     loss = cfg.l2_coeff * float(np.sum(model.transform**2))
     active_docs = 0
     for doc in batch:
-        embedded, results = anchor_transport(model, doc, cfg.sinkhorn)
-        dists = np.array([result.reg_distance for result in results])
+        embedded, result = anchor_transport(model, doc, cfg.sinkhorn)
+        dists = result.reg_distance
         if cfg.loss_kind == "triplet":
             loss += triplet_loss(dists, doc.label, cfg.margin) / len(batch)
             active = dists[doc.label] - dists + cfg.margin > 0
@@ -195,8 +195,7 @@ def _reference_batch_gradients(model, batch, cfg):
             coeffs[doc.label] += 1.0 / cfg.temperature
         active_docs += bool(np.any(coeffs != 0.0))
         grad_embedded = np.zeros_like(embedded)
-        for k, (c, result) in enumerate(zip(coeffs, results)):
-            plan = result.plan
+        for k, (c, plan) in enumerate(zip(coeffs, result.plan)):
             anchor = model.anchors[k]
             grad_embedded += c * 2.0 * (embedded * plan.sum(axis=1)[None, :] - anchor @ plan.T)
             grad_anchors[k] += c * 2.0 * (anchor * plan.sum(axis=0)[None, :] - embedded @ plan) / len(batch)
@@ -309,8 +308,8 @@ class TestBatchGradients:
         bundle = batch_gradients(model, docs, cfg)
         entropies = []
         for doc in docs:
-            _, results = anchor_transport(model, doc, cfg.sinkhorn)
-            scores = -np.array([r.reg_distance for r in results]) / cfg.temperature
+            _, result = anchor_transport(model, doc, cfg.sinkhorn)
+            scores = -result.reg_distance / cfg.temperature
             probs = np.exp(scores - scores.max())
             probs /= probs.sum()
             entropies.append(-np.sum(probs * np.log(probs)))
