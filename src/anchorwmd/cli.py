@@ -3,7 +3,9 @@
 Option precedence is CLI flag over config-file value over built-in default;
 the merged configuration is echoed to the output directory as JSON so every
 run is reproducible from its artifacts. Defaults come from ``TrainConfig`` and
-``SinkhornConfig``; each command builds the configs it reads before writing.
+``SinkhornConfig``; each command builds the configs it reads and loads and
+checks its inputs (checkpoint, word vectors, corpora) before it creates the
+output directory, so a rejected input leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -240,10 +242,10 @@ def cmd_train(opts: dict) -> int:
     _require(opts, "vectors", "corpus", "out")
     cfg = _config_from(opts, training.TrainConfig, TRAIN_KEYS, sinkhorn=_sinkhorn_config(opts))
     spec = _split_spec(opts)
-    out = _prepare_out(opts, "train")
     table = data.load_word_vectors(opts["vectors"])
     train_corpus, held_out = _load_train_test(opts, spec)
     measures, _ = data.corpus_to_measures(train_corpus, table)
+    out = _prepare_out(opts, "train")
 
     fitted, history = training.train(
         measures, cfg, class_names=train_corpus.class_names, vocab_hash=table.vocab_hash
@@ -265,9 +267,9 @@ def cmd_train(opts: dict) -> int:
 def cmd_eval(opts: dict) -> int:
     _require(opts, "vectors", "corpus", "checkpoint", "out")
     cfg = _sinkhorn_config(opts)
-    out = _prepare_out(opts, "eval")
     fitted, table, corpus = _load_for_checkpoint(opts)
     measures, doc_ids = data.corpus_to_measures(corpus, table)
+    out = _prepare_out(opts, "eval")
     predictions = classify.classify_corpus(measures, fitted, cfg, threads=opts["threads"])
     err = classify.error_rate([p.predicted_class for p in predictions], [m.label for m in measures])
     classify.write_predictions(
@@ -288,8 +290,8 @@ def _importance_inputs(opts: dict):
 
 def cmd_interpret(opts: dict) -> int:
     _require(opts, "vectors", "corpus", "checkpoint", "out")
-    out = _prepare_out(opts, "interpret")
     fitted, corpus, words, vectors = _importance_inputs(opts)
+    out = _prepare_out(opts, "interpret")
     table = interpret.compute_importance_table(fitted, words, vectors)
     table.write_tsv(os.path.join(out, "importance.tsv"))
 
@@ -316,7 +318,6 @@ def cmd_baseline(opts: dict) -> int:
     cfg = _sinkhorn_config(opts)
     spec = _split_spec(opts)
     ks = _k_values(opts)
-    out = _prepare_out(opts, "baseline")
     table = data.load_word_vectors(opts["vectors"])
     train_corpus, test_corpus = _load_train_test(opts, spec)
     if test_corpus is None:
@@ -324,6 +325,7 @@ def cmd_baseline(opts: dict) -> int:
         logger.warning("no test corpus or split given; evaluating KNN on the training set")
     train_measures, _ = data.corpus_to_measures(train_corpus, table)
     test_measures, test_ids = data.corpus_to_measures(test_corpus, table)
+    out = _prepare_out(opts, "baseline")
 
     k_main = opts["k"]
     sweep = classify.knn_predict_corpus(test_measures, train_measures, ks, cfg, threads=opts["threads"])
@@ -346,8 +348,8 @@ def cmd_baseline(opts: dict) -> int:
 
 def cmd_export_viz(opts: dict) -> int:
     _require(opts, "vectors", "corpus", "checkpoint", "out")
-    out = _prepare_out(opts, "export-viz")
     fitted, _, words, vectors = _importance_inputs(opts)
+    out = _prepare_out(opts, "export-viz")
     table = interpret.compute_importance_table(fitted, words, vectors)
     rows = interpret.export_projection(
         fitted, table, vectors, opts["top_k"], os.path.join(out, "projection.tsv")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -169,35 +170,50 @@ def _ordered_map(fn, items: list, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(points, axis=0)`` and how many rows of ``points`` equal each.
+
+    Equal rows are merged first by counting their bytes, so the lexicographic
+    sort only runs over distinct rows.
+    """
+    points = points + 0.0  # -0.0 becomes 0.0: finite rows have equal bytes exactly when they compare equal
+    counts = Counter(row.tobytes() for row in points)
+    rows = np.frombuffer(b"".join(counts), dtype=points.dtype).reshape(len(counts), -1)
+    distinct = np.unique(rows, axis=0)
+    return distinct, np.array([counts[row.tobytes()] for row in distinct])
+
+
 def _kmeans_centroids(points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int = 50) -> np.ndarray:
     """Lloyd's algorithm over row vectors, seeded and deterministic.
 
-    Initial centroids are distinct data rows drawn without replacement; if
-    fewer than ``k`` distinct rows exist, centroids are duplicated with a
-    small seeded jitter. Empty clusters restart at the point currently
-    farthest from its centroid.
+    Runs over the distinct rows, each weighted by how often it occurs, which
+    gives the same clusters as Lloyd over every row. Initial centroids are
+    distinct rows drawn without replacement; if fewer than ``k`` distinct rows
+    exist, centroids are duplicated with a small seeded jitter. Empty clusters
+    restart at the row currently farthest from its centroid.
     """
-    distinct = np.unique(points, axis=0)
-    if distinct.shape[0] < k:
-        reps = -(-k // distinct.shape[0])  # ceil
+    distinct, counts = _distinct_rows(points)
+    num_distinct = distinct.shape[0]
+    if num_distinct < k:
+        reps = -(-k // num_distinct)  # ceil
         base = np.tile(distinct, (reps, 1))[:k]
         return base + 1e-4 * rng.standard_normal(base.shape)
 
-    start = rng.choice(distinct.shape[0], size=k, replace=False)
+    start = rng.choice(num_distinct, size=k, replace=False)
     centroids = distinct[start].copy()
-    sq_pts = np.einsum("nd,nd->n", points, points)
+    sq_pts = np.einsum("nd,nd->n", distinct, distinct)
+    rows = np.arange(num_distinct)
     for _ in range(max_iters):
         sq_cent = np.einsum("kd,kd->k", centroids, centroids)
-        dist2 = sq_pts[:, None] + sq_cent[None, :] - 2.0 * (points @ centroids.T)
+        dist2 = sq_pts[:, None] + sq_cent[None, :] - 2.0 * (distinct @ centroids.T)
         assign = dist2.argmin(axis=1)
-        new_centroids = np.empty_like(centroids)
-        own_dist = dist2[np.arange(points.shape[0]), assign]
-        for j in range(k):
-            members = points[assign == j]
-            if members.shape[0]:
-                new_centroids[j] = members.mean(axis=0)
-            else:
-                new_centroids[j] = points[own_dist.argmax()]
+        sizes = np.bincount(assign, weights=counts, minlength=k)
+        weights = np.zeros((k, num_distinct))
+        weights[assign, rows] = counts / sizes[assign]
+        new_centroids = weights @ distinct
+        empty = sizes == 0
+        if empty.any():
+            new_centroids[empty] = distinct[dist2[rows, assign].argmax()]
         if np.array_equal(new_centroids, centroids):
             break
         centroids = new_centroids
@@ -210,8 +226,9 @@ def init_anchors(
     """Cluster each class's word vectors into ``p`` anchor support points.
 
     Runs seeded k-means per class over the multiset of support columns of
-    that class's documents and returns a (num_classes, d, p) array of
-    centroid columns.
+    that class's documents: Lloyd iterates over the class's distinct word
+    vectors, each weighted by how often it occurs among those columns.
+    Returns a (num_classes, d, p) array of centroid columns.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -244,7 +261,8 @@ def save_checkpoint(model: AnchorModel, path: str) -> None:
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".checkpoint-", suffix=".json")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            # json.dumps encodes in C in one pass; json.dump streams through the Python encoder
+            fh.write(json.dumps(payload, sort_keys=True))
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

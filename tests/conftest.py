@@ -108,3 +108,43 @@ def log_domain_sinkhorn(cost, source, target, config=None):
         reg_distance=distance + eps * entropy_term,
         epsilon=eps,
     )
+
+
+def multiset_kmeans_centroids(points, k, rng, max_iters=50, restarts=None):
+    """Lloyd's algorithm over every row of ``points`` (test oracle for ``model._kmeans_centroids``).
+
+    Repeated rows are kept and each cluster mean is taken over its member
+    rows one cluster at a time. Initial centroids are distinct rows (in
+    ``np.unique`` order) drawn without replacement; with fewer than ``k``
+    distinct rows they are duplicated with a small seeded jitter. Empty
+    clusters restart at the first point farthest from its centroid; each
+    restart appends its cluster index to the ``restarts`` list when one is given.
+    """
+    points = np.asarray(points, dtype=float)
+    distinct = np.unique(points, axis=0)
+    if distinct.shape[0] < k:
+        reps = -(-k // distinct.shape[0])  # ceil
+        base = np.tile(distinct, (reps, 1))[:k]
+        return base + 1e-4 * rng.standard_normal(base.shape)
+
+    start = rng.choice(distinct.shape[0], size=k, replace=False)
+    centroids = distinct[start].copy()
+    sq_pts = np.einsum("nd,nd->n", points, points)
+    for _ in range(max_iters):
+        sq_cent = np.einsum("kd,kd->k", centroids, centroids)
+        dist2 = sq_pts[:, None] + sq_cent[None, :] - 2.0 * (points @ centroids.T)
+        assign = dist2.argmin(axis=1)
+        new_centroids = np.empty_like(centroids)
+        own_dist = dist2[np.arange(points.shape[0]), assign]
+        for j in range(k):
+            members = points[assign == j]
+            if members.shape[0]:
+                new_centroids[j] = members.mean(axis=0)
+            else:
+                new_centroids[j] = points[own_dist.argmax()]
+                if restarts is not None:
+                    restarts.append(j)
+        if np.array_equal(new_centroids, centroids):
+            break
+        centroids = new_centroids
+    return centroids

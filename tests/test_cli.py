@@ -300,6 +300,7 @@ class TestEvalCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and named in err[0]
+        assert not (tmp_path / "broken_eval").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, fixture_paths, trained, tmp_path, capsys, threads):
@@ -558,6 +559,49 @@ def test_invalid_value_rejected_before_writing(fixture_paths, trained, tmp_path,
         argv += ["--checkpoint", trained]
     flags = [fixture_paths["test"] if flag == "<test corpus>" else flag for flag in flags]
     assert_rejected(main(argv + flags), capsys, out, message)
+
+
+@pytest.mark.parametrize("command", ["eval", "interpret", "export-viz"])
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("missing_key", "checkpoint is missing keys: ['anchors']"),
+        ("not_json", "Expecting value"),
+        ("no_points", "p >= 1"),
+        ("vocab_mismatch", "vocabulary hash mismatch"),
+        ("unknown_class", "class 'zzz' not present"),
+    ],
+)
+def test_rejected_checkpoint_inputs_leave_no_output(fixture_paths, trained, tmp_path, capsys, command, case, message):
+    """A checkpoint, vector file or corpus the checkpoint rejects stops the run before ``--out`` is made."""
+    paths = {"vectors": fixture_paths["vectors"], "corpus": fixture_paths["test"], "checkpoint": trained}
+    if case == "missing_key":
+        paths["checkpoint"] = tmp_path / "missing.json"
+        paths["checkpoint"].write_text(json.dumps({k: v for k, v in _VALID_CHECKPOINT.items() if k != "anchors"}))
+    elif case == "not_json":
+        paths["checkpoint"] = tmp_path / "garbage.json"
+        paths["checkpoint"].write_text("not json")
+    elif case == "no_points":
+        paths["checkpoint"] = tmp_path / "no_points.json"
+        paths["checkpoint"].write_text(json.dumps({**_VALID_CHECKPOINT, "anchors": [[[]]], "p": 0}))
+    elif case == "vocab_mismatch":
+        paths["vectors"] = tmp_path / "other.txt"
+        save_word_vectors({"unrelated": np.zeros(10)}, str(paths["vectors"]))
+    else:
+        paths["corpus"] = tmp_path / "unknown.tsv"
+        paths["corpus"].write_text("zzz\tsome words\n")
+    out = tmp_path / "rejected"
+    argv = [command] + [f"--{key}={value}" for key, value in paths.items()] + ["--out", str(out)]
+    assert_rejected(main(argv), capsys, out, message)
+
+
+@pytest.mark.parametrize("command", ["train", "baseline"])
+def test_malformed_vectors_leave_no_output(fixture_paths, tmp_path, capsys, command):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("alpha 1.0 2.0\nbeta 1.0\n")
+    out = tmp_path / "rejected"
+    code = main([command, "--vectors", str(vectors), "--corpus", fixture_paths["train"], "--out", str(out)])
+    assert_rejected(code, capsys, out, "vectors.txt:2")
 
 
 @pytest.mark.parametrize("command", ["train", "baseline"])

@@ -15,7 +15,31 @@ from anchorwmd.model import (
     save_checkpoint,
 )
 from anchorwmd.ot import SinkhornConfig, ground_cost_matrix
-from conftest import lp_transport_value
+from conftest import lp_transport_value, multiset_kmeans_centroids
+
+
+def repeated_cloud(seed, dim, pool_size, num_points):
+    """Rows drawn with repetition from a pool of vectors at mixed scales, skewed multiplicities."""
+    g = np.random.default_rng(seed)
+    pool = g.standard_normal((pool_size, dim)) * g.choice([0.1, 1.0, 5.0], size=(pool_size, 1))
+    return pool[g.choice(pool_size, size=num_points, p=g.dirichlet(np.full(pool_size, 0.3)))]
+
+
+def split_into_docs(points, label, parts=3):
+    """The rows of ``points`` as the support columns of ``parts`` documents of one class."""
+    return [make_doc(chunk.T, np.full(len(chunk), 1 / len(chunk)), label=label)
+            for chunk in np.array_split(points, parts)]
+
+
+def oracle_anchors(docs, num_classes, p, seed):
+    """``init_anchors`` through the multiset Lloyd oracle."""
+    return np.stack([
+        multiset_kmeans_centroids(
+            np.concatenate([doc.support for doc in docs if doc.label == label], axis=1).T,
+            p, np.random.default_rng([seed, label]),
+        ).T
+        for label in range(num_classes)
+    ])
 
 
 def make_doc(support, weights, label=None):
@@ -205,6 +229,60 @@ class TestInitAnchors:
         with pytest.raises(ValueError):
             init_anchors(docs, 2, p=2, seed=0)
 
+    @pytest.mark.parametrize("case", range(8))
+    def test_matches_multiset_lloyd_oracle(self, case):
+        g = np.random.default_rng(100 + case)
+        dim, p = int(g.integers(2, 40)), int(g.integers(2, 9))
+        docs = [doc for label in range(3) for doc in split_into_docs(
+            repeated_cloud([case, label], dim, int(g.integers(p, 60)), int(g.integers(60, 300))), label)]
+        got = init_anchors(docs, 3, p, seed=case)
+        assert np.abs(got - oracle_anchors(docs, 3, p, seed=case)).max() <= 1e-12
+
+    def test_same_initial_centroids_as_oracle(self):
+        points = repeated_cloud(7, 30, 40, 200)
+        for seed in range(5):
+            start = model_module._kmeans_centroids(points, 6, np.random.default_rng(seed), max_iters=0)
+            want = multiset_kmeans_centroids(points, 6, np.random.default_rng(seed), max_iters=0)
+            assert np.array_equal(start, want)
+
+    @pytest.mark.parametrize("seed, pool_size, num_points, k", [(74, 25, 100, 6), (208, 12, 60, 5)])
+    def test_empty_cluster_restart_matches_oracle(self, seed, pool_size, num_points, k):
+        points = repeated_cloud(seed, 3, pool_size, num_points)
+        restarts = []
+        want = multiset_kmeans_centroids(points, k, np.random.default_rng(seed), restarts=restarts)
+        assert restarts  # these points empty a cluster on the way
+        got = model_module._kmeans_centroids(points, k, np.random.default_rng(seed))
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_jitter_path_bit_identical_to_oracle(self, rng):
+        pool = rng.standard_normal((4, 3))
+        docs = [
+            *split_into_docs(pool[[0, 1, 2, 1, 0, 0, 2]], label=0),
+            *split_into_docs(pool[[3, 3, 3]], label=1, parts=1),
+        ]
+        assert np.array_equal(init_anchors(docs, 2, p=5, seed=4), oracle_anchors(docs, 2, p=5, seed=4))
+
+    def test_signed_zeros_are_one_row(self):
+        # np.unique compares -0.0 equal to 0.0, so (0, 1) and (-0, 1) are one row of weight two
+        support = np.array([[0.0, -0.0, 2.0, 10.0], [1.0, 1.0, 3.0, 10.0]])
+        docs = [make_doc(support, np.full(4, 0.25), label=0), make_doc(np.ones((2, 1)), [1.0], label=1)]
+        anchors = init_anchors(docs, 2, p=2, seed=5)
+        assert np.abs(anchors - oracle_anchors(docs, 2, p=2, seed=5)).max() <= 1e-12
+        assert np.asarray(sorted(anchors[0].T.tolist())) == pytest.approx(np.array([[2 / 3, 5 / 3], [10.0, 10.0]]))
+
+    def test_dedupes_by_value_not_word_id(self, rng):
+        pool = rng.standard_normal((3, 2))
+        # one class: two distinct vectors under six word ids, so only value dedupe sees fewer than p
+        by_value = [DocumentMeasure(word_ids=[0, 1, 2], support=pool[[0, 1, 0]].T, weights=np.full(3, 1 / 3), label=0),
+                    DocumentMeasure(word_ids=[3, 4, 5], support=pool[[1, 0, 1]].T, weights=np.full(3, 1 / 3), label=0)]
+        # the other: four distinct vectors under the same two word ids, so only id dedupe sees fewer than p
+        shared_ids = [make_doc(rng.standard_normal((2, 2)), [0.5, 0.5], label=1) for _ in range(2)]
+        docs = by_value + shared_ids
+        anchors = init_anchors(docs, 2, p=3, seed=2)
+        assert np.array_equal(anchors, oracle_anchors(docs, 2, p=3, seed=2))
+        nearest = np.abs(anchors[0][:, :, None] - pool[:2].T[:, None, :]).max(axis=0).min(axis=1)
+        assert np.all(nearest < 1e-3)  # every class-0 anchor point is a jittered copy of one of its two vectors
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path, rng):
@@ -223,6 +301,28 @@ class TestCheckpoint:
         assert loaded.vocab_hash == "cafe"
         # no stray temp files left behind
         assert sorted(os.listdir(tmp_path)) == ["model.json"]
+
+    def test_bytes_equal_streamed_json_dump(self, tmp_path, rng):
+        model = AnchorModel(
+            transform=rng.standard_normal((300, 300)),
+            anchors=rng.standard_normal((3, 300, 4)) * 10.0 ** rng.integers(-300, 300, size=(3, 300, 4)),
+            class_names=["alpha", "beta", "gamma"],
+            vocab_hash="cafe",
+        )
+        path = tmp_path / "model.json"
+        save_checkpoint(model, str(path))
+        payload = {
+            "dim": 300,
+            "num_classes": 3,
+            "p": 4,
+            "transform": model.transform.tolist(),
+            "anchors": model.anchors.tolist(),
+            "class_names": ["alpha", "beta", "gamma"],
+            "vocab_hash": "cafe",
+        }
+        with open(tmp_path / "streamed.json", "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True)
+        assert path.read_bytes() == (tmp_path / "streamed.json").read_bytes()
 
     def test_checkpoint_fields(self, tmp_path, rng):
         model = AnchorModel(
