@@ -35,10 +35,11 @@ def anchor_nn_classify(
     """Assign the class of the nearest anchor.
 
     Transports the raw document to every anchor with
-    :func:`~anchorwmd.model.anchor_transport` and returns the argmin of the
-    unregularized ``distance`` (first index wins exact ties).
+    :func:`~anchorwmd.model.anchor_transport`, as a stack of one document,
+    and returns the argmin of the unregularized ``distance`` (first index
+    wins exact ties).
     """
-    _, result = anchor_transport(model, doc, config)
+    _, result = anchor_transport(model, [doc], config)
     return Prediction(predicted_class=int(np.argmin(result.distance)), anchor_distances=result.distance)
 
 

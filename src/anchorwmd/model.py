@@ -3,9 +3,13 @@
 A document is an empirical measure over embedded word vectors; each class is
 represented by an anchor, a point cloud of ``p`` support columns carrying a
 uniform measure. The transform is a dense square matrix applied column-wise
-to word vectors. :func:`anchor_transport` is the model's one computation,
-a document's embedded words transported to every class anchor; training and
-nearest-anchor classification are two readings of it.
+to word vectors. :func:`anchor_transport` is the model's one computation:
+a list of documents' embedded words transported to every class anchor, as
+one Sinkhorn stack padded to the longest document. Training and
+nearest-anchor classification are two readings of it. Training solves
+fixed-size stacks of consecutive documents, so a document's values depend
+on document order but never on the worker count; classification solves
+each document as a stack of one, with no padding.
 """
 
 from __future__ import annotations
@@ -131,29 +135,57 @@ def anchor_columns(anchors: np.ndarray) -> np.ndarray:
 
 
 def anchor_transport(
-    model: AnchorModel, doc: DocumentMeasure, config: SinkhornConfig | None = None
+    model: AnchorModel, docs: list[DocumentMeasure], config: SinkhornConfig | None = None
 ) -> tuple[np.ndarray, SinkhornResult]:
-    """Transport a raw document's embedded words to every class anchor.
+    """Transport raw documents' embedded words to every class anchor, as one padded stack.
 
-    Returns the embedded support ``model.transform @ doc.support`` (d, n)
-    and the stacked :class:`SinkhornResult` of the Y classes ((Y,) values,
-    (Y, n, p) plans), each against the uniform measure 1/p on that anchor's
-    columns. One ground cost is built against all Y * p anchor columns in
-    :func:`anchor_columns` order, cut into its Y (n, p) class slices, and
-    solved as one stack. Training ranks classes by ``reg_distance`` (the
-    value its gradient differentiates); nearest-anchor classification takes
-    the argmin of ``distance``.
+    Returns the embedded supports ``model.transform @ support`` of all
+    documents side by side, a (d, N) matrix with document i's n_i columns
+    after those of the documents before it, and one stacked
+    :class:`SinkhornResult` over the ``len(docs) * Y`` problems,
+    document-major: problem ``i * Y + k`` is document i against anchor k,
+    under the uniform measure 1/p on that anchor's columns. Its values are
+    (len(docs) * Y,) and its plans (len(docs) * Y, n_max, p), padded to the
+    longest document: a plan's rows past its document's n_i are 0. One
+    embedding product runs over the concatenated supports and one ground
+    cost against all Y * p anchor columns in :func:`anchor_columns` order;
+    its rows are cut into each document's Y (n_i, p) class slices and solved
+    as one stack. A document's values depend in their last bits on n_max;
+    a stack of one document has no padding. Training ranks classes by
+    ``reg_distance`` (the value its gradient differentiates); nearest-anchor
+    classification takes the argmin of ``distance``, which is the rule that
+    ranks under relative epsilon, where the entropy term of ``reg_distance``
+    grows with epsilon and favours far anchors.
     """
-    if doc.dim != model.dim:
-        raise ValueError(
-            f"document dimension {doc.dim} does not match model dimension {model.dim}"
-        )
-    embedded = model.transform @ doc.support
-    p = model.num_support_points
+    if not docs:
+        raise ValueError("no documents to transport")
+    for doc in docs:
+        if doc.dim != model.dim:
+            raise ValueError(f"document dimension {doc.dim} does not match model dimension {model.dim}")
+    num_docs, num_classes, p = len(docs), model.num_classes, model.num_support_points
     target = np.full(p, 1.0 / p)
+    # the anchor columns are formed after the embedding: in the other order
+    # one-document solves measured 20-25% slower (allocation order alone)
+    if num_docs == 1:
+        # no padding: the Y problems share the document's histogram, and the
+        # stack is a view of the ground cost, as classification solves it
+        (doc,) = docs
+        embedded = model.transform @ doc.support
+        cost = ground_cost_matrix(embedded, anchor_columns(model.anchors))
+        stack = cost.reshape(doc.size, num_classes, p).transpose(1, 0, 2)
+        return embedded, sinkhorn_stack(stack, doc.weights, target, config)
+    n_max = max(doc.size for doc in docs)
+    embedded = model.transform @ np.concatenate([doc.support for doc in docs], axis=1)
     cost = ground_cost_matrix(embedded, anchor_columns(model.anchors))
-    stack = cost.reshape(doc.size, model.num_classes, p).transpose(1, 0, 2)
-    return embedded, sinkhorn_stack(stack, doc.weights, target, config)
+    stack = np.zeros((num_docs, num_classes, n_max, p))
+    source = np.zeros((num_docs, n_max))
+    start = 0
+    for i, doc in enumerate(docs):
+        stack[i, :, : doc.size] = cost[start : start + doc.size].reshape(doc.size, num_classes, p).transpose(1, 0, 2)
+        source[i, : doc.size] = doc.weights
+        start += doc.size
+    result = sinkhorn_stack(stack.reshape(-1, n_max, p), np.repeat(source, num_classes, axis=0), target, config)
+    return embedded, result
 
 
 def _ordered_map(fn, items: list, threads: int) -> list:

@@ -6,17 +6,26 @@ solver's plan is also the gradient of the regularized transport value with
 respect to the cost matrix.
 
 There is one solver core, :func:`sinkhorn_stack`: a (B, n, m) stack of
-problems that share one source and one target histogram, one histogram
-against many as in Cuturi 2013, "Sinkhorn Distances", Alg. 1, with the
-matrix-vector products of all problems made in one stacked call. It returns
-one :class:`SinkhornResult` for the whole stack, with (B,) values and
-(B, n, m) plans; indexing it gives one problem's result. :func:`sinkhorn` is
-the stack of one. Both histograms must be strictly positive. Validation and
-rounding run once per stack; relative epsilon, potentials, iteration counts
-and convergence are per problem, and a problem leaves the iterations as
-soon as it meets the stopping rule. So a problem's result does not depend
-on what it is stacked with: it equals, to the bit, the solve of its matrix
-alone.
+problems against one target histogram, one histogram against many as in
+Cuturi 2013, "Sinkhorn Distances", Alg. 1, with the matrix-vector products
+of all problems made in one stacked call. The source is one histogram shared
+by every problem, or one row per problem. A row's positive entries come
+first and the zeros after them are padding, so sources of different sizes
+share one stack. A padded row has zero mass, a ``-inf`` log-kernel row and
+a scaling fixed at 1, so it adds exactly 0 to every column product and its
+plan row stays exactly 0. The stack returns one :class:`SinkhornResult`,
+with (B,) values and (B, n, m) plans; indexing it gives one problem's
+result. :func:`sinkhorn` is the stack of one. Every real histogram entry
+must be positive. Validation and rounding run once per stack; relative
+epsilon (the mean over the problem's real cells), potentials, iteration
+counts and convergence are per problem, and a problem leaves the iterations
+as soon as it meets the stopping rule. So in a stack without padding a
+problem's result does not depend on what it is stacked with: it equals, to
+the bit, the solve of its matrix alone. A padded problem's sums run over its
+padded length, so its values can differ from its solve alone in their last
+bits (within 1e-12 relative), with the same epsilon and, but for a gap that
+lands within rounding of the tolerance, the same iteration count and
+convergence.
 
 The iterations are stabilized scaling iterations with log-domain absorption
 (Schmitzer 2019, "Stabilized sparse scaling algorithms for entropy
@@ -29,12 +38,12 @@ problem: a scaling inside [1e-50, 1e50] is kept; one outside it but finite
 and positive is absorbed into its potential and ``K`` rebuilt with one exp
 pass; any other scaling (overflowed, or underflowed to zero, as on a kernel
 row that underflows entirely) has its half-step done in the log domain
-instead. Either way the iterates are, in exact arithmetic, those of
-log-domain Sinkhorn, so iteration counts and results match it up to
-floating-point rounding. Iterations stop once both L1 marginal gaps are
-within the tolerance. The column gap is evaluated lazily: right after the
-column half-step it is at rounding level, so it is read only for problems
-whose row gap already meets the tolerance.
+instead, over real rows only. Either way the iterates are, in exact
+arithmetic, those of log-domain Sinkhorn, so iteration counts and results
+match it up to floating-point rounding. Iterations stop once both L1
+marginal gaps are within the tolerance. The column gap is evaluated lazily:
+right after the column half-step it is at rounding level, so it is read only
+for problems whose row gap already meets the tolerance.
 """
 
 from __future__ import annotations
@@ -207,14 +216,31 @@ def _apply(kernel: np.ndarray, scaling: np.ndarray, side: int) -> np.ndarray:
     return np.matmul(scaling[:, None, :], kernel)[:, 0, :]
 
 
+def _log_domain_potential(
+    log_kernel: np.ndarray, other_potential: np.ndarray, marginal: np.ndarray, side: int, real: np.ndarray
+) -> np.ndarray:
+    """The potential of ``side`` that meets its marginal exactly, one log-sum-exp per row or column.
+
+    A row half-step (side 0) reads only the ``real`` rows and leaves a
+    padded row's potential at 0.
+    """
+    if side == 1:
+        return np.log(marginal) - _logsumexp(log_kernel + other_potential[:, :, None], axis=1)
+    potential = np.zeros(real.shape)
+    potential[real] = np.log(marginal[real]) - _logsumexp((log_kernel + other_potential[:, None, :])[real], axis=1)
+    return potential
+
+
 def _scaling_iterations(
-    log_kernel: np.ndarray, a: np.ndarray, b: np.ndarray, config: SinkhornConfig
+    log_kernel: np.ndarray, a: np.ndarray, b: np.ndarray, config: SinkhornConfig, real: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sinkhorn iterations on a (B, n, m) stack of problems sharing positive histograms.
+    """Sinkhorn iterations on a (B, n, m) stack of problems with positive histograms.
 
     Returns the (B, n, m) plans and, per problem, the iterations used and
-    whether it converged. ``a`` and ``b`` are (1, n) and (1, m) rows, which a
-    stack of one meets without broadcasting. Problem k's iterate is
+    whether it converged. ``a`` holds the (B, n) source rows, one per
+    problem, and ``b`` is a (1, m) row. ``real`` is the (B, n) mask of real
+    rows; a padded row has zero mass, a ``-inf`` log-kernel row and a
+    scaling held at 1. Problem k's iterate is
     ``u[k][:, None] * kernel[k] * v[k][None, :]`` with ``kernel[k] = exp(f[k]
     + log_kernel[k] + g[k])``, equal to the log-domain iterate ``exp(f + log
     u + log_kernel + g + log v)``. Side 0 is the rows (``a``, ``f``, ``u``),
@@ -224,21 +250,28 @@ def _scaling_iterations(
     marginals. A problem leaves the working arrays once it meets the stopping
     rule, so every problem's iterates are those it would have alone.
     """
-    num = log_kernel.shape[0]
+    num, n, m = log_kernel.shape
+    padded = not real.all()
     plans = np.empty_like(log_kernel)
     iterations = np.zeros(num, dtype=int)
     converged = np.zeros(num, dtype=bool)
     active = np.arange(num)  # stack index of each working problem
-    marginals = (a, b)
-    potentials = [np.zeros((num, a.size)), np.zeros((num, b.size))]
-    scalings = [np.ones((num, a.size)), np.ones((num, b.size))]
+    potentials = [np.zeros((num, n)), np.zeros((num, m))]
+    scalings = [np.ones((num, n)), np.ones((num, m))]
     kernel = np.exp(log_kernel)
     products = [_apply(kernel, scalings[1], 0), None]
     iteration = 0
     while True:
         iteration += 1
         for side, other in ((0, 1), (1, 0)):
-            scaling = marginals[side] / products[side]
+            if side == 1:
+                scaling = b / products[1]
+            elif padded:
+                # a padded row's 0 / 0 is never formed: its scaling stays 1
+                scaling = np.divide(a, products[0], out=np.ones_like(products[0]), where=real)
+            else:
+                # the masked division's values, without its cost in every iteration
+                scaling = a / products[0]
             # NaN-safe: a NaN entry fails both comparisons
             if not (scaling.min() >= _SCALING_LOW and scaling.max() <= _SCALING_HIGH):
                 hit = ~((scaling.min(axis=1) >= _SCALING_LOW) & (scaling.max(axis=1) <= _SCALING_HIGH))
@@ -251,8 +284,9 @@ def _scaling_iterations(
                 absorbed[finite] += np.log(out[finite])
                 if not finite.all():
                     lost = np.flatnonzero(hit)[~finite]
-                    absorbed[~finite] = np.log(marginals[side]) - _logsumexp(
-                        log_kernel[lost] + np.expand_dims(potentials[other][lost], 1 + side), axis=2 - side
+                    marginal = a[lost] if side == 0 else b
+                    absorbed[~finite] = _log_domain_potential(
+                        log_kernel[lost], potentials[other][lost], marginal, side, real[lost]
                     )
                 potentials[side][hit] = absorbed
                 kernel[hit] = _absorbed_kernel(log_kernel[hit], potentials[0][hit], potentials[1][hit])
@@ -288,17 +322,67 @@ def _scaling_iterations(
         potentials = [potential[keep] for potential in potentials]
         scalings = [scaling[keep] for scaling in scalings]
         products[0] = products[0][keep]
+        a = a[keep]
+        real = real[keep]
+
+
+def _source_rows(source, num: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the source of a stack of ``num`` problems.
+
+    Returns the (num, n) source rows, one per problem, and the (num, n) mask
+    of each problem's real rows. A 1-D source is one positive histogram
+    shared by every problem. In (num, n) rows, a problem's real entries are
+    its positive ones; they must come first and form a histogram, and the
+    zeros after them are padding.
+    """
+    a = np.asarray(source, dtype=float)
+    if a.ndim == 1:
+        # a copy per problem: ufuncs run slower on a broadcast view's zero stride
+        a = np.repeat(validate_histogram(a)[None], num, axis=0)
+        return a, np.ones(a.shape, dtype=bool)
+    if a.ndim != 2 or a.shape[0] != num or a.shape[1] == 0:
+        raise ValueError(f"source must be a histogram or ({num}, n) rows, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("histogram contains non-finite entries")
+    real = a > 0
+    # a real entry after a padded one, or no real entry at all
+    if np.any(a < 0) or not real[:, 0].all() or np.any(real[:, 1:] > real[:, :-1]):
+        raise ValueError("each source row must be positive entries followed only by zero padding")
+    totals = a.sum(axis=1)
+    worst = totals[np.argmax(np.abs(totals - 1.0))]
+    if abs(worst - 1.0) > 1e-9:
+        raise ValueError(f"histogram sums to {worst}, expected 1 within 1e-09")
+    return a, real
+
+
+def _stack_epsilon(config: SinkhornConfig, cost: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """The (B,) strengths of a stack whose problem k is the ``real[k]`` rows of ``cost[k]``."""
+    if real.all():
+        return config.effective_epsilon(cost)
+    lengths = real.sum(axis=1)
+    eps = np.empty(cost.shape[0])
+    for length in np.unique(lengths):
+        rows = lengths == length
+        # a C-order copy of each problem's real rows: its mean is summed as its matrix alone
+        eps[rows] = config.effective_epsilon(cost[rows, :length])
+    return eps
 
 
 def sinkhorn_stack(costs, source, target, config: SinkhornConfig | None = None) -> SinkhornResult:
-    """Solve a (B, n, m) stack of entropic OT problems sharing both histograms.
+    """Solve a (B, n, m) stack of entropic OT problems against one target histogram.
 
-    Problem k transports ``source`` to ``target`` under ``costs[k]``. The one
-    returned :class:`SinkhornResult` holds (B,) values and (B, n, m) plans;
-    its ``[k]`` equals to the bit what :func:`sinkhorn` gives on ``costs[k]``
-    alone. Validation and rounding are those of :func:`sinkhorn`, done once
-    for the stack; relative epsilon, iteration counts and convergence are
-    per problem.
+    Problem k transports its source to ``target`` under ``costs[k]``.
+    ``source`` is one length-n histogram shared by every problem, or (B, n)
+    rows, one per problem. A row's positive entries must come first; the
+    zeros after them are padding, so problem k is its first ``n_k`` rows:
+    a padded cost row must be finite and is otherwise not read, and a padded
+    plan row is exactly 0. The one returned :class:`SinkhornResult` holds
+    (B,) values and (B, n, m) plans. Validation and rounding are those of
+    :func:`sinkhorn`, done once for the stack; relative epsilon (over a
+    problem's real cells), iteration counts and convergence are per problem.
+    Without padding, ``[k]`` equals to the bit what :func:`sinkhorn` gives
+    on ``costs[k]`` alone; with it, a problem's values match its real rows
+    solved alone within 1e-12 relative, with the same epsilon.
     """
     if config is None:
         config = SinkhornConfig()
@@ -308,17 +392,19 @@ def sinkhorn_stack(costs, source, target, config: SinkhornConfig | None = None) 
         raise ValueError(f"costs must be a non-empty (B, n, m) stack, got shape {cost.shape}")
     if not np.isfinite(cost).all():
         raise ValueError("cost contains NaN" if np.isnan(cost).any() else "cost entries must be finite")
-    a = validate_histogram(source)[None]
-    b = validate_histogram(target)[None]
-    if cost.shape[1:] != (a.size, b.size):
-        raise ValueError(f"cost shape {cost.shape[1:]} does not match histogram lengths {(a.size, b.size)}")
     num = cost.shape[0]
+    a, real = _source_rows(source, num)
+    b = validate_histogram(target)[None]
+    if cost.shape[1:] != (a.shape[1], b.size):
+        raise ValueError(f"cost shape {cost.shape[1:]} does not match histogram lengths {(a.shape[1], b.size)}")
 
-    eps = config.effective_epsilon(cost)
+    eps = _stack_epsilon(config, cost, real)
     # overflow and underflow of a scaling are detected and repaired in the
     # iterations; underflow of negligible plan entries to zero is expected
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        plans, iterations, converged = _scaling_iterations(cost / -eps[:, None, None], a, b, config)
+        log_kernel = cost / -eps[:, None, None]
+        log_kernel[~real] = -np.inf
+        plans, iterations, converged = _scaling_iterations(log_kernel, a, b, config, real)
         plans = _round_to_marginals(plans, a, b)
         distances = (plans * cost).reshape(num, -1).sum(axis=1)
         # a zero entry adds 0 * log(tiny) = 0

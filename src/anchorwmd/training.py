@@ -142,64 +142,103 @@ class GradientBundle:
     nonconverged_solves: int = 0
 
 
-def _document_terms(model: AnchorModel, doc: DocumentMeasure, cfg: TrainConfig):
-    """Loss, embedded-word gradient, anchor gradients, and stats for one document.
+# Documents per padded stack: fixed, so a document's stack, and with it its
+# values, depends only on document order
+_STACK_DOCUMENTS = 8
 
-    Both gradients are None when every class coefficient is 0.
+
+def _document_stacks(docs: list) -> list[list]:
+    """``docs`` cut, in order, into consecutive stacks of ``_STACK_DOCUMENTS``."""
+    return [docs[start : start + _STACK_DOCUMENTS] for start in range(0, len(docs), _STACK_DOCUMENTS)]
+
+
+def _stack_rows(sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """For documents of ``sizes`` words side by side, each word's document and its row in the padded stack."""
+    doc = np.repeat(np.arange(len(sizes)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    return doc, np.arange(doc.size) - starts[doc]
+
+
+def _stack_terms(model: AnchorModel, docs: list[DocumentMeasure], cfg: TrainConfig):
+    """Per-document losses and stats, and summed gradients, for one stack of documents.
+
+    The documents' transport solves are one padded stack. Returns the
+    losses, the stats, the non-converged solve count, and the stack's
+    transform and anchor gradients, summed over its documents, or None for
+    both when every class coefficient of every document is 0. A document
+    whose coefficients are all 0 stays out of the gradient products.
     """
-    if doc.label is None:
-        raise ValueError("training documents must carry a class label")
-    embedded, result = anchor_transport(model, doc, cfg.sinkhorn)
+    embedded, result = anchor_transport(model, docs, cfg.sinkhorn)
+    num_classes, p = model.num_classes, model.num_support_points
+    dists = result.reg_distance.reshape(len(docs), num_classes)
+    terms = [
+        _triplet_terms(doc_dists, doc.label, cfg.margin)
+        if cfg.loss_kind == "triplet"
+        else _infonce_terms(doc_dists, doc.label, cfg.temperature)
+        for doc, doc_dists in zip(docs, dists)
+    ]
+    losses = [loss for loss, _, _ in terms]
+    stats = [stat for _, _, stat in terms]
     nonconverged = int(np.count_nonzero(~result.converged))
-    if cfg.loss_kind == "triplet":
-        loss, coeffs, stat = _triplet_terms(result.reg_distance, doc.label, cfg.margin)
-    else:
-        loss, coeffs, stat = _infonce_terms(result.reg_distance, doc.label, cfg.temperature)
-    if not np.any(coeffs):
-        return loss, None, None, stat, nonconverged
+    coeffs = np.array([doc_coeffs for _, doc_coeffs, _ in terms])
+    active = coeffs.any(axis=1)
+    if not active.any():
+        return losses, stats, nonconverged, None, None
 
-    # d loss / d cost (n, Y * p): each class's plan times its coefficient, class-major
-    weighted = np.concatenate(coeffs[:, None, None] * result.plan, axis=1)
+    doc_of_row, row = _stack_rows([doc.size for doc in docs])
+    keep = active[doc_of_row]
+    doc_of_row, row = doc_of_row[keep], row[keep]
+    plans = result.plan.reshape(len(docs), num_classes, -1, p)
+    # d loss / d cost (N, Y * p): each class's plan times its coefficient, class-major
+    weighted = (coeffs[doc_of_row, :, None] * plans[doc_of_row, :, row]).reshape(row.size, -1)
+    embedded = embedded[:, keep]
     columns = anchor_columns(model.anchors)
     # d cost(i,j) / d z_i = 2 (z_i - q_j)
     grad_embedded = 2.0 * (embedded * weighted.sum(axis=1) - columns @ weighted.T)
     # d cost(i,j) / d q_j = -2 (z_i - q_j)
     grad_columns = 2.0 * (columns * weighted.sum(axis=0) - embedded @ weighted)
-    grad_anchors = grad_columns.reshape(model.dim, model.num_classes, -1).transpose(1, 0, 2)
-    return loss, grad_embedded, grad_anchors, stat, nonconverged
+    # z = A x: one product of the stack's embedded-word gradients with its supports
+    supports = np.concatenate([doc.support for doc, on in zip(docs, active) if on], axis=1)
+    grad_transform = grad_embedded @ supports.T
+    grad_anchors = grad_columns.reshape(model.dim, num_classes, p).transpose(1, 0, 2)
+    return losses, stats, nonconverged, grad_transform, grad_anchors
 
 
 def batch_gradients(model: AnchorModel, batch: list[DocumentMeasure], cfg: TrainConfig) -> GradientBundle:
     """Average loss and gradients over a batch of raw documents.
 
-    Per-document transport solves are independent and run on ``cfg.threads``
-    workers; accumulation happens in document order so results do not depend
-    on the thread count. The L2 penalty on the transform is added here, both
-    to the loss and to its gradient. Anchors are not regularized.
+    Every label is checked against the model's classes before any solve.
+    The batch is cut, in order, into stacks of a fixed number of documents;
+    each stack is one padded transport solve and one gradient pass, and the
+    stacks run on ``cfg.threads`` workers. Results are summed in stack
+    order, so they do not depend on the thread count. The L2 penalty on the
+    transform is added here, both to the loss and to its gradient. Anchors
+    are not regularized.
     """
     if not batch:
         raise ValueError("batch is empty")
+    for doc in batch:
+        if doc.label is None:
+            raise ValueError("training documents must carry a class label")
+        if not 0 <= doc.label < model.num_classes:
+            raise ValueError(f"document label {doc.label} out of range for {model.num_classes} classes")
 
-    terms = _ordered_map(lambda doc: _document_terms(model, doc, cfg), batch, cfg.threads)
+    stacks = _ordered_map(lambda docs: _stack_terms(model, docs, cfg), _document_stacks(batch), cfg.threads)
 
     scale = 1.0 / len(batch)
+    grad_transform = np.zeros_like(model.transform)
     grad_anchors = np.zeros_like(model.anchors)
     loss = 0.0
     stat = 0.0
     nonconverged = 0
-    grads_embedded, supports = [], []
-    for doc, (doc_loss, doc_ge, doc_ga, doc_stat, doc_nc) in zip(batch, terms):
-        loss += doc_loss * scale
-        stat += doc_stat * scale
-        nonconverged += doc_nc
-        if doc_ge is not None:
-            grad_anchors += doc_ga * scale
-            grads_embedded.append(doc_ge)
-            supports.append(doc.support)
-    grad_transform = np.zeros_like(model.transform)
-    if grads_embedded:
-        # z = A x: one product of the batch's embedded-word gradients with its supports
-        grad_transform = scale * (np.concatenate(grads_embedded, axis=1) @ np.concatenate(supports, axis=1).T)
+    for losses, stats, stack_nc, stack_gt, stack_ga in stacks:
+        for doc_loss, doc_stat in zip(losses, stats):
+            loss += doc_loss * scale
+            stat += doc_stat * scale
+        nonconverged += stack_nc
+        if stack_gt is not None:
+            grad_transform += stack_gt * scale
+            grad_anchors += stack_ga * scale
 
     if cfg.l2_coeff > 0:
         loss += cfg.l2_coeff * float(np.sum(model.transform**2))

@@ -20,7 +20,7 @@ def test_kernel_matches_direct_solves(rng):
     doc = DocumentMeasure(np.arange(n), rng.standard_normal((d, n)), weights / weights.sum())
     cfg = SinkhornConfig(epsilon=0.05)
 
-    embedded, result = anchor_transport(model, doc, cfg)
+    embedded, result = anchor_transport(model, [doc], cfg)
 
     assert np.array_equal(embedded, transform @ doc.support)
     assert result.distance.shape == (model.num_classes,)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from anchorwmd.classify import anchor_nn_classify, error_rate, knn_predict_corpus, write_predictions
-from anchorwmd.model import AnchorModel, DocumentMeasure
+from anchorwmd.classify import anchor_nn_classify, classify_corpus, error_rate, knn_predict_corpus, write_predictions
+from anchorwmd.model import AnchorModel, DocumentMeasure, anchor_transport
 from anchorwmd.ot import SinkhornConfig
+from anchorwmd.training import TrainConfig, train
 
 
 def make_doc(support, weights, label=None):
@@ -59,6 +60,74 @@ class TestAnchorNN:
             pred.anchor_distances[::-1], abs=1e-9
         )
         assert pred_flipped.predicted_class == 1 - pred.predicted_class
+
+
+def ragged_docs(rng, count, dim=4):
+    """``count`` documents of 1 to 9 words each, spread around the two-anchor model's clusters."""
+    docs = []
+    for i in range(count):
+        n = int(rng.integers(1, 10))
+        weights = rng.uniform(0.2, 1.0, n)
+        support = 3.0 * rng.standard_normal((dim, 1)) + rng.standard_normal((dim, n))
+        docs.append(make_doc(support, weights / weights.sum(), label=i % 3))
+    return docs
+
+
+class TestClassifyCorpus:
+    @pytest.mark.parametrize("count", [13, 1])
+    def test_matches_solo_classification_at_any_thread_count(self, rng, count):
+        model = AnchorModel(np.eye(4) + 0.1 * rng.standard_normal((4, 4)), rng.standard_normal((3, 4, 5)), list("abc"))
+        docs = ragged_docs(rng, count)
+        single = classify_corpus(docs, model)
+        threaded = classify_corpus(docs, model, threads=4)
+        assert len(single) == count
+        for one, many, doc in zip(single, threaded, docs):
+            assert one.predicted_class == many.predicted_class
+            assert np.array_equal(one.anchor_distances, many.anchor_distances)
+            alone = anchor_nn_classify(doc, model)
+            assert one.predicted_class == alone.predicted_class
+            assert np.array_equal(one.anchor_distances, alone.anchor_distances)
+
+    def test_wrong_dimension_document_rejected(self, rng):
+        model = AnchorModel(np.eye(4), rng.standard_normal((3, 4, 5)), list("abc"))
+        docs = ragged_docs(rng, 10)
+        docs[6] = make_doc(np.zeros((2, 1)), [1.0])
+        with pytest.raises(ValueError, match="document dimension 2 does not match model dimension 4"):
+            classify_corpus(docs, model)
+
+    def test_empty_corpus(self):
+        assert classify_corpus([], two_anchor_model()) == []
+
+
+def planted_measures(seed, classes=4, dim=12, own_words=15, common_words=30, docs_per_class=50, tokens=25):
+    """A seeded planted corpus: each class draws half its tokens from its own words,
+    clustered 1.5 noise units out along the class's axis, and half from shared words."""
+    g = np.random.default_rng(seed)
+    own = [1.5 * np.eye(classes, dim)[c][:, None] + g.standard_normal((dim, own_words)) for c in range(classes)]
+    common = g.standard_normal((dim, common_words))
+    docs = []
+    for _ in range(docs_per_class):
+        for c in range(classes):
+            own_picks = own[c][:, g.integers(own_words, size=tokens // 2)]
+            common_picks = common[:, g.integers(common_words, size=tokens - tokens // 2)]
+            picks = np.concatenate([own_picks, common_picks], axis=1)
+            words, counts = np.unique(picks, axis=1, return_counts=True)
+            docs.append(make_doc(words, counts / counts.sum(), label=c))
+    return docs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_training_and_eval_rules_agree_at_the_default_epsilon(seed):
+    # training ranks classes by reg_distance, eval by distance: at the default
+    # relative epsilon 0.1 they pick the same class on held-out documents
+    docs = planted_measures(seed)
+    held_out = docs[len(docs) // 2 :]
+    model, _ = train(docs[: len(docs) // 2], TrainConfig(epochs=5, anchor_points=4, seed=seed))
+    assert TrainConfig().sinkhorn == SinkhornConfig(epsilon=0.1, relative=True)
+    _, result = anchor_transport(model, held_out)
+    by_distance = result.distance.reshape(len(held_out), -1).argmin(axis=1)
+    by_reg_distance = result.reg_distance.reshape(len(held_out), -1).argmin(axis=1)
+    assert np.mean(by_distance == by_reg_distance) >= 0.95
 
 
 def knn_label(test_doc, train, k):

@@ -71,7 +71,7 @@ def embed(doc, transform, num_classes=2, p=2):
     """The embedded support that the kernel transports, for a given transform."""
     anchors = np.zeros((num_classes, doc.dim, p))
     model = AnchorModel(transform, anchors, [str(k) for k in range(num_classes)])
-    embedded, result = anchor_transport(model, doc)
+    embedded, result = anchor_transport(model, [doc])
     assert result.plan.shape == (num_classes, doc.size, p)
     return embedded, result
 
@@ -80,7 +80,7 @@ def transport_to(doc, anchor, config=None):
     """The kernel's single result for an identity-transform one-class model."""
     anchor = np.asarray(anchor, dtype=float)
     model = AnchorModel(np.eye(anchor.shape[0]), anchor[None], ["only"])
-    _, result = anchor_transport(model, doc, config)
+    _, result = anchor_transport(model, [doc], config)
     return result[0]
 
 
@@ -117,7 +117,7 @@ class TestEmbedDocument:
         doc = make_doc(np.zeros((3, 1)), [1.0])
         model = AnchorModel(np.eye(2), np.zeros((2, 2, 2)), ["a", "b"])
         with pytest.raises(ValueError):
-            anchor_transport(model, doc)
+            anchor_transport(model, [doc])
 
     def test_one_ground_cost_per_document(self, rng, monkeypatch):
         calls = []
@@ -128,9 +128,40 @@ class TestEmbedDocument:
 
         monkeypatch.setattr(model_module, "ground_cost_matrix", counting_ground_cost)
         model = AnchorModel(np.eye(3), rng.standard_normal((4, 3, 2)), ["a", "b", "c", "d"])
-        _, result = anchor_transport(model, make_doc(rng.standard_normal((3, 5)), np.full(5, 0.2)))
+        _, result = anchor_transport(model, [make_doc(rng.standard_normal((3, 5)), np.full(5, 0.2))])
         assert len(calls) == 1
         assert result.distance.shape == (4,)
+
+    def test_one_ground_cost_per_stack(self, rng, monkeypatch):
+        calls = []
+
+        def counting_ground_cost(*args):
+            calls.append(args)
+            return ground_cost_matrix(*args)
+
+        monkeypatch.setattr(model_module, "ground_cost_matrix", counting_ground_cost)
+        model = AnchorModel(np.eye(3) + 0.1 * rng.standard_normal((3, 3)), rng.standard_normal((4, 3, 2)), list("abcd"))
+        docs = [make_doc(rng.standard_normal((3, n)), rng.dirichlet(np.ones(n))) for n in (5, 2, 7)]
+        embedded, result = anchor_transport(model, docs)
+        assert len(calls) == 1
+        assert np.array_equal(embedded, model.transform @ np.concatenate([doc.support for doc in docs], axis=1))
+        # document-major problems, plans padded to the longest document
+        assert result.plan.shape == (3 * 4, 7, 2)
+        monkeypatch.undo()
+        for i, doc in enumerate(docs):
+            _, alone = anchor_transport(model, [doc])
+            for k in range(4):
+                res = result[4 * i + k]
+                assert res.epsilon == alone[k].epsilon
+                assert res.iterations_used == alone[k].iterations_used
+                assert res.distance == pytest.approx(alone[k].distance, rel=1e-12)
+                assert res.reg_distance == pytest.approx(alone[k].reg_distance, rel=1e-12)
+                assert np.all(res.plan[doc.size :] == 0.0)
+
+    def test_no_documents_rejected(self):
+        model = AnchorModel(np.eye(2), np.zeros((2, 2, 2)), ["a", "b"])
+        with pytest.raises(ValueError, match="no documents"):
+            anchor_transport(model, [])
 
     def test_anchor_columns_are_class_major(self, rng):
         anchors = rng.standard_normal((4, 3, 2))

@@ -412,6 +412,131 @@ class TestSinkhornStack:
             sinkhorn_stack(np.array([np.zeros((2, 2)), np.full((2, 2), np.nan)]), w, w)
 
 
+def _padded(problems):
+    """Problems ``(cost, source)`` of different row counts as one padded stack.
+
+    Returns the (B, n_max, m) costs and the (B, n_max) source rows, zero past
+    each problem's rows. Padded cost rows hold large finite values, which the
+    solver must not read.
+    """
+    lengths = np.array([cost.shape[0] for cost, _ in problems])
+    n_max, m = lengths.max(), problems[0][0].shape[1]
+    costs = np.full((len(problems), n_max, m), 1e6)
+    sources = np.zeros((len(problems), n_max))
+    for k, (cost, source) in enumerate(problems):
+        costs[k, : lengths[k]] = cost
+        sources[k, : lengths[k]] = source
+    return costs, sources
+
+
+class TestPaddedStack:
+    """A ragged stack, padded to its longest source, solves each problem as alone, to rounding."""
+
+    @staticmethod
+    def _ragged_problems(rng, target_size=7):
+        """Five problems with 3 to 12 source rows: different dimensions, a near-zero
+        source weight, and one row a thousand mean costs away (absorption)."""
+        problems = []
+        for n, d in ((12, 300), (3, 30), (9, 3), (5, 300), (10, 30)):
+            cost = ground_cost_matrix(rng.standard_normal((d, n)), rng.standard_normal((d, target_size)))
+            source = rng.uniform(0.1, 1.0, n)
+            problems.append((cost, source / source.sum()))
+        cost, source = problems[3]
+        cost[0] += 1e3 * cost.mean()
+        source = problems[0][1].copy()
+        source[4] = 1e-12
+        problems[0] = (problems[0][0], source / source.sum())
+        return problems
+
+    @staticmethod
+    def _assert_close_to_solo(stacked, problems, target, config):
+        for k, (cost, source) in enumerate(problems):
+            res, alone = stacked[k], sinkhorn(cost, source, target, config)
+            n = cost.shape[0]
+            assert res.iterations_used == alone.iterations_used
+            assert res.converged == alone.converged
+            assert res.epsilon == alone.epsilon
+            assert res.distance == pytest.approx(alone.distance, rel=1e-12)
+            assert res.reg_distance == pytest.approx(alone.reg_distance, rel=1e-12)
+            np.testing.assert_allclose(res.plan[:n], alone.plan, rtol=1e-12, atol=1e-12 * alone.plan.max())
+            # padded rows carry exactly no mass; the real rows meet both marginals
+            assert np.all(res.plan[n:] == 0.0)
+            np.testing.assert_allclose(res.plan[:n].sum(axis=1), source, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(res.plan.sum(axis=0), target, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SinkhornConfig(epsilon=0.05),
+            SinkhornConfig(epsilon=0.01, max_iters=40),
+            SinkhornConfig(epsilon=5.0, relative=False),
+        ],
+        ids=["rel0.05", "rel0.01-max40", "abs5"],
+    )
+    def test_matches_solo_solves(self, rng, config):
+        problems = self._ragged_problems(rng)
+        target = np.full(7, 1 / 7)
+        costs, sources = _padded(problems)
+        stacked = sinkhorn_stack(costs, sources, target, config)
+        assert stacked.plan.shape == (5, 12, 7)
+        self._assert_close_to_solo(stacked, problems, target, config)
+        if config.max_iters == 40:
+            # a problem that runs out of iterations keeps its count and flag
+            assert not stacked.converged.all()
+            assert set(stacked.iterations_used[~stacked.converged]) == {40}
+
+    def test_underflowing_row_takes_the_log_domain_branch(self, rng, monkeypatch):
+        # absolute epsilon 1 against a row 1e4 away: that real kernel row is 0
+        config = SinkhornConfig(epsilon=1.0, relative=False, max_iters=500, tolerance=1e-9)
+        target = np.full(4, 0.25)
+        problems = []
+        for n in (6, 3, 5):
+            cost = rng.uniform(0.0, 3.0, (n, 4))
+            source = rng.uniform(0.1, 1.0, n)
+            problems.append((cost, source / source.sum()))
+        problems[1][0][1] += 1e4
+        sides = []
+        inner = ot._log_domain_potential
+
+        def recording(log_kernel, other_potential, marginal, side, real):
+            sides.append((side, log_kernel.shape[0]))
+            return inner(log_kernel, other_potential, marginal, side, real)
+
+        monkeypatch.setattr(ot, "_log_domain_potential", recording)
+        costs, sources = _padded(problems)
+        stacked = sinkhorn_stack(costs, sources, target, config)
+        assert (0, 1) in sides
+        assert stacked.converged.all()
+        monkeypatch.undo()
+        self._assert_close_to_solo(stacked, problems, target, config)
+
+    def test_unpadded_rows_equal_a_shared_source(self, rng):
+        # one row per problem, all full length: the shared-source stack to the bit
+        costs = rng.uniform(0.0, 5.0, (4, 6, 3))
+        source = rng.uniform(0.1, 1.0, 6)
+        source /= source.sum()
+        target = np.full(3, 1 / 3)
+        shared = sinkhorn_stack(costs, source, target)
+        rows = sinkhorn_stack(costs, np.tile(source, (4, 1)), target)
+        for k in range(4):
+            _assert_same_result(rows[k], shared[k])
+
+    def test_rejects_malformed_sources(self):
+        costs = np.ones((2, 3, 2))
+        target = np.array([0.5, 0.5])
+        sinkhorn_stack(costs, np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]), target)
+        # a real entry after padding, a row of padding only, a negative entry
+        for first_row in ([0.5, 0.0, 0.5], [0.0, 0.0, 0.0], [0.6, 0.5, -0.1]):
+            with pytest.raises(ValueError, match="zero padding"):
+                sinkhorn_stack(costs, np.array([first_row, [0.2, 0.3, 0.5]]), target)
+        with pytest.raises(ValueError, match="non-finite"):
+            sinkhorn_stack(costs, np.array([[0.5, 0.5, np.nan], [0.2, 0.3, 0.5]]), target)
+        with pytest.raises(ValueError, match="source"):
+            sinkhorn_stack(costs, np.array([[0.2, 0.3, 0.5]]), target)
+        with pytest.raises(ValueError, match="sums to"):
+            sinkhorn_stack(costs, np.array([[0.5, 0.6, 0.0], [0.2, 0.3, 0.5]]), target)
+
+
 class TestSinkhornConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):

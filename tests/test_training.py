@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from anchorwmd import training as training_module
 from anchorwmd.model import AnchorModel, DocumentMeasure, anchor_transport
 from anchorwmd.ot import SinkhornConfig
 from anchorwmd.training import (
@@ -179,7 +180,7 @@ def _reference_batch_gradients(model, batch, cfg):
     loss = cfg.l2_coeff * float(np.sum(model.transform**2))
     active_docs = 0
     for doc in batch:
-        embedded, result = anchor_transport(model, doc, cfg.sinkhorn)
+        embedded, result = anchor_transport(model, [doc], cfg.sinkhorn)
         dists = result.reg_distance
         if cfg.loss_kind == "triplet":
             loss += triplet_loss(dists, doc.label, cfg.margin) / len(batch)
@@ -308,7 +309,7 @@ class TestBatchGradients:
         bundle = batch_gradients(model, docs, cfg)
         entropies = []
         for doc in docs:
-            _, result = anchor_transport(model, doc, cfg.sinkhorn)
+            _, result = anchor_transport(model, [doc], cfg.sinkhorn)
             scores = -result.reg_distance / cfg.temperature
             probs = np.exp(scores - scores.max())
             probs /= probs.sum()
@@ -324,6 +325,39 @@ class TestBatchGradients:
         assert np.array_equal(single.grad_transform, threaded.grad_transform)
         assert np.array_equal(single.grad_anchors, threaded.grad_anchors)
         assert single.loss_value == threaded.loss_value
+
+    @pytest.mark.parametrize("batch_size", [13, 1])
+    @pytest.mark.parametrize("loss_kind", ["triplet", "infonce"])
+    def test_stacks_match_reference_at_any_thread_count(self, rng, loss_kind, batch_size):
+        # 13 documents are a full stack of 8 and a ragged stack of 5
+        docs, model = _mixed_batch(rng, 3, docs_per_class=4)
+        docs = docs[:batch_size]
+        cfg = TrainConfig(loss_kind=loss_kind, margin=10.0, temperature=30.0, l2_coeff=0.001)
+        single = batch_gradients(model, docs, cfg)
+        threaded = batch_gradients(model, docs, replace(cfg, threads=4))
+        assert np.array_equal(single.grad_transform, threaded.grad_transform)
+        assert np.array_equal(single.grad_anchors, threaded.grad_anchors)
+        assert (single.loss_value, single.stat) == (threaded.loss_value, threaded.stat)
+        assert single.nonconverged_solves == threaded.nonconverged_solves
+        ref_transform, ref_anchors, ref_loss, _ = _reference_batch_gradients(model, docs, cfg)
+        for got, ref in ((single.grad_transform, ref_transform), (single.grad_anchors, ref_anchors)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert single.loss_value == pytest.approx(ref_loss, rel=1e-12)
+
+    def test_wrong_dimension_document_in_a_stack_rejected(self, rng):
+        docs, model, cfg = _tiny_setup(rng, "triplet", n_docs=10)
+        docs[9] = make_doc(rng.standard_normal((4, 2)), [0.5, 0.5], label=1)
+        with pytest.raises(ValueError, match="document dimension 4 does not match model dimension 3"):
+            batch_gradients(model, docs, cfg)
+
+    @pytest.mark.parametrize("label", [5, -1])
+    def test_label_outside_the_classes_rejected(self, rng, monkeypatch, label):
+        docs, model, cfg = _tiny_setup(rng, "triplet", n_docs=10)
+        docs[9] = make_doc(docs[9].support, docs[9].weights, label=label)
+        # checked before any stack is solved
+        monkeypatch.setattr(training_module, "anchor_transport", lambda *args: pytest.fail("solved a stack"))
+        with pytest.raises(ValueError, match=f"label {label} out of range for 2 classes"):
+            batch_gradients(model, docs, cfg)
 
     def test_empty_batch_rejected(self, rng):
         _, model, cfg = _tiny_setup(rng, "triplet")
@@ -387,6 +421,12 @@ class TestTrain:
         assert np.array_equal(model_a.transform, model_b.transform)
         assert np.array_equal(model_a.anchors, model_b.anchors)
         assert [h.mean_loss for h in history_a] == [h.mean_loss for h in history_b]
+
+    def test_negative_label_rejected(self, rng):
+        corpus = _toy_corpus(rng, docs_per_class=3)
+        corpus.append(make_doc(corpus[0].support, corpus[0].weights, label=-1))
+        with pytest.raises(ValueError, match="label -1 out of range for 2 classes"):
+            train(corpus, TrainConfig(epochs=1, batch_size=4, anchor_points=2), class_names=["a", "b"])
 
     def test_single_class_rejected(self, rng):
         docs = [make_doc(rng.standard_normal((2, 2)), [0.5, 0.5], label=0)]
