@@ -4,6 +4,7 @@ Two corpus formats are supported: a UTF-8 text file with one
 ``<label><TAB><raw text>`` document per line, and a directory with one
 subdirectory per class holding one ``.txt`` file per document. Word vectors
 use the plain text format of one token followed by its coordinates per line.
+Every reader drops a leading UTF-8 byte-order mark.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def load_corpus(path: str, fmt: str = "auto") -> Corpus:
 def _read_lines_corpus(path: str) -> list[tuple[str, str, str]]:
     rows = []
     base = os.path.basename(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -161,7 +162,7 @@ def _read_dirs_corpus(root: str) -> list[tuple[str, str, str]]:
         class_path = os.path.join(root, class_name)
         files = sorted(name for name in os.listdir(class_path) if name.endswith(".txt"))
         for fname in files:
-            with open(os.path.join(class_path, fname), encoding="utf-8") as fh:
+            with open(os.path.join(class_path, fname), encoding="utf-8-sig") as fh:
                 rows.append((class_name, f"{class_name}/{fname}", fh.read()))
     return rows
 
@@ -221,45 +222,91 @@ def load_word_vectors(path: str) -> WordVectorTable:
 
     The first line fixes the dimension; later lines with a different count
     raise :class:`ParseError` with the offending line number. Duplicate
-    tokens keep their first occurrence.
+    tokens keep their first occurrence. Fields are split on any Unicode
+    whitespace, blank lines are skipped and a leading byte-order mark is
+    dropped.
+
+    One Python pass collects the tokens; numpy's C text reader parses the
+    values of every line, the token column included, so a line with too
+    many or too few fields fails rather than being cut to size. Values
+    follow that reader's grammar: ``float``'s, without ``_`` digit
+    separators or non-ASCII digits.
     """
-    tokens: list[str] = []
+    with open(path, encoding="utf-8-sig") as fh:
+        tokens = [parts[0] for parts in (line.split(None, 1) for line in fh) if parts]
+        if not tokens:
+            return WordVectorTable(index={}, matrix=np.zeros((0, 0)), vocab_hash=_vocab_digest([], 0))
+        fh.seek(0)
+        try:
+            values = np.loadtxt(fh, dtype=float, comments=None, ndmin=2, converters={0: lambda _: 0.0})
+        except ValueError as exc:
+            raise _first_bad_line(path, str(exc)) from None
+    if values.shape[0] != len(tokens) or values.shape[1] < 2:
+        raise _first_bad_line(path, f"parsed {values.shape[0]} rows of {values.shape[1] - 1} values")
+
     index: dict[str, int] = {}
-    vectors: list[np.ndarray] = []
-    duplicates = 0
+    first_rows: list[int] = []
+    for row, token in enumerate(tokens):
+        if token not in index:
+            index[token] = len(first_rows)
+            first_rows.append(row)
+    duplicates = len(tokens) - len(first_rows)
+    if duplicates:
+        logger.warning("%s: ignored %d duplicate tokens (first occurrence kept)", path, duplicates)
+    return WordVectorTable(
+        index=index,
+        matrix=_compact_rows(values, np.asarray(first_rows)),
+        vocab_hash=_vocab_digest(list(index), values.shape[1] - 1),
+    )
+
+
+_COMPACT_BLOCK_ROWS = 256
+
+
+def _compact_rows(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``values[rows, 1:]`` as a C-order matrix in the front of ``values``'s own buffer.
+
+    No second copy of the table: block by block, the selected rows move
+    down over the token column and the dropped rows. Output row j lands
+    before input row ``rows[j] >= j`` starts, so no block overwrites a row
+    a later block still reads.
+    """
+    width = values.shape[1] - 1
+    matrix = values.reshape(-1)[: rows.size * width].reshape(rows.size, width)
+    for start in range(0, rows.size, _COMPACT_BLOCK_ROWS):
+        block = rows[start : start + _COMPACT_BLOCK_ROWS]
+        matrix[start : start + block.size] = values[block, 1:]
+    return matrix
+
+
+def _first_bad_line(path: str, reason: str) -> ParseError:
+    """The error for the first malformed line of a vector file numpy's reader rejected.
+
+    Checks line by line for a first line without values, a line with a
+    different value count, or a value outside the reader's grammar:
+    ``float``'s, without ``_`` separators or non-ASCII characters.
+    ``reason`` is the fallback message should every line pass.
+    """
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split()
+            parts = line.split()
             if not parts:
                 continue
-            token = parts[0]
             if dim is None:
                 dim = len(parts) - 1
                 if dim < 1:
-                    raise ParseError(f"{path}:{lineno}: no vector values on first line")
+                    return ParseError(f"{path}:{lineno}: no vector values on first line")
             elif len(parts) - 1 != dim:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {dim} values, got {len(parts) - 1}"
-                )
-            if token in index:
-                duplicates += 1
-                continue
-            try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=float)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            index[token] = len(tokens)
-            tokens.append(token)
-            vectors.append(vec)
-    if duplicates:
-        logger.warning("%s: ignored %d duplicate tokens (first occurrence kept)", path, duplicates)
-    matrix = np.vstack(vectors) if vectors else np.zeros((0, 0))
-    return WordVectorTable(
-        index=index,
-        matrix=matrix,
-        vocab_hash=_vocab_digest(tokens, dim if dim is not None else 0),
-    )
+                return ParseError(f"{path}:{lineno}: expected {dim} values, got {len(parts) - 1}")
+            for text in parts[1:]:
+                if not text.isascii() or "_" in text:
+                    return ParseError(f"{path}:{lineno}: could not convert string to float: {text!r}")
+                try:
+                    float(text)
+                except ValueError as exc:
+                    return ParseError(f"{path}:{lineno}: {exc}")
+    return ParseError(f"{path}: {reason}")
 
 
 def save_word_vectors(vectors: dict[str, np.ndarray], path: str) -> None:

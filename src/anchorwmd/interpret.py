@@ -173,21 +173,26 @@ def pca_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of its QR decomposition first: R has the same singular values and right
     singular vectors as the centered data (Chan 1982).
     """
-    pts = np.asfortranarray(points, dtype=float)  # one layout, so C and Fortran inputs give the same bits
-    if pts.ndim != 2:
+    # a copy in one layout, so C and Fortran inputs give the same bits
+    return _pca_2d_in_place(np.array(points, dtype=float, order="F"))
+
+
+def _pca_2d_in_place(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pca_2d` of a Fortran-order float array, which it centers in place."""
+    if centered.ndim != 2:
         raise ValueError("points must be a 2-D array of row vectors")
-    centered = pts - pts.mean(axis=0, keepdims=True)
+    centered -= centered.mean(axis=0, keepdims=True)
     factor = np.linalg.qr(centered, mode="r") if centered.shape[0] > centered.shape[1] else centered
     _, singular, vt = np.linalg.svd(factor, full_matrices=False)
     cutoff = singular[0] * 1e-12 if singular.size else 0.0
     rank = int(np.sum(singular > cutoff))
-    components = np.zeros((2, pts.shape[1]))
+    components = np.zeros((2, centered.shape[1]))
     take = min(2, rank, vt.shape[0])
     components[:take] = vt[:take]
     if take < 2:
         warnings.warn(
             f"projection input has rank {take}; padding with a zero coordinate",
-            stacklevel=2,
+            stacklevel=3,
         )
     for row in range(take):
         lead = np.argmax(np.abs(components[row]))
@@ -211,10 +216,14 @@ def export_projection(
     words of each class. Returns the number of rows written.
     """
     vectors = np.asarray(word_vectors, dtype=float)
-    transformed = (model.transform @ vectors.T).T  # (V, d)
     columns = anchor_columns(model.anchors)  # (d, Y p)
     _, anchor_importances = _anchor_scores(columns, model.anchors)
-    projections, _ = pca_2d(np.concatenate([transformed, columns.T]))
+    # the PCA input built once, in pca_2d's layout: transformed words, then anchor columns
+    num_words = vectors.shape[0]
+    points = np.empty((num_words + columns.shape[1], columns.shape[0]), order="F")
+    points[:num_words] = (model.transform @ vectors.T).T
+    points[num_words:] = columns.T
+    projections, _ = _pca_2d_in_place(points)
     word_proj = projections[: len(table.words)]
     anchor_proj = projections[len(table.words) :]
 

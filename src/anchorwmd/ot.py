@@ -217,30 +217,32 @@ def _apply(kernel: np.ndarray, scaling: np.ndarray, side: int) -> np.ndarray:
 
 
 def _log_domain_potential(
-    log_kernel: np.ndarray, other_potential: np.ndarray, marginal: np.ndarray, side: int, real: np.ndarray
+    log_kernel: np.ndarray, other_potential: np.ndarray, marginal: np.ndarray, side: int, real: np.ndarray | None
 ) -> np.ndarray:
     """The potential of ``side`` that meets its marginal exactly, one log-sum-exp per row or column.
 
-    A row half-step (side 0) reads only the ``real`` rows and leaves a
-    padded row's potential at 0.
+    With a ``real`` mask, a row half-step (side 0) reads only the real rows
+    and leaves a padded row's potential at 0.
     """
     if side == 1:
         return np.log(marginal) - _logsumexp(log_kernel + other_potential[:, :, None], axis=1)
+    if real is None:
+        return np.log(marginal) - _logsumexp(log_kernel + other_potential[:, None, :], axis=2)
     potential = np.zeros(real.shape)
     potential[real] = np.log(marginal[real]) - _logsumexp((log_kernel + other_potential[:, None, :])[real], axis=1)
     return potential
 
 
 def _scaling_iterations(
-    log_kernel: np.ndarray, a: np.ndarray, b: np.ndarray, config: SinkhornConfig, real: np.ndarray
+    log_kernel: np.ndarray, a: np.ndarray, b: np.ndarray, config: SinkhornConfig, real: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sinkhorn iterations on a (B, n, m) stack of problems with positive histograms.
 
     Returns the (B, n, m) plans and, per problem, the iterations used and
     whether it converged. ``a`` holds the (B, n) source rows, one per
     problem, and ``b`` is a (1, m) row. ``real`` is the (B, n) mask of real
-    rows; a padded row has zero mass, a ``-inf`` log-kernel row and a
-    scaling held at 1. Problem k's iterate is
+    rows, or None when no row is padding; a padded row has zero mass, a
+    ``-inf`` log-kernel row and a scaling held at 1. Problem k's iterate is
     ``u[k][:, None] * kernel[k] * v[k][None, :]`` with ``kernel[k] = exp(f[k]
     + log_kernel[k] + g[k])``, equal to the log-domain iterate ``exp(f + log
     u + log_kernel + g + log v)``. Side 0 is the rows (``a``, ``f``, ``u``),
@@ -251,7 +253,7 @@ def _scaling_iterations(
     rule, so every problem's iterates are those it would have alone.
     """
     num, n, m = log_kernel.shape
-    padded = not real.all()
+    padded = real is not None
     plans = np.empty_like(log_kernel)
     iterations = np.zeros(num, dtype=int)
     converged = np.zeros(num, dtype=bool)
@@ -286,7 +288,7 @@ def _scaling_iterations(
                     lost = np.flatnonzero(hit)[~finite]
                     marginal = a[lost] if side == 0 else b
                     absorbed[~finite] = _log_domain_potential(
-                        log_kernel[lost], potentials[other][lost], marginal, side, real[lost]
+                        log_kernel[lost], potentials[other][lost], marginal, side, real[lost] if padded else None
                     )
                 potentials[side][hit] = absorbed
                 kernel[hit] = _absorbed_kernel(log_kernel[hit], potentials[0][hit], potentials[1][hit])
@@ -323,23 +325,24 @@ def _scaling_iterations(
         scalings = [scaling[keep] for scaling in scalings]
         products[0] = products[0][keep]
         a = a[keep]
-        real = real[keep]
+        if padded:
+            real = real[keep]
 
 
-def _source_rows(source, num: int) -> tuple[np.ndarray, np.ndarray]:
+def _source_rows(source, num: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Validate the source of a stack of ``num`` problems.
 
     Returns the (num, n) source rows, one per problem, and the (num, n) mask
-    of each problem's real rows. A 1-D source is one positive histogram
-    shared by every problem. In (num, n) rows, a problem's real entries are
-    its positive ones; they must come first and form a histogram, and the
-    zeros after them are padding.
+    of each problem's real rows, or None when no row is padding, so an
+    unpadded stack skips every masked step. A 1-D source is one positive
+    histogram shared by every problem. In (num, n) rows, a problem's real
+    entries are its positive ones; they must come first and form a
+    histogram, and the zeros after them are padding.
     """
     a = np.asarray(source, dtype=float)
     if a.ndim == 1:
         # a copy per problem: ufuncs run slower on a broadcast view's zero stride
-        a = np.repeat(validate_histogram(a)[None], num, axis=0)
-        return a, np.ones(a.shape, dtype=bool)
+        return np.repeat(validate_histogram(a)[None], num, axis=0), None
     if a.ndim != 2 or a.shape[0] != num or a.shape[1] == 0:
         raise ValueError(f"source must be a histogram or ({num}, n) rows, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -352,12 +355,12 @@ def _source_rows(source, num: int) -> tuple[np.ndarray, np.ndarray]:
     worst = totals[np.argmax(np.abs(totals - 1.0))]
     if abs(worst - 1.0) > 1e-9:
         raise ValueError(f"histogram sums to {worst}, expected 1 within 1e-09")
-    return a, real
+    return a, None if real.all() else real
 
 
-def _stack_epsilon(config: SinkhornConfig, cost: np.ndarray, real: np.ndarray) -> np.ndarray:
+def _stack_epsilon(config: SinkhornConfig, cost: np.ndarray, real: np.ndarray | None) -> np.ndarray:
     """The (B,) strengths of a stack whose problem k is the ``real[k]`` rows of ``cost[k]``."""
-    if real.all():
+    if real is None:
         return config.effective_epsilon(cost)
     lengths = real.sum(axis=1)
     eps = np.empty(cost.shape[0])
@@ -403,7 +406,8 @@ def sinkhorn_stack(costs, source, target, config: SinkhornConfig | None = None) 
     # iterations; underflow of negligible plan entries to zero is expected
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
         log_kernel = cost / -eps[:, None, None]
-        log_kernel[~real] = -np.inf
+        if real is not None:
+            log_kernel[~real] = -np.inf
         plans, iterations, converged = _scaling_iterations(log_kernel, a, b, config, real)
         plans = _round_to_marginals(plans, a, b)
         distances = (plans * cost).reshape(num, -1).sum(axis=1)

@@ -4,6 +4,12 @@ import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# one profile for every property test: reproducible examples, no example
+# database and no per-example deadline on a slow or shared host
+settings.register_profile("anchorwmd", derandomize=True, database=None, deadline=None)
+settings.load_profile("anchorwmd")
 
 
 @pytest.fixture
@@ -12,12 +18,58 @@ def rng():
 
 
 def pytest_configure(config):
-    """Keep hypothesis's on-disk caches, written from collection on, out of the checkout."""
+    """Keep hypothesis's other on-disk caches, written from collection on, out of the checkout."""
     from hypothesis.configuration import set_hypothesis_home_dir
 
     storage = tempfile.mkdtemp(prefix="hypothesis-")
     set_hypothesis_home_dir(storage)
     config.add_cleanup(lambda: shutil.rmtree(storage, ignore_errors=True))
+
+
+def reference_load_word_vectors(path: str):
+    """Line-by-line vector-file parser (test oracle for ``data.load_word_vectors``).
+
+    Splits each line with ``str.split``, fixes the dimension from the first
+    line, skips duplicate tokens unread and converts every value with
+    ``float``. Malformed lines raise ``ParseError`` with their line number.
+    """
+    import logging
+
+    from anchorwmd.data import ParseError, WordVectorTable, _vocab_digest
+
+    tokens: list[str] = []
+    index: dict[str, int] = {}
+    vectors: list[np.ndarray] = []
+    duplicates = 0
+    dim = None
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, 1):
+            parts = line.rstrip("\n").split()
+            if not parts:
+                continue
+            token = parts[0]
+            if dim is None:
+                dim = len(parts) - 1
+                if dim < 1:
+                    raise ParseError(f"{path}:{lineno}: no vector values on first line")
+            elif len(parts) - 1 != dim:
+                raise ParseError(f"{path}:{lineno}: expected {dim} values, got {len(parts) - 1}")
+            if token in index:
+                duplicates += 1
+                continue
+            try:
+                vec = np.array([float(x) for x in parts[1:]], dtype=float)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            index[token] = len(tokens)
+            tokens.append(token)
+            vectors.append(vec)
+    if duplicates:
+        logging.getLogger("anchorwmd.data").warning(
+            "%s: ignored %d duplicate tokens (first occurrence kept)", path, duplicates
+        )
+    matrix = np.vstack(vectors) if vectors else np.zeros((0, 0))
+    return WordVectorTable(index=index, matrix=matrix, vocab_hash=_vocab_digest(tokens, dim if dim is not None else 0))
 
 
 def lp_transport_value(cost: np.ndarray, source: np.ndarray, target: np.ndarray) -> float:

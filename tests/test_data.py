@@ -1,6 +1,11 @@
+import logging
+import os
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import reference_load_word_vectors
+from hypothesis import given
 from hypothesis import strategies as st
 
 from anchorwmd.data import (
@@ -72,6 +77,13 @@ class TestLoadCorpusLines:
         assert corpus.class_names == ["apple", "zebra"]
         assert corpus.documents[0].label == 1  # zebra line
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("pos\tgood fun\nneg\tbad dull\npos\tgreat fun\n", encoding="utf-8-sig")
+        corpus = load_corpus(str(path))
+        assert corpus.class_names == ["neg", "pos"]
+        assert [doc.label for doc in corpus.documents] == [1, 0, 1]
+
 
 class TestLoadCorpusDirs:
     def test_directory_per_class(self, tmp_path):
@@ -127,6 +139,60 @@ class TestWordVectors:
         assert table.vector("cat") == pytest.approx([1.0])
         assert "duplicate" in caplog.text
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("good 1.0 2.0\nbad 3.0 4.0\n", encoding="utf-8-sig")
+        table = load_word_vectors(str(path))
+        assert list(table.index) == ["good", "bad"]
+        assert table.vocab_hash == load_word_vectors(_write(tmp_path, "good 1 2\nbad 3 4\n", "plain.txt")).vocab_hash
+
+    def test_matrix_is_c_order_float(self, tmp_path):
+        table = load_word_vectors(_write(tmp_path, "a 1 2 3\nb 4 5 6\na 7 8 9\nc 1 1 1\n"))
+        assert table.matrix.dtype == np.float64 and table.matrix.flags.c_contiguous
+        assert table.matrix.tolist() == [[1, 2, 3], [4, 5, 6], [1, 1, 1]]
+        assert table.index == {"a": 0, "b": 1, "c": 2}
+
+    def test_duplicates_across_compaction_blocks(self, tmp_path, rng):
+        # 700 lines, a third of them repeats spread over the file: several blocks move rows
+        tokens = [f"w{i}" for i in rng.integers(0, 470, 700)]
+        values = rng.standard_normal((700, 5))
+        text = "".join(f"{t} {' '.join(map(repr, row.tolist()))}\n" for t, row in zip(tokens, values))
+        path = _write(tmp_path, text)
+        ours, reference = load_word_vectors(path), reference_load_word_vectors(path)
+        assert list(ours.index.items()) == list(reference.index.items())
+        assert ours.matrix.flags.c_contiguous and ours.matrix.tobytes() == reference.matrix.tobytes()
+
+    def test_blank_lines_only_is_an_empty_table(self, tmp_path):
+        table = load_word_vectors(_write(tmp_path, "\n  \n\t\n"))
+        assert len(table) == 0 and table.matrix.shape == (0, 0)
+        assert table.vocab_hash == load_word_vectors(_write(tmp_path, "", "empty.txt")).vocab_hash
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("cat 0.1 0.2\n\ndog 0.3\n", 3, "expected 2 values, got 1"),
+            ("cat 0.1 0.2\ndog 0.3 0.4 0.5\n", 2, "expected 2 values, got 3"),
+            ("cat 0.1 0.2\ndog 0.3 0.4\nfish 0.5 abc\n", 3, "could not convert string to float: 'abc'"),
+            ("\ncat\ndog 0.3 0.4\n", 2, "no vector values on first line"),
+            ("cat\n", 1, "no vector values on first line"),
+            ("cat 1.0\ndog 1_000\n", 2, "could not convert string to float: '1_000'"),
+            ("cat 1.0\ndog \u0661\n", 2, "could not convert string to float: '\u0661'"),
+            # a duplicate token's values are parsed too
+            ("cat 1.0\ndog 2.0\ncat x\n", 3, "could not convert string to float: 'x'"),
+            ("cat 0.1 0.2\r\ndog 0.3\r\n", 2, "expected 2 values, got 1"),
+            ("a 1\nb --1\n", 2, "could not convert string to float: '--1'"),
+        ],
+        ids=[
+            "short", "long", "bad-value", "first-without-values", "token-only",
+            "underscore", "non-ascii-digit", "duplicate", "crlf-short", "double-sign",
+        ],
+    )
+    def test_parse_error_names_the_first_bad_line(self, tmp_path, text, line, message):
+        path = _write(tmp_path, text)
+        with pytest.raises(ParseError) as info:
+            load_word_vectors(path)
+        assert str(info.value) == f"{path}:{line}: {message}"
+
     def test_hash_tracks_vocabulary(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -136,6 +202,71 @@ class TestWordVectors:
         c.write_text("cat 1.0 0.0\nfish 0.0 1.0\n")
         assert load_word_vectors(str(a)).vocab_hash == load_word_vectors(str(b)).vocab_hash
         assert load_word_vectors(str(a)).vocab_hash != load_word_vectors(str(c)).vocab_hash
+
+
+def _write(directory, text: str, name: str = "vec.txt") -> str:
+    """Write ``text`` as UTF-8 bytes, line endings untranslated; return the path."""
+    path = os.path.join(str(directory), name)
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+    return path
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+_SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t ", "\xa0", "\x1c", "\u3000", "\x0b"])
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(min_value=-1e-300, max_value=1e-300).map(repr),
+    st.sampled_from(["nan", "NaN", "-nan", "inf", "-Infinity", "Infinity", "+.5", "-.25e-3", "1E+308", "5e-324", "-0.0", "007"]),
+)
+_TOKENS = st.sampled_from(["cat", "dog", "nan", "1.5", "#c", '"q"', "\u65e5\u672c", "x\x00y"])
+
+
+@st.composite
+def _vector_files(draw):
+    """A vector file's text: random values, separators, line endings, blank lines and duplicate tokens."""
+    dim = draw(st.integers(1, 5))
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "\xa0"])))
+        fields = [draw(_TOKENS)] + [draw(_VALUES) for _ in range(dim)]
+        line = fields[0]
+        for field in fields[1:]:
+            line += draw(_SEPARATORS) + field
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", " ", "\xa0"])))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+class TestWordVectorsOracle:
+    @given(text=_vector_files())
+    def test_property_matches_the_line_by_line_reference(self, text):
+        logger = logging.getLogger("anchorwmd.data")
+        with tempfile.TemporaryDirectory() as directory:
+            path = _write(directory, text)
+            warned = []
+            for load in (load_word_vectors, reference_load_word_vectors):
+                records = _Records()
+                logger.addHandler(records)
+                try:
+                    warned.append((load(path), records.messages))
+                finally:
+                    logger.removeHandler(records)
+        (ours, our_messages), (reference, reference_messages) = warned
+        assert list(ours.index.items()) == list(reference.index.items())
+        assert ours.matrix.shape == reference.matrix.shape
+        assert ours.matrix.tobytes() == reference.matrix.tobytes()
+        assert ours.vocab_hash == reference.vocab_hash
+        assert our_messages == reference_messages
 
 
 class TestToMeasure:
@@ -171,7 +302,6 @@ class TestToMeasure:
             doc = to_measure(counts, table)
             assert abs(float(doc.weights.sum()) - 1.0) < 1e-15
 
-    @settings(derandomize=True, database=None, deadline=None)
     @given(counts=st.dictionaries(st.sampled_from(["aa", "bb", "cc", "xx", "yy"]), st.integers(0, 10**6), min_size=1))
     def test_property_positive_weights_summing_to_one(self, counts):
         # the solver's input contract: strictly positive weights summing to 1,

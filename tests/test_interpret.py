@@ -411,6 +411,14 @@ class TestPca:
             assert np.array_equal(other_proj, proj) and np.array_equal(other_components, components)
 
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_is_left_unchanged(self, rng, order):
+        pts = np.array(rng.standard_normal((30, 4)) + 5.0, order=order)
+        before = pts.copy()
+        pca_2d(pts)
+        assert np.array_equal(pts, before)
+
+
 class TestExportProjection:
     def test_writes_anchor_and_word_rows(self, tmp_path, rng):
         model = AnchorModel(np.eye(3), rng.standard_normal((2, 3, 2)), ["a", "b"])

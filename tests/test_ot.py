@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from anchorwmd import ot
@@ -378,7 +378,6 @@ class TestSinkhornStack:
         for k in range(classes):
             _assert_same_result(stacked[k], sinkhorn(cost[:, k * p : (k + 1) * p].copy(), weights, target, config))
 
-    @settings(derandomize=True, database=None, deadline=None)
     @given(
         data=st.data(),
         num=st.integers(1, 6),
@@ -520,6 +519,21 @@ class TestPaddedStack:
         rows = sinkhorn_stack(costs, np.tile(source, (4, 1)), target)
         for k in range(4):
             _assert_same_result(rows[k], shared[k])
+
+    def test_only_padded_sources_carry_a_mask(self):
+        source = np.array([0.5, 0.3, 0.2])
+        assert ot._source_rows(source, 2)[1] is None
+        assert ot._source_rows(np.tile(source, (2, 1)), 2)[1] is None
+        _, real = ot._source_rows(np.array([[0.5, 0.5, 0.0], [0.5, 0.3, 0.2]]), 2)
+        assert real.tolist() == [[True, True, False], [True, True, True]]
+
+    def test_unmasked_row_potential_equals_the_masked_one(self, rng):
+        log_kernel = -rng.uniform(0.0, 800.0, (3, 5, 4))
+        other = rng.standard_normal((3, 4))
+        marginal = rng.uniform(0.1, 1.0, (3, 5))
+        unmasked = ot._log_domain_potential(log_kernel, other, marginal, 0, None)
+        masked = ot._log_domain_potential(log_kernel, other, marginal, 0, np.ones((3, 5), dtype=bool))
+        assert np.array_equal(unmasked, masked)
 
     def test_rejects_malformed_sources(self):
         costs = np.ones((2, 3, 2))
