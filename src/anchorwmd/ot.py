@@ -217,17 +217,16 @@ def _apply(kernel: np.ndarray, scaling: np.ndarray, side: int) -> np.ndarray:
 
 
 def _log_domain_potential(
-    log_kernel: np.ndarray, other_potential: np.ndarray, marginal: np.ndarray, side: int, real: np.ndarray | None
+    log_kernel: np.ndarray, other_potential: np.ndarray, marginal: np.ndarray, side: int
 ) -> np.ndarray:
     """The potential of ``side`` that meets its marginal exactly, one log-sum-exp per row or column.
 
-    With a ``real`` mask, a row half-step (side 0) reads only the real rows
-    and leaves a padded row's potential at 0.
+    A row half-step (side 0) reads only the real rows, those with positive
+    mass, and leaves a padded row's potential at 0.
     """
     if side == 1:
         return np.log(marginal) - _logsumexp(log_kernel + other_potential[:, :, None], axis=1)
-    if real is None:
-        return np.log(marginal) - _logsumexp(log_kernel + other_potential[:, None, :], axis=2)
+    real = marginal > 0
     potential = np.zeros(real.shape)
     potential[real] = np.log(marginal[real]) - _logsumexp((log_kernel + other_potential[:, None, :])[real], axis=1)
     return potential
@@ -287,9 +286,7 @@ def _scaling_iterations(
                 if not finite.all():
                     lost = np.flatnonzero(hit)[~finite]
                     marginal = a[lost] if side == 0 else b
-                    absorbed[~finite] = _log_domain_potential(
-                        log_kernel[lost], potentials[other][lost], marginal, side, real[lost] if padded else None
-                    )
+                    absorbed[~finite] = _log_domain_potential(log_kernel[lost], potentials[other][lost], marginal, side)
                 potentials[side][hit] = absorbed
                 kernel[hit] = _absorbed_kernel(log_kernel[hit], potentials[0][hit], potentials[1][hit])
                 scaling[hit] = 1.0

@@ -497,9 +497,9 @@ class TestPaddedStack:
         sides = []
         inner = ot._log_domain_potential
 
-        def recording(log_kernel, other_potential, marginal, side, real):
+        def recording(log_kernel, other_potential, marginal, side):
             sides.append((side, log_kernel.shape[0]))
-            return inner(log_kernel, other_potential, marginal, side, real)
+            return inner(log_kernel, other_potential, marginal, side)
 
         monkeypatch.setattr(ot, "_log_domain_potential", recording)
         costs, sources = _padded(problems)
@@ -526,14 +526,6 @@ class TestPaddedStack:
         assert ot._source_rows(np.tile(source, (2, 1)), 2)[1] is None
         _, real = ot._source_rows(np.array([[0.5, 0.5, 0.0], [0.5, 0.3, 0.2]]), 2)
         assert real.tolist() == [[True, True, False], [True, True, True]]
-
-    def test_unmasked_row_potential_equals_the_masked_one(self, rng):
-        log_kernel = -rng.uniform(0.0, 800.0, (3, 5, 4))
-        other = rng.standard_normal((3, 4))
-        marginal = rng.uniform(0.1, 1.0, (3, 5))
-        unmasked = ot._log_domain_potential(log_kernel, other, marginal, 0, None)
-        masked = ot._log_domain_potential(log_kernel, other, marginal, 0, np.ones((3, 5), dtype=bool))
-        assert np.array_equal(unmasked, masked)
 
     def test_rejects_malformed_sources(self):
         costs = np.ones((2, 3, 2))
