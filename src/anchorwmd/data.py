@@ -13,6 +13,7 @@ import hashlib
 import logging
 import os
 import re
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 
@@ -237,8 +238,14 @@ def load_word_vectors(path: str) -> WordVectorTable:
         if not tokens:
             return WordVectorTable(index={}, matrix=np.zeros((0, 0)), vocab_hash=_vocab_digest([], 0))
         fh.seek(0)
+        # both passes skip the same blank lines, so max_rows covers every line; with
+        # it the reader allocates the table once, at its final size, instead of growing it
         try:
-            values = np.loadtxt(fh, dtype=float, comments=None, ndmin=2, converters={0: lambda _: 0.0})
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
+                values = np.loadtxt(
+                    fh, dtype=float, comments=None, ndmin=2, converters={0: lambda _: 0.0}, max_rows=len(tokens)
+                )
         except ValueError as exc:
             raise _first_bad_line(path, str(exc)) from None
     if values.shape[0] != len(tokens) or values.shape[1] < 2:

@@ -162,6 +162,11 @@ class TestWordVectors:
         assert list(ours.index.items()) == list(reference.index.items())
         assert ours.matrix.flags.c_contiguous and ours.matrix.tobytes() == reference.matrix.tobytes()
 
+    def test_blank_lines_between_rows_warn_nothing(self, tmp_path, recwarn):
+        table = load_word_vectors(_write(tmp_path, "\na 1 2\n\n \nb 3 4\n\n"))
+        assert table.matrix.tolist() == [[1, 2], [3, 4]]
+        assert not recwarn.list
+
     def test_blank_lines_only_is_an_empty_table(self, tmp_path):
         table = load_word_vectors(_write(tmp_path, "\n  \n\t\n"))
         assert len(table) == 0 and table.matrix.shape == (0, 0)
