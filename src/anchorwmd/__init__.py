@@ -18,7 +18,7 @@ from .model import (
     save_checkpoint,
 )
 from .ot import SinkhornConfig, SinkhornResult, ground_cost_matrix, sinkhorn
-from .training import TrainConfig, adam_step, batch_gradients, infonce_loss, train, triplet_loss
+from .training import TrainConfig, adam_step, batch_gradients, train
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "compute_importance_table",
     "error_rate",
     "ground_cost_matrix",
-    "infonce_loss",
     "init_anchors",
     "load_checkpoint",
     "load_corpus",
@@ -51,5 +50,4 @@ __all__ = [
     "to_measure",
     "top_k_words",
     "train",
-    "triplet_loss",
 ]

@@ -11,6 +11,7 @@ output directory, so a rejected input leaves nothing behind.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -140,8 +141,11 @@ def _merge_options(args: argparse.Namespace) -> dict:
     merged = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            file_values = json.load(fh)
+        try:
+            with open(config_path, encoding="utf-8") as fh:
+                file_values = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{config_path}: {exc}") from None
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = set(file_values) - set(DEFAULTS)
@@ -205,8 +209,14 @@ def _prepare_out(opts: dict, command: str) -> str:
     return out
 
 
-def _safe_name(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_-]+", "_", name)
+def _ranking_stems(class_names: list[str]) -> list[str]:
+    """Each class's name as its ranking file names it; two classes may not share one."""
+    stems = [re.sub(r"[^A-Za-z0-9_-]+", "_", name) for name in class_names]
+    for i, stem in enumerate(stems):
+        if stem in stems[:i]:
+            first = class_names[stems.index(stem)]
+            raise ValueError(f"classes {first!r} and {class_names[i]!r} would write the same ranking file (*_{stem}.tsv)")
+    return stems
 
 
 def _write_ranking(path: str, ranked: list[tuple[str, float]], score_name: str) -> None:
@@ -291,14 +301,15 @@ def _importance_inputs(opts: dict):
 def cmd_interpret(opts: dict) -> int:
     _require(opts, "vectors", "corpus", "checkpoint", "out")
     fitted, corpus, words, vectors = _importance_inputs(opts)
+    stems = _ranking_stems(fitted.class_names)
     out = _prepare_out(opts, "interpret")
     table = interpret.compute_importance_table(fitted, words, vectors)
     table.write_tsv(os.path.join(out, "importance.tsv"))
 
     per_class = corpus.class_token_counts()
-    for class_id, class_name in enumerate(fitted.class_names):
+    for class_id, (class_name, stem) in enumerate(zip(fitted.class_names, stems)):
         ranked = interpret.top_k_words(table, class_id, opts["top_k"])
-        _write_ranking(os.path.join(out, f"top_words_{_safe_name(class_name)}.tsv"), ranked, "importance")
+        _write_ranking(os.path.join(out, f"top_words_{stem}.tsv"), ranked, "importance")
         shown = sum(counts[word] for counts in per_class for word, _ in ranked)
         in_class = sum(per_class[class_id][word] for word, _ in ranked)
         share = in_class / shown if shown else 0.0
@@ -325,15 +336,16 @@ def cmd_baseline(opts: dict) -> int:
         logger.warning("no test corpus or split given; evaluating KNN on the training set")
     train_measures, _ = data.corpus_to_measures(train_corpus, table)
     test_measures, test_ids = data.corpus_to_measures(test_corpus, table)
+    stems = _ranking_stems(train_corpus.class_names)
     out = _prepare_out(opts, "baseline")
 
     k_main = opts["k"]
     sweep = classify.knn_predict_corpus(test_measures, train_measures, ks, cfg, threads=opts["threads"])
     truths = [m.label for m in test_measures]
     with open(os.path.join(out, "knn_predictions.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("doc_id,true_label,predicted_label\n")
-        for doc_id, truth, pred in zip(test_ids, truths, sweep[k_main]):
-            fh.write(f"{doc_id},{truth},{pred}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["doc_id", "true_label", "predicted_label"])
+        writer.writerows(zip(test_ids, truths, sweep[k_main]))
     with open(os.path.join(out, "k_sweep.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write("k,error_rate\n")
         for k in ks:
@@ -341,8 +353,8 @@ def cmd_baseline(opts: dict) -> int:
     print(f"wmd-knn (k={k_main}) error rate: {100.0 * classify.error_rate(sweep[k_main], truths):.1f}")
 
     rankings = interpret.tfidf_rankings(train_corpus, opts["top_k"])
-    for class_name, ranked in zip(train_corpus.class_names, rankings):
-        _write_ranking(os.path.join(out, f"tfidf_top_words_{_safe_name(class_name)}.tsv"), ranked, "score")
+    for stem, ranked in zip(stems, rankings):
+        _write_ranking(os.path.join(out, f"tfidf_top_words_{stem}.tsv"), ranked, "score")
     return 0
 
 

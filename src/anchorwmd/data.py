@@ -15,6 +15,7 @@ import os
 import re
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,16 @@ class ParseError(ValueError):
 
 class EmptyDocumentError(ValueError):
     """A document lost all of its tokens to filtering or vocabulary lookup."""
+
+
+@contextmanager
+def _open_text(path: str):
+    """``path`` opened as UTF-8 text with a leading byte-order mark dropped; a decode error names the file."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 _TOKEN = re.compile(r"[a-z0-9]+")
@@ -137,7 +148,7 @@ def load_corpus(path: str, fmt: str = "auto") -> Corpus:
 def _read_lines_corpus(path: str) -> list[tuple[str, str, str]]:
     rows = []
     base = os.path.basename(path)
-    with open(path, encoding="utf-8-sig") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -163,7 +174,7 @@ def _read_dirs_corpus(root: str) -> list[tuple[str, str, str]]:
         class_path = os.path.join(root, class_name)
         files = sorted(name for name in os.listdir(class_path) if name.endswith(".txt"))
         for fname in files:
-            with open(os.path.join(class_path, fname), encoding="utf-8-sig") as fh:
+            with _open_text(os.path.join(class_path, fname)) as fh:
                 rows.append((class_name, f"{class_name}/{fname}", fh.read()))
     return rows
 
@@ -233,7 +244,7 @@ def load_word_vectors(path: str) -> WordVectorTable:
     follow that reader's grammar: ``float``'s, without ``_`` digit
     separators or non-ASCII digits.
     """
-    with open(path, encoding="utf-8-sig") as fh:
+    with _open_text(path) as fh:
         tokens = [parts[0] for parts in (line.split(None, 1) for line in fh) if parts]
         if not tokens:
             return WordVectorTable(index={}, matrix=np.zeros((0, 0)), vocab_hash=_vocab_digest([], 0))
@@ -295,7 +306,7 @@ def _first_bad_line(path: str, reason: str) -> ParseError:
     ``reason`` is the fallback message should every line pass.
     """
     dim = None
-    with open(path, encoding="utf-8-sig") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:

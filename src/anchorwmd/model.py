@@ -112,6 +112,8 @@ class AnchorModel:
             )
         if len(self.class_names) != self.anchors.shape[0]:
             raise ValueError("one class name per anchor required")
+        if len(set(self.class_names)) != len(self.class_names):
+            raise ValueError(f"class names must be distinct, got {list(self.class_names)}")
         if not (np.all(np.isfinite(self.transform)) and np.all(np.isfinite(self.anchors))):
             raise ValueError("model parameters must be finite")
 
@@ -149,13 +151,13 @@ def anchor_transport(
     longest document: a plan's rows past its document's n_i are 0. One
     embedding product runs over the concatenated supports and one ground
     cost against all Y * p anchor columns in :func:`anchor_columns` order;
-    its rows are cut into each document's Y (n_i, p) class slices and solved
-    as one stack. A document's values depend in their last bits on n_max;
-    a stack of one document has no padding. Training ranks classes by
-    ``reg_distance`` (the value its gradient differentiates); nearest-anchor
-    classification takes the argmin of ``distance``, which is the rule that
-    ranks under relative epsilon, where the entropy term of ``reg_distance``
-    grows with epsilon and favours far anchors.
+    :func:`_stack_rows` places its rows in each document's Y (n_i, p) class
+    slices, solved as one stack. A document's values depend in their last
+    bits on n_max; a stack of one document has no padding. Training ranks
+    classes by ``reg_distance`` (the value its gradient differentiates);
+    nearest-anchor classification takes the argmin of ``distance``, which is
+    the rule that ranks under relative epsilon, where the entropy term of
+    ``reg_distance`` grows with epsilon and favours far anchors.
     """
     if not docs:
         raise ValueError("no documents to transport")
@@ -163,29 +165,26 @@ def anchor_transport(
         if doc.dim != model.dim:
             raise ValueError(f"document dimension {doc.dim} does not match model dimension {model.dim}")
     num_docs, num_classes, p = len(docs), model.num_classes, model.num_support_points
+    sizes = [doc.size for doc in docs]
+    n_max = max(sizes)
     target = np.full(p, 1.0 / p)
     # the anchor columns are formed after the embedding: in the other order
     # one-document solves measured 20-25% slower (allocation order alone)
-    if num_docs == 1:
-        # no padding: the Y problems share the document's histogram, and the
-        # stack is a view of the ground cost, as classification solves it
-        (doc,) = docs
-        embedded = model.transform @ doc.support
-        cost = ground_cost_matrix(embedded, anchor_columns(model.anchors))
-        stack = cost.reshape(doc.size, num_classes, p).transpose(1, 0, 2)
-        return embedded, sinkhorn_stack(stack, doc.weights, target, config)
-    n_max = max(doc.size for doc in docs)
     embedded = model.transform @ np.concatenate([doc.support for doc in docs], axis=1)
     cost = ground_cost_matrix(embedded, anchor_columns(model.anchors))
+    doc_of_row, row = _stack_rows(sizes)
     stack = np.zeros((num_docs, num_classes, n_max, p))
+    stack[doc_of_row, :, row] = cost.reshape(-1, num_classes, p)
     source = np.zeros((num_docs, n_max))
-    start = 0
-    for i, doc in enumerate(docs):
-        stack[i, :, : doc.size] = cost[start : start + doc.size].reshape(doc.size, num_classes, p).transpose(1, 0, 2)
-        source[i, : doc.size] = doc.weights
-        start += doc.size
-    result = sinkhorn_stack(stack.reshape(-1, n_max, p), np.repeat(source, num_classes, axis=0), target, config)
-    return embedded, result
+    source[doc_of_row, row] = np.concatenate([doc.weights for doc in docs])
+    return embedded, sinkhorn_stack(stack.reshape(-1, n_max, p), np.repeat(source, num_classes, axis=0), target, config)
+
+
+def _stack_rows(sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """For documents of ``sizes`` words side by side, each word's document and its row in the padded stack."""
+    doc = np.repeat(np.arange(len(sizes)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    return doc, np.arange(doc.size) - starts[doc]
 
 
 def _ordered_map(fn, items: list, threads: int) -> list:
@@ -215,14 +214,18 @@ def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, np.array([counts[row.tobytes()] for row in distinct])
 
 
-def _kmeans_centroids(points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int = 50) -> np.ndarray:
+_KMEANS_MAX_ITERS = 50
+
+
+def _kmeans_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Lloyd's algorithm over row vectors, seeded and deterministic.
 
     Runs over the distinct rows, each weighted by how often it occurs, which
-    gives the same clusters as Lloyd over every row. Initial centroids are
-    distinct rows drawn without replacement; if fewer than ``k`` distinct rows
-    exist, centroids are duplicated with a small seeded jitter. Empty clusters
-    restart at the row currently farthest from its centroid.
+    gives the same clusters as Lloyd over every row, for at most ``_KMEANS_MAX_ITERS``
+    iterations. Initial centroids are distinct rows drawn without replacement;
+    if fewer than ``k`` distinct rows exist, centroids are duplicated with a
+    small seeded jitter. Empty clusters restart at the row currently farthest
+    from its centroid.
     """
     distinct, counts = _distinct_rows(points)
     num_distinct = distinct.shape[0]
@@ -235,7 +238,7 @@ def _kmeans_centroids(points: np.ndarray, k: int, rng: np.random.Generator, max_
     centroids = distinct[start].copy()
     sq_pts = np.einsum("nd,nd->n", distinct, distinct)
     rows = np.arange(num_distinct)
-    for _ in range(max_iters):
+    for _ in range(_KMEANS_MAX_ITERS):
         sq_cent = np.einsum("kd,kd->k", centroids, centroids)
         dist2 = sq_pts[:, None] + sq_cent[None, :] - 2.0 * (distinct @ centroids.T)
         assign = dist2.argmin(axis=1)
@@ -323,8 +326,11 @@ def load_checkpoint(path: str) -> AnchorModel:
     Raises ``ValueError`` naming the offending key when the file lacks a key
     or holds a value of the wrong type.
     """
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint must be a JSON object, got a JSON {type(payload).__name__}")
     missing = [key for key in _CHECKPOINT_KEYS if key not in payload]

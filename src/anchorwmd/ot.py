@@ -63,11 +63,13 @@ __all__ = [
 
 _TINY = np.finfo(float).tiny
 
+_HISTOGRAM_ATOL = 1e-9
 
-def validate_histogram(weights, atol: float = 1e-9) -> np.ndarray:
+
+def validate_histogram(weights) -> np.ndarray:
     """Check that ``weights`` is a strictly positive probability histogram and return it as float64.
 
-    Entries must be finite, positive, and sum to 1 within ``atol``. A
+    Entries must be finite, positive, and sum to 1 within ``_HISTOGRAM_ATOL``. A
     zero-weight atom carries no mass; drop it before building the histogram.
     """
     w = np.asarray(weights, dtype=float)
@@ -78,8 +80,8 @@ def validate_histogram(weights, atol: float = 1e-9) -> np.ndarray:
     if np.any(w <= 0):
         raise ValueError("histogram entries must be positive")
     total = float(w.sum())
-    if abs(total - 1.0) > atol:
-        raise ValueError(f"histogram sums to {total}, expected 1 within {atol}")
+    if abs(total - 1.0) > _HISTOGRAM_ATOL:
+        raise ValueError(f"histogram sums to {total}, expected 1 within {_HISTOGRAM_ATOL}")
     return w
 
 
@@ -350,8 +352,8 @@ def _source_rows(source, num: int) -> tuple[np.ndarray, np.ndarray | None]:
         raise ValueError("each source row must be positive entries followed only by zero padding")
     totals = a.sum(axis=1)
     worst = totals[np.argmax(np.abs(totals - 1.0))]
-    if abs(worst - 1.0) > 1e-9:
-        raise ValueError(f"histogram sums to {worst}, expected 1 within 1e-09")
+    if abs(worst - 1.0) > _HISTOGRAM_ATOL:
+        raise ValueError(f"histogram sums to {worst}, expected 1 within {_HISTOGRAM_ATOL}")
     return a, None if real.all() else real
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import AnchorModel, DocumentMeasure, _ordered_map, anchor_columns, anchor_transport, init_anchors
+from .model import AnchorModel, DocumentMeasure, _ordered_map, _stack_rows, anchor_columns, anchor_transport, init_anchors
 from .ot import SinkhornConfig
 
 __all__ = [
@@ -22,8 +22,6 @@ __all__ = [
     "GradientBundle",
     "AdamState",
     "EpochStats",
-    "triplet_loss",
-    "infonce_loss",
     "batch_gradients",
     "adam_step",
     "train",
@@ -79,36 +77,11 @@ class TrainConfig:
             raise ValueError("threads must be at least 1")
 
 
-def triplet_loss(doc_dists, label: int, margin: float) -> float:
-    """Hinge sum pushing the own-class distance under every other class.
-
-    Returns ``sum_k max(W_label - W_k + margin, 0)`` over all ``k != label``.
-    """
-    return _triplet_terms(_checked_dists(doc_dists, label), label, margin)[0]
-
-
-def infonce_loss(doc_dists, label: int, temperature: float) -> float:
-    """Softmax cross-entropy over negated distances at the given temperature.
-
-    The denominator runs over all classes including ``label``; computed with
-    a max shift so large distance gaps cannot overflow.
-    """
-    return _infonce_terms(_checked_dists(doc_dists, label), label, temperature)[0]
-
-
-def _checked_dists(doc_dists, label: int) -> np.ndarray:
-    dists = np.asarray(doc_dists, dtype=float)
-    if dists.ndim != 1 or dists.size < 2:
-        raise ValueError("doc_dists must be a vector with one entry per class (>= 2)")
-    if not np.all(np.isfinite(dists)):
-        raise ValueError("doc_dists must be finite")
-    if not (0 <= label < dists.size):
-        raise ValueError(f"label {label} out of range for {dists.size} classes")
-    return dists
-
-
 def _triplet_terms(dists: np.ndarray, label: int, margin: float) -> tuple[float, np.ndarray, float]:
-    """Triplet loss, its per-class derivative, and the active-hinge fraction."""
+    """Triplet loss, its per-class derivative, and the active-hinge fraction.
+
+    The loss is the hinge sum ``sum_k max(W_label - W_k + margin, 0)`` over ``k != label``.
+    """
     hinges = np.maximum(dists[label] - dists + margin, 0.0)
     hinges[label] = 0.0
     active = hinges > 0
@@ -118,7 +91,11 @@ def _triplet_terms(dists: np.ndarray, label: int, margin: float) -> tuple[float,
 
 
 def _infonce_terms(dists: np.ndarray, label: int, temperature: float) -> tuple[float, np.ndarray, float]:
-    """InfoNCE loss, its per-class derivative, and the softmax entropy."""
+    """InfoNCE loss, its per-class derivative, and the softmax entropy.
+
+    The loss is the cross-entropy of the softmax of ``-dists / temperature``
+    over all classes, with a max shift so large distance gaps cannot overflow.
+    """
     scores = -dists / temperature
     peak = scores.max()
     probs = np.exp(scores - peak)
@@ -150,13 +127,6 @@ _STACK_DOCUMENTS = 8
 def _document_stacks(docs: list) -> list[list]:
     """``docs`` cut, in order, into consecutive stacks of ``_STACK_DOCUMENTS``."""
     return [docs[start : start + _STACK_DOCUMENTS] for start in range(0, len(docs), _STACK_DOCUMENTS)]
-
-
-def _stack_rows(sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """For documents of ``sizes`` words side by side, each word's document and its row in the padded stack."""
-    doc = np.repeat(np.arange(len(sizes)), sizes)
-    starts = np.cumsum(sizes) - sizes
-    return doc, np.arange(doc.size) - starts[doc]
 
 
 def _stack_terms(model: AnchorModel, docs: list[DocumentMeasure], cfg: TrainConfig):

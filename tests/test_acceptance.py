@@ -18,7 +18,7 @@ from anchorwmd.interpret import compute_importance_table, tfidf_top_words, top_k
 from anchorwmd.model import AnchorModel, DocumentMeasure
 from anchorwmd.ot import SinkhornConfig, ground_cost_matrix, sinkhorn
 from anchorwmd.synthetic import planted_two_cluster_data
-from anchorwmd.training import TrainConfig, batch_gradients, infonce_loss, train, triplet_loss
+from anchorwmd.training import TrainConfig, _infonce_terms, _triplet_terms, batch_gradients, train
 from conftest import exact_ot_uniform
 
 
@@ -129,11 +129,11 @@ def test_gradient_fidelity_against_finite_differences():
 def test_loss_identities():
     for y in (2, 3, 5):
         dists = np.full(y, 17.3)
-        assert infonce_loss(dists, 0, 30.0) == pytest.approx(np.log(y), abs=1e-9)
+        assert _infonce_terms(dists, 0, 30.0)[0] == pytest.approx(np.log(y), abs=1e-9)
     for y in (2, 3, 5):
         beta = 10.0
         dists = np.full(y, 4.0)
-        assert triplet_loss(dists, 0, beta) == pytest.approx((y - 1) * beta, abs=1e-9)
+        assert _triplet_terms(dists, 0, beta)[0] == pytest.approx((y - 1) * beta, abs=1e-9)
     _report("loss identities (InfoNCE ln Y, triplet tie (Y-1)*beta, 1e-9)")
 
 

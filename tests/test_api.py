@@ -1,3 +1,6 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,10 @@ from anchorwmd.ot import SinkhornConfig, ground_cost_matrix, sinkhorn
 
 
 def test_every_exported_name_resolves():
-    for name in anchorwmd.__all__:
-        assert getattr(anchorwmd, name) is not None, name
+    submodules = [importlib.import_module(f"anchorwmd.{info.name}") for info in pkgutil.iter_modules(anchorwmd.__path__)]
+    for module in [anchorwmd, *submodules]:
+        for name in getattr(module, "__all__", ()):
+            assert getattr(module, name, None) is not None, f"{module.__name__}.{name}"
 
 
 def test_kernel_matches_direct_solves(rng):

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -570,6 +572,8 @@ def test_invalid_value_rejected_before_writing(fixture_paths, trained, tmp_path,
         ("no_points", "p >= 1"),
         ("vocab_mismatch", "vocabulary hash mismatch"),
         ("unknown_class", "class 'zzz' not present"),
+        ("duplicate_class", "class names must be distinct, got ['a b', 'a b']"),
+        ("truncated", "truncated.json: "),
     ],
 )
 def test_rejected_checkpoint_inputs_leave_no_output(fixture_paths, trained, tmp_path, capsys, command, case, message):
@@ -584,6 +588,14 @@ def test_rejected_checkpoint_inputs_leave_no_output(fixture_paths, trained, tmp_
     elif case == "no_points":
         paths["checkpoint"] = tmp_path / "no_points.json"
         paths["checkpoint"].write_text(json.dumps({**_VALID_CHECKPOINT, "anchors": [[[]]], "p": 0}))
+    elif case == "truncated":
+        paths["checkpoint"] = tmp_path / "truncated.json"
+        text = Path(trained).read_text(encoding="utf-8")
+        paths["checkpoint"].write_text(text[: len(text) // 2])
+    elif case == "duplicate_class":
+        paths["checkpoint"] = tmp_path / "duplicate.json"
+        payload = json.loads(Path(trained).read_text(encoding="utf-8"))
+        paths["checkpoint"].write_text(json.dumps({**payload, "class_names": ["a b", "a b"]}))
     elif case == "vocab_mismatch":
         paths["vectors"] = tmp_path / "other.txt"
         save_word_vectors({"unrelated": np.zeros(10)}, str(paths["vectors"]))
@@ -602,6 +614,86 @@ def test_malformed_vectors_leave_no_output(fixture_paths, tmp_path, capsys, comm
     out = tmp_path / "rejected"
     code = main([command, "--vectors", str(vectors), "--corpus", fixture_paths["train"], "--out", str(out)])
     assert_rejected(code, capsys, out, "vectors.txt:2")
+
+
+def write_dirs_corpus(root, corpus, names=None):
+    """``corpus`` in ``dirs`` format under ``root``; ``names`` maps a document index to its file name."""
+    for i, doc in enumerate(corpus.documents):
+        class_dir = root / corpus.class_names[doc.label]
+        class_dir.mkdir(parents=True, exist_ok=True)
+        words = [word for word, count in sorted(doc.counts.items()) for _ in range(count)]
+        (class_dir / (names or {}).get(i, f"doc{i}.txt")).write_text(" ".join(words))
+
+
+@pytest.mark.parametrize("case", ["corpus", "dirs_corpus", "vectors", "config"])
+def test_unreadable_input_names_its_file(fixture_paths, tmp_path, capsys, case):
+    """A file that is not UTF-8, or a config file that is not JSON, is named in the one-line error."""
+    paths = {"vectors": fixture_paths["vectors"], "corpus": fixture_paths["train"]}
+    extra = []
+    if case == "corpus":
+        bad = tmp_path / "corpus.tsv"
+        bad.write_bytes(b"north\tgood words\nsouth\tbad \xff words\n")
+        paths["corpus"] = bad
+    elif case == "dirs_corpus":
+        write_dirs_corpus(tmp_path / "dirs", fixture_paths["synth"].train)
+        bad = tmp_path / "dirs" / "south" / "latin1.txt"
+        bad.write_bytes(b"caf\xe9 words")
+        paths["corpus"] = tmp_path / "dirs"
+    elif case == "vectors":
+        bad = tmp_path / "vectors.txt"
+        bad.write_bytes(b"alpha 1.0 2.0\n\xffbeta 1.0 2.0\n")
+        paths["vectors"] = bad
+    else:
+        bad = tmp_path / "config.json"
+        bad.write_text('{"epochs": 3, "seed": ')
+        extra = ["--config", str(bad)]
+    out = tmp_path / "rejected"
+    argv = ["train"] + [f"--{key}={value}" for key, value in paths.items()] + extra + ["--out", str(out)]
+    assert_rejected(main(argv), capsys, out, f"error: {bad}: ")
+
+
+def test_knn_predictions_quote_ids_with_commas(fixture_paths, tmp_path):
+    corpus = tmp_path / "dirs"
+    write_dirs_corpus(corpus, fixture_paths["synth"].train, names={0: "a,1.txt"})
+    out = tmp_path / "base"
+    assert main(["baseline", "--vectors", fixture_paths["vectors"], "--corpus", str(corpus), "--out", str(out)]) == 0
+    text = (out / "knn_predictions.csv").read_text(encoding="utf-8")
+    with open(out / "knn_predictions.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["doc_id", "true_label", "predicted_label"]
+    assert all(len(row) == 3 for row in rows)
+    assert "north/a,1.txt" in [row[0] for row in rows[1:]]
+    # only the id with a comma is quoted
+    quoted = [line for line in text.splitlines() if '"' in line]
+    assert len(quoted) == 1 and quoted[0].startswith('"north/a,1.txt",')
+
+
+def relabelled_lines(path, out_path, names):
+    """The ``lines`` corpus at ``path`` with each label replaced by ``names[label]``."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    out_path.write_text("".join(f"{names[label]}\t{text}\n" for label, text in (line.split("\t", 1) for line in lines)))
+    return str(out_path)
+
+
+def test_baseline_rejects_classes_sharing_a_ranking_file(fixture_paths, tmp_path, capsys):
+    corpus = relabelled_lines(fixture_paths["train"], tmp_path / "clash.tsv", {"north": "a b", "south": "a_b"})
+    out = tmp_path / "rejected"
+    code = main(["baseline", "--vectors", fixture_paths["vectors"], "--corpus", corpus, "--out", str(out)])
+    assert_rejected(code, capsys, out, "classes 'a b' and 'a_b' would write the same ranking file")
+
+
+def test_interpret_rejects_classes_sharing_a_ranking_file(fixture_paths, trained, tmp_path, capsys):
+    names = {"north": "a b", "south": "a_b"}
+    checkpoint = tmp_path / "clash.json"
+    payload = json.loads(Path(trained).read_text(encoding="utf-8"))
+    checkpoint.write_text(json.dumps({**payload, "class_names": [names[name] for name in payload["class_names"]]}))
+    corpus = relabelled_lines(fixture_paths["train"], tmp_path / "clash.tsv", names)
+    out = tmp_path / "rejected"
+    code = main(
+        ["interpret", "--vectors", fixture_paths["vectors"], "--corpus", corpus, "--checkpoint", str(checkpoint),
+         "--out", str(out)]
+    )
+    assert_rejected(code, capsys, out, "classes 'a b' and 'a_b' would write the same ranking file")
 
 
 @pytest.mark.parametrize("command", ["train", "baseline"])

@@ -269,10 +269,11 @@ class TestInitAnchors:
         got = init_anchors(docs, 3, p, seed=case)
         assert np.abs(got - oracle_anchors(docs, 3, p, seed=case)).max() <= 1e-12
 
-    def test_same_initial_centroids_as_oracle(self):
+    def test_same_initial_centroids_as_oracle(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_KMEANS_MAX_ITERS", 0)
         points = repeated_cloud(7, 30, 40, 200)
         for seed in range(5):
-            start = model_module._kmeans_centroids(points, 6, np.random.default_rng(seed), max_iters=0)
+            start = model_module._kmeans_centroids(points, 6, np.random.default_rng(seed))
             want = multiset_kmeans_centroids(points, 6, np.random.default_rng(seed), max_iters=0)
             assert np.array_equal(start, want)
 
@@ -332,6 +333,13 @@ class TestCheckpoint:
         assert loaded.vocab_hash == "cafe"
         # no stray temp files left behind
         assert sorted(os.listdir(tmp_path)) == ["model.json"]
+
+    def test_duplicate_class_names_rejected(self, tmp_path, rng):
+        path = tmp_path / "model.json"
+        save_checkpoint(AnchorModel(np.eye(2), rng.standard_normal((2, 2, 3)), ["a b", "c"]), str(path))
+        path.write_text(path.read_text().replace('"c"', '"a b"'))
+        with pytest.raises(ValueError, match=r"class names must be distinct, got \['a b', 'a b'\]"):
+            load_checkpoint(str(path))
 
     def test_bytes_equal_streamed_json_dump(self, tmp_path, rng):
         model = AnchorModel(

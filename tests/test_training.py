@@ -12,12 +12,20 @@ from anchorwmd.training import (
     TrainConfig,
     adam_step,
     batch_gradients,
-    infonce_loss,
     train,
-    triplet_loss,
     write_loss_history,
 )
 from anchorwmd.training import _infonce_terms, _triplet_terms
+
+
+def triplet_value(dists, label, margin):
+    """The triplet loss of a distance list."""
+    return _triplet_terms(np.asarray(dists, dtype=float), label, margin)[0]
+
+
+def infonce_value(dists, label, temperature):
+    """The InfoNCE loss of a distance list."""
+    return _infonce_terms(np.asarray(dists, dtype=float), label, temperature)[0]
 
 
 def make_doc(support, weights, label=0):
@@ -27,13 +35,13 @@ def make_doc(support, weights, label=0):
 
 class TestTripletLoss:
     def test_margin_satisfied(self):
-        assert triplet_loss([0.0, 20.0], 0, 10.0) == pytest.approx(0.0)
+        assert triplet_value([0.0, 20.0], 0, 10.0) == pytest.approx(0.0)
 
     def test_tie_pays_full_margin(self):
-        assert triplet_loss([7.0, 7.0], 0, 10.0) == pytest.approx(10.0)
+        assert triplet_value([7.0, 7.0], 0, 10.0) == pytest.approx(10.0)
 
     def test_three_class_hand_value(self):
-        assert triplet_loss([5.0, 8.0, 20.0], 0, 10.0) == pytest.approx(7.0)
+        assert triplet_value([5.0, 8.0, 20.0], 0, 10.0) == pytest.approx(7.0)
 
     def test_nonnegative_and_zero_iff_satisfied(self, rng):
         for _ in range(50):
@@ -41,7 +49,7 @@ class TestTripletLoss:
             dists = rng.uniform(0, 50, size=y)
             label = int(rng.integers(y))
             margin = float(rng.uniform(0, 15))
-            value = triplet_loss(dists, label, margin)
+            value = triplet_value(dists, label, margin)
             assert value >= 0.0
             satisfied = all(
                 dists[label] - dists[k] + margin <= 0 for k in range(y) if k != label
@@ -51,17 +59,17 @@ class TestTripletLoss:
 
 class TestInfonceLoss:
     def test_equal_distances_give_log_y(self):
-        assert infonce_loss([3.0, 3.0], 0, 30.0) == pytest.approx(0.6931471805599453, abs=1e-12)
+        assert infonce_value([3.0, 3.0], 0, 30.0) == pytest.approx(0.6931471805599453, abs=1e-12)
         for y in (2, 3, 5):
             dists = np.full(y, 12.5)
-            assert infonce_loss(dists, y - 1, 7.0) == pytest.approx(math.log(y), abs=1e-12)
+            assert infonce_value(dists, y - 1, 7.0) == pytest.approx(math.log(y), abs=1e-12)
 
     def test_dominant_positive_drives_loss_to_zero(self):
-        assert infonce_loss([0.0, 1e6], 0, 30.0) == pytest.approx(0.0, abs=1e-12)
+        assert infonce_value([0.0, 1e6], 0, 30.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value(self):
         # -log(e^{-1/3} / (e^{-1/3} + e^{-4/3})) = log(1 + e^{-1})
-        assert infonce_loss([10.0, 40.0], 0, 30.0) == pytest.approx(0.31326168751822286, abs=1e-9)
+        assert infonce_value([10.0, 40.0], 0, 30.0) == pytest.approx(0.31326168751822286, abs=1e-9)
 
     def test_temperature_scaling_invariance(self, rng):
         for _ in range(20):
@@ -69,8 +77,8 @@ class TestInfonceLoss:
             dists = rng.uniform(0, 50, size=y)
             label = int(rng.integers(y))
             c = float(rng.uniform(0.1, 10))
-            assert infonce_loss(c * dists, label, 30.0 * c) == pytest.approx(
-                infonce_loss(dists, label, 30.0), abs=1e-12
+            assert infonce_value(c * dists, label, 30.0 * c) == pytest.approx(
+                infonce_value(dists, label, 30.0), abs=1e-12
             )
 
 
@@ -93,8 +101,8 @@ class TestLossCoefficients:
             while np.any(np.abs(dists[label] - np.delete(dists, label) + margin) < 0.01):
                 dists = rng.uniform(1, 30, size=y)
             for loss, coeff_fn in (
-                (lambda d: triplet_loss(d, label, margin), lambda d: _triplet_terms(d, label, margin)),
-                (lambda d: infonce_loss(d, label, 30.0), lambda d: _infonce_terms(d, label, 30.0)),
+                (lambda d: triplet_value(d, label, margin), lambda d: _triplet_terms(d, label, margin)),
+                (lambda d: infonce_value(d, label, 30.0), lambda d: _infonce_terms(d, label, 30.0)),
             ):
                 _, coeffs, _ = coeff_fn(dists)
                 for k in range(y):
@@ -107,15 +115,6 @@ class TestLossCoefficients:
 
 
 class TestLossTerms:
-    def test_values_equal_public_losses(self, rng):
-        for _ in range(50):
-            y = int(rng.integers(2, 6))
-            dists = rng.uniform(0, 50, size=y)
-            label = int(rng.integers(y))
-            margin = float(rng.uniform(0, 15))
-            assert _triplet_terms(dists, label, margin)[0] == triplet_loss(dists, label, margin)
-            assert _infonce_terms(dists, label, 30.0)[0] == infonce_loss(dists, label, 30.0)
-
     def test_entropy_finite_when_a_probability_underflows(self):
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             loss, coeffs, entropy = _infonce_terms(np.array([0.0, 1e6]), 0, 30.0)
@@ -183,13 +182,13 @@ def _reference_batch_gradients(model, batch, cfg):
         embedded, result = anchor_transport(model, [doc], cfg.sinkhorn)
         dists = result.reg_distance
         if cfg.loss_kind == "triplet":
-            loss += triplet_loss(dists, doc.label, cfg.margin) / len(batch)
+            loss += triplet_value(dists, doc.label, cfg.margin) / len(batch)
             active = dists[doc.label] - dists + cfg.margin > 0
             active[doc.label] = False
             coeffs = np.where(active, -1.0, 0.0)
             coeffs[doc.label] = active.sum()
         else:
-            loss += infonce_loss(dists, doc.label, cfg.temperature) / len(batch)
+            loss += infonce_value(dists, doc.label, cfg.temperature) / len(batch)
             probs = np.exp(-(dists - dists.min()) / cfg.temperature)
             probs /= probs.sum()
             coeffs = -probs / cfg.temperature
