@@ -126,7 +126,7 @@ def write_predictions(path: str, doc_ids, truths, predictions: list[Prediction])
     """Write one CSV row per document with the per-class anchor distances."""
     num_classes = predictions[0].anchor_distances.size if predictions else 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["doc_id", "true_label", "predicted_label"]
             + [f"dist_class_{k}" for k in range(num_classes)]

@@ -302,8 +302,8 @@ def cmd_interpret(opts: dict) -> int:
     _require(opts, "vectors", "corpus", "checkpoint", "out")
     fitted, corpus, words, vectors = _importance_inputs(opts)
     stems = _ranking_stems(fitted.class_names)
-    out = _prepare_out(opts, "interpret")
     table = interpret.compute_importance_table(fitted, words, vectors)
+    out = _prepare_out(opts, "interpret")
     table.write_tsv(os.path.join(out, "importance.tsv"))
 
     per_class = corpus.class_token_counts()
@@ -361,8 +361,8 @@ def cmd_baseline(opts: dict) -> int:
 def cmd_export_viz(opts: dict) -> int:
     _require(opts, "vectors", "corpus", "checkpoint", "out")
     fitted, _, words, vectors = _importance_inputs(opts)
-    out = _prepare_out(opts, "export-viz")
     table = interpret.compute_importance_table(fitted, words, vectors)
+    out = _prepare_out(opts, "export-viz")
     rows = interpret.export_projection(
         fitted, table, vectors, opts["top_k"], os.path.join(out, "projection.tsv")
     )

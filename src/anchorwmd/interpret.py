@@ -10,6 +10,7 @@ squared Euclidean metric as the transport ground cost is used throughout.
 
 from __future__ import annotations
 
+import json
 import logging
 import warnings
 from collections import Counter
@@ -32,6 +33,9 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# importance.tsv rows formatted per write: bounds the text held at once
+_TSV_CHUNK_ROWS = 1024
 
 
 def _anchor_scores(points: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -62,17 +66,25 @@ class ImportanceTable:
     importances: np.ndarray
 
     def write_tsv(self, path: str) -> None:
-        """One row per (word, class): word, class, importance, then the word's Y distances."""
-        names = self.class_names
-        importances = np.asarray(self.importances, dtype=float).tolist()
-        min_distances = np.asarray(self.min_distances, dtype=float).tolist()
+        """One row per word: the word, its importances ``I_k``, then its distances ``D_k``.
+
+        Column k is class k of ``class_names``; every value is written as
+        ``repr(float(x))``.
+        """
+        num_classes = len(self.class_names)
+        importances = np.asarray(self.importances, dtype=float)
+        min_distances = np.asarray(self.min_distances, dtype=float)
+        # the C JSON encoder writes each float as its repr; tab separators make a chunk's
+        # rows "[[row]\t[row]...]"
+        encode = json.JSONEncoder(separators=("\t", ":"), allow_nan=False).encode
         with open(path, "w", encoding="utf-8") as fh:
-            header = ["word", "class", "importance"] + [f"D_{k}" for k in range(len(names))]
+            header = ["word"] + [f"I_{k}" for k in range(num_classes)] + [f"D_{k}" for k in range(num_classes)]
             fh.write("\t".join(header) + "\n")
-            for word, scores, dists in zip(self.words, importances, min_distances):
-                # the D_k columns are the same on all Y rows of a word: format them once
-                tail = "\t".join(map(repr, dists)) + "\n"
-                fh.write("".join(f"{word}\t{name}\t{score!r}\t{tail}" for name, score in zip(names, scores)))
+            for start in range(0, len(self.words), _TSV_CHUNK_ROWS):
+                stop = start + _TSV_CHUNK_ROWS
+                values = np.concatenate((importances[start:stop], min_distances[start:stop]), axis=1)
+                rows = encode(values.tolist())[2:-2].split("]\t[")
+                fh.write("".join(f"{word}\t{row}\n" for word, row in zip(self.words[start:stop], rows)))
 
 
 def compute_importance_table(
@@ -87,7 +99,11 @@ def compute_importance_table(
     vectors = np.asarray(word_vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[0] != len(words):
         raise ValueError("word_vectors must be (len(words), d)")
-    min_dists, importances = _anchor_scores(model.transform @ vectors.T, model.anchors)
+    # an overflow is reported once, as the error below, not as a warning per operation
+    with np.errstate(over="ignore", invalid="ignore"):
+        min_dists, importances = _anchor_scores(model.transform @ vectors.T, model.anchors)
+    if not (np.isfinite(min_dists).all() and np.isfinite(importances).all()):
+        raise ValueError("word-to-anchor distances are not finite: the word vectors or the model are too large")
     return ImportanceTable(
         words=list(words),
         class_names=list(model.class_names),
@@ -165,13 +181,15 @@ def tfidf_rankings(corpus: Corpus, k: int, class_ids=None) -> list[list[tuple[st
 def pca_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Project rows onto their top two principal components.
 
-    Returns (projections (N, 2), components (2, d)). If the centered data
-    has rank below two the missing coordinate is zero-padded with a warning.
-    Component signs are fixed so the dominant loading is positive.
+    Returns (projections (N, 2), components (2, d)). Component signs are
+    fixed so the dominant loading is positive.
 
-    A tall input (more rows than columns) is reduced to the (d, d) R factor
-    of its QR decomposition first: R has the same singular values and right
-    singular vectors as the centered data (Chan 1982).
+    The components are the top two eigenvectors of the (d, d) scatter
+    matrix of the centered rows. An eigenvalue counts toward the rank when
+    it exceeds 1e-13 times the largest (a singular-value ratio of about
+    3e-7, the scatter's resolution); below rank two the missing coordinate
+    is zero-padded with a warning. A scatter that is not finite is a
+    ``ValueError``.
     """
     # a copy in one layout, so C and Fortran inputs give the same bits
     return _pca_2d_in_place(np.array(points, dtype=float, order="F"))
@@ -181,14 +199,17 @@ def _pca_2d_in_place(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`pca_2d` of a Fortran-order float array, which it centers in place."""
     if centered.ndim != 2:
         raise ValueError("points must be a 2-D array of row vectors")
-    centered -= centered.mean(axis=0, keepdims=True)
-    factor = np.linalg.qr(centered, mode="r") if centered.shape[0] > centered.shape[1] else centered
-    _, singular, vt = np.linalg.svd(factor, full_matrices=False)
-    cutoff = singular[0] * 1e-12 if singular.size else 0.0
-    rank = int(np.sum(singular > cutoff))
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered -= centered.mean(axis=0, keepdims=True)
+        scatter = centered.T @ centered
+    if not np.isfinite(scatter).all():
+        raise ValueError("the projection's scatter matrix is not finite: its input is not finite or too large")
+    eigenvalues, eigenvectors = np.linalg.eigh(scatter)
+    eigenvalues, eigenvectors = eigenvalues[::-1], eigenvectors[:, ::-1]
+    cutoff = eigenvalues[0] * 1e-13 if eigenvalues.size else 0.0
+    take = min(2, int(np.sum(eigenvalues > cutoff)))
     components = np.zeros((2, centered.shape[1]))
-    take = min(2, rank, vt.shape[0])
-    components[:take] = vt[:take]
+    components[:take] = eigenvectors[:, :take].T
     if take < 2:
         warnings.warn(
             f"projection input has rank {take}; padding with a zero coordinate",
@@ -221,7 +242,7 @@ def export_projection(
     # the PCA input built once, in pca_2d's layout: transformed words, then anchor columns
     num_words = vectors.shape[0]
     points = np.empty((num_words + columns.shape[1], columns.shape[0]), order="F")
-    points[:num_words] = (model.transform @ vectors.T).T
+    np.matmul(model.transform, vectors.T, out=points[:num_words].T)  # no (d, V) temporary
     points[num_words:] = columns.T
     projections, _ = _pca_2d_in_place(points)
     word_proj = projections[: len(table.words)]

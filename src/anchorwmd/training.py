@@ -348,7 +348,7 @@ def write_loss_history(history: list[EpochStats], path: str, loss_kind: str) -> 
     """
     stat_name = "hinge_active_fraction" if loss_kind == "triplet" else "softmax_entropy"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epoch", "mean_loss", stat_name, "sinkhorn_nonconverged_count"])
         for row in history:
             writer.writerow([row.epoch, repr(row.mean_loss), repr(row.stat), row.nonconverged])

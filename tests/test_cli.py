@@ -333,7 +333,9 @@ class TestInterpretCommand:
             ]
         )
         assert code == 0
-        assert (out / "importance.tsv").exists()
+        importance_lines = (out / "importance.tsv").read_text().splitlines()
+        assert importance_lines[0] == "word\tI_0\tI_1\tD_0\tD_1"
+        assert len(importance_lines) == 1 + len(fixture_paths["synth"].train.vocabulary())
         assert (out / "projection.tsv").exists()
         assert (out / "top_words_north.tsv").exists()
         assert (out / "top_words_south.tsv").exists()
@@ -605,6 +607,22 @@ def test_rejected_checkpoint_inputs_leave_no_output(fixture_paths, trained, tmp_
     out = tmp_path / "rejected"
     argv = [command] + [f"--{key}={value}" for key, value in paths.items()] + ["--out", str(out)]
     assert_rejected(main(argv), capsys, out, message)
+
+
+@pytest.mark.parametrize("command", ["interpret", "export-viz"])
+def test_overflowing_vectors_leave_no_output(fixture_paths, trained, tmp_path, capsys, command):
+    """A vector row too large to score (its squared distances overflow) is an error, not a table of nan."""
+    synth = fixture_paths["synth"]
+    vectors = {w: synth.vectors.vector(w) for w in synth.vectors.index}
+    word = synth.train.vocabulary()[0]
+    vectors[word] = np.full_like(vectors[word], 1e200)
+    save_word_vectors(vectors, str(tmp_path / "huge.txt"))
+    out = tmp_path / "rejected"
+    code = main(
+        [command, "--vectors", str(tmp_path / "huge.txt"), "--corpus", fixture_paths["train"], "--checkpoint", trained,
+         "--out", str(out)]
+    )
+    assert_rejected(code, capsys, out, "word-to-anchor distances are not finite")
 
 
 @pytest.mark.parametrize("command", ["train", "baseline"])

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,13 +37,12 @@ def reference_write_tsv(table, path):
     """Reference ``ImportanceTable.write_tsv``: every field formatted row by row."""
     num_classes = len(table.class_names)
     with open(path, "w", encoding="utf-8") as fh:
-        header = ["word", "class", "importance"] + [f"D_{k}" for k in range(num_classes)]
+        header = ["word"] + [f"I_{k}" for k in range(num_classes)] + [f"D_{k}" for k in range(num_classes)]
         fh.write("\t".join(header) + "\n")
         for i, word in enumerate(table.words):
-            for y in range(num_classes):
-                row = [word, table.class_names[y], repr(float(table.importances[i, y]))]
-                row += [repr(float(d)) for d in table.min_distances[i]]
-                fh.write("\t".join(row) + "\n")
+            row = [word] + [repr(float(x)) for x in table.importances[i]]
+            row += [repr(float(d)) for d in table.min_distances[i]]
+            fh.write("\t".join(row) + "\n")
 
 
 def reference_top_k_words(table, class_id, k):
@@ -200,8 +200,21 @@ class TestImportanceTable:
         path = tmp_path / "importance.tsv"
         table.write_tsv(str(path))
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "word\tclass\timportance\tD_0\tD_1\tD_2"
-        assert len(lines) == 1 + 2 * 3
+        assert lines[0] == "word\tI_0\tI_1\tI_2\tD_0\tD_1\tD_2"
+        assert len(lines) == 1 + 2
+        for i, line in enumerate(lines[1:]):
+            fields = line.split("\t")
+            assert fields[0] == table.words[i]
+            assert [float(x) for x in fields[1:4]] == table.importances[i].tolist()
+            assert [float(x) for x in fields[4:]] == table.min_distances[i].tolist()
+
+    @pytest.mark.parametrize("scale", [1e200, np.inf], ids=["overflow", "inf"])
+    def test_non_finite_distances_rejected(self, rng, scale):
+        model = self.make_model(rng)
+        vectors = rng.standard_normal((3, 2))
+        vectors[1] = scale
+        with pytest.raises(ValueError, match="finite"):
+            compute_importance_table(model, ["w0", "w1", "w2"], vectors)
 
 
 class TestWriteTsvOracle:
@@ -228,7 +241,26 @@ class TestWriteTsvOracle:
         reference_write_tsv(table, str(tmp_path / "ref.tsv"))
         written = (tmp_path / "new.tsv").read_bytes()
         assert written == (tmp_path / "ref.tsv").read_bytes()
-        assert all("." in field for field in written.decode().splitlines()[1].split("\t")[2:])
+        assert all("." in field for field in written.decode().splitlines()[1].split("\t")[1:])
+
+    def test_no_words_writes_the_header_alone(self, tmp_path):
+        table = ImportanceTable([], ["x"], np.zeros((0, 1)), np.zeros((0, 1)))
+        table.write_tsv(str(tmp_path / "new.tsv"))
+        assert (tmp_path / "new.tsv").read_text() == "word\tI_0\tD_0\n"
+
+    @pytest.mark.parametrize("num_words", [1, 6, 7, 8, 20])
+    def test_chunk_boundaries(self, tmp_path, rng, monkeypatch, num_words):
+        monkeypatch.setattr(interpret, "_TSV_CHUNK_ROWS", 7)
+        table = random_table(rng, num_words, 2)
+        table.write_tsv(str(tmp_path / "new.tsv"))
+        reference_write_tsv(table, str(tmp_path / "ref.tsv"))
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+
+    def test_non_finite_value_is_an_error(self, tmp_path, rng):
+        table = random_table(rng, 5, 2)
+        table.min_distances[3, 1] = np.nan
+        with pytest.raises(ValueError):
+            table.write_tsv(str(tmp_path / "new.tsv"))
 
 
 class TestTopKOracle:
@@ -402,6 +434,39 @@ class TestPca:
         centered = pts - pts.mean(axis=0)
         assert np.abs(np.abs(proj[:, 0]) - np.linalg.norm(centered, axis=1)).max() < 1e-9
 
+    @pytest.mark.parametrize("shape", [(2000, 50), (400, 120)], ids=["very_tall", "tall"])
+    def test_tall_spread_spectrum_matches_direct_svd(self, rng, shape):
+        pts = rng.standard_normal(shape) * np.geomspace(100.0, 0.01, shape[1]) + 3.0
+        proj, components = pca_2d(pts)
+        ref_proj, ref_components = direct_pca(pts)
+        assert np.abs(components - ref_components).max() < 1e-12
+        assert np.abs(proj - ref_proj).max() < 1e-12 * np.abs(ref_proj).max()
+
+    @pytest.mark.parametrize("ratio, rank", [(1e-9, 1), (1e-4, 2)])
+    def test_rank_cutoff(self, rng, ratio, rank):
+        """Centered data with singular values (1, ratio): rank 1 below the cutoff, rank 2 above it."""
+        left = rng.standard_normal((200, 2))
+        left, _ = np.linalg.qr(left - left.mean(axis=0))  # orthonormal, centered columns
+        right, _ = np.linalg.qr(rng.standard_normal((6, 2)))
+        pts = left @ np.diag([1.0, ratio]) @ right.T + 2.0
+        if rank == 1:
+            with pytest.warns(UserWarning, match="rank 1"):
+                _, components = pca_2d(pts)
+            assert np.all(components[1] == 0.0)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, components = pca_2d(pts)
+            assert abs(float(components[1] @ right[:, 1])) == pytest.approx(1.0, abs=1e-6)
+        assert abs(float(components[0] @ right[:, 0])) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("value", [1e200, 1e307, np.nan], ids=["scatter_overflow", "mean_overflow", "nan"])
+    def test_non_finite_scatter_rejected(self, rng, value):
+        pts = rng.standard_normal((2000, 3))
+        pts[::2, 0] = value
+        with pytest.raises(ValueError, match="scatter matrix is not finite"):
+            pca_2d(pts)
+
     @pytest.mark.parametrize("shape", [(500, 40), (40, 40), (12, 40)], ids=["tall", "square", "wide"])
     def test_memory_layout_does_not_change_bits(self, rng, shape):
         pts = rng.standard_normal(shape)
@@ -450,6 +515,23 @@ class TestExportProjection:
             else:
                 expected = proj[words.index(label)]
             assert [float(pc1), float(pc2)] == expected.tolist()
+
+    def test_peak_memory_is_one_pca_input(self, tmp_path, rng):
+        num_words, dim, num_classes, p = 3000, 100, 4, 8
+        model = AnchorModel(
+            rng.standard_normal((dim, dim)), rng.standard_normal((num_classes, dim, p)), ["a", "b", "c", "d"]
+        )
+        vectors = rng.standard_normal((num_words, dim))
+        table = compute_importance_table(model, [f"w{i}" for i in range(num_words)], vectors)
+        tracemalloc.start()
+        try:
+            export_projection(model, table, vectors, top_words_per_class=5, path=str(tmp_path / "projection.tsv"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the (V + Y p, d) PCA input is built once; a second copy of it (a transformed-words
+        # temporary, a factorisation's copy) would double the peak
+        assert peak < 1.5 * (num_words + num_classes * p) * dim * 8
 
     def test_anchor_rows_score_each_column_for_its_class(self, tmp_path, rng):
         model = AnchorModel(np.eye(3), rng.standard_normal((3, 3, 2)), ["a", "b", "c"])
