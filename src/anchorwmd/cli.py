@@ -1,11 +1,13 @@
-"""Command-line pipeline: train, eval, interpret, baseline, export-viz.
+"""Command-line pipeline: train, eval, interpret, baseline.
 
 Option precedence is CLI flag over config-file value over built-in default;
 the merged configuration is echoed to the output directory as JSON so every
 run is reproducible from its artifacts. Defaults come from ``TrainConfig`` and
-``SinkhornConfig``; each command builds the configs it reads and loads and
-checks its inputs (checkpoint, word vectors, corpora) before it creates the
-output directory, so a rejected input leaves nothing behind.
+``SinkhornConfig``. Every command runs in one order: load and check its
+inputs, compute its results, then create the output directory and write, so
+a run that fails leaves nothing behind. The one computation left for the
+write step is ``interpret``'s projection, which ``export_projection`` computes
+and writes in one call.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ def _config_from(opts: dict, cls, keys: dict, **fields):
 
 
 DEFAULTS = {
-    "format": "auto",
     **{key: _convert(key, getattr(config, field))
        for config, keys in ((training.TrainConfig(), TRAIN_KEYS), (SinkhornConfig(), SINKHORN_KEYS))
        for key, field in keys.items()},
@@ -71,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_io(p, checkpoint=False, test_corpus=False):
         option(p, "vectors", "word-vector text file")
-        option(p, "corpus", "corpus path (lines file or class directory)")
-        option(p, "format", "corpus format", choices=["auto", "lines", "dirs"])
+        option(p, "corpus", "corpus path (a class directory, else a lines file)")
         if test_corpus:
             option(p, "test_corpus", "held-out corpus path")
             option(p, "train_fraction", "stratified split fraction when no test corpus is given")
@@ -116,10 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     option(p_base, "k_sweep", "comma-separated k values to sweep")
     option(p_base, "top_k", "TF-IDF words per class")
     option(p_base, "seed")
-
-    p_viz = sub.add_parser("export-viz", help="2-D projection of anchors and top words")
-    add_io(p_viz, checkpoint=True)
-    option(p_viz, "top_k", "words per class to project")
 
     return parser
 
@@ -171,8 +167,6 @@ def _require(opts: dict, *keys: str) -> None:
     for key in keys:
         if not opts.get(key):
             raise ValueError(f"--{key.replace('_', '-')} is required")
-        if key in ("vectors", "corpus", "test_corpus", "checkpoint") and not os.path.exists(opts[key]):
-            raise ValueError(f"path does not exist: {opts[key]}")
 
 
 def _sinkhorn_config(opts: dict) -> SinkhornConfig:
@@ -227,9 +221,9 @@ def _write_ranking(path: str, ranked: list[tuple[str, float]], score_name: str) 
 
 
 def _load_train_test(opts: dict, spec: data.SplitSpec | None) -> tuple[data.Corpus, data.Corpus | None]:
-    corpus = data.load_corpus(opts["corpus"], opts["format"])
+    corpus = data.load_corpus(opts["corpus"])
     if opts["test_corpus"]:
-        test = data.load_corpus(opts["test_corpus"], opts["format"])
+        test = data.load_corpus(opts["test_corpus"])
         return corpus, data.remap_labels(test, corpus.class_names)
     if spec is not None:
         return data.split(corpus, spec)
@@ -244,7 +238,7 @@ def _load_for_checkpoint(opts: dict):
         raise ValueError(
             "word-vector file does not match the checkpoint (vocabulary hash mismatch)"
         )
-    corpus = data.remap_labels(data.load_corpus(opts["corpus"], opts["format"]), fitted.class_names)
+    corpus = data.remap_labels(data.load_corpus(opts["corpus"]), fitted.class_names)
     return fitted, table, corpus
 
 
@@ -255,20 +249,19 @@ def cmd_train(opts: dict) -> int:
     table = data.load_word_vectors(opts["vectors"])
     train_corpus, held_out = _load_train_test(opts, spec)
     measures, _ = data.corpus_to_measures(train_corpus, table)
-    out = _prepare_out(opts, "train")
-
     fitted, history = training.train(
         measures, cfg, class_names=train_corpus.class_names, vocab_hash=table.vocab_hash
     )
-    model_mod.save_checkpoint(fitted, os.path.join(out, "checkpoint.json"))
-    training.write_loss_history(history, os.path.join(out, "loss_history.csv"), cfg.loss_kind)
-    if held_out is not None:
-        data.save_corpus_lines(held_out, os.path.join(out, "test_split.tsv"))
-
     predictions = classify.classify_corpus(measures, fitted, cfg.sinkhorn, threads=cfg.threads)
     train_error = classify.error_rate(
         [p.predicted_class for p in predictions], [m.label for m in measures]
     )
+
+    out = _prepare_out(opts, "train")
+    model_mod.save_checkpoint(fitted, os.path.join(out, "checkpoint.json"))
+    training.write_loss_history(history, os.path.join(out, "loss_history.csv"), cfg.loss_kind)
+    if held_out is not None:
+        data.save_corpus_lines(held_out, os.path.join(out, "test_split.tsv"))
     print(f"final train loss: {history[-1].mean_loss:.6g}")
     print(f"train error rate: {100.0 * train_error:.1f}")
     return 0
@@ -279,9 +272,10 @@ def cmd_eval(opts: dict) -> int:
     cfg = _sinkhorn_config(opts)
     fitted, table, corpus = _load_for_checkpoint(opts)
     measures, doc_ids = data.corpus_to_measures(corpus, table)
-    out = _prepare_out(opts, "eval")
     predictions = classify.classify_corpus(measures, fitted, cfg, threads=opts["threads"])
     err = classify.error_rate([p.predicted_class for p in predictions], [m.label for m in measures])
+
+    out = _prepare_out(opts, "eval")
     classify.write_predictions(
         os.path.join(out, "predictions.csv"), doc_ids, [m.label for m in measures], predictions
     )
@@ -289,26 +283,21 @@ def cmd_eval(opts: dict) -> int:
     return 0
 
 
-def _importance_inputs(opts: dict):
-    fitted, table, corpus = _load_for_checkpoint(opts)
-    words = [w for w in corpus.vocabulary() if w in table]
-    if not words:
-        raise ValueError("no corpus token has a word vector")
-    vectors = table.matrix[[table.index[w] for w in words]]
-    return fitted, corpus, words, vectors
-
-
 def cmd_interpret(opts: dict) -> int:
     _require(opts, "vectors", "corpus", "checkpoint", "out")
-    fitted, corpus, words, vectors = _importance_inputs(opts)
+    fitted, word_vectors, corpus = _load_for_checkpoint(opts)
+    words = [w for w in corpus.vocabulary() if w in word_vectors]
+    if not words:
+        raise ValueError("no corpus token has a word vector")
+    vectors = word_vectors.matrix[[word_vectors.index[w] for w in words]]
     stems = _ranking_stems(fitted.class_names)
     table = interpret.compute_importance_table(fitted, words, vectors)
+    rankings = [interpret.top_k_words(table, class_id, opts["top_k"]) for class_id in range(fitted.num_classes)]
+
     out = _prepare_out(opts, "interpret")
     table.write_tsv(os.path.join(out, "importance.tsv"))
-
     per_class = corpus.class_token_counts()
-    for class_id, (class_name, stem) in enumerate(zip(fitted.class_names, stems)):
-        ranked = interpret.top_k_words(table, class_id, opts["top_k"])
+    for class_id, (class_name, stem, ranked) in enumerate(zip(fitted.class_names, stems, rankings)):
         _write_ranking(os.path.join(out, f"top_words_{stem}.tsv"), ranked, "importance")
         shown = sum(counts[word] for counts in per_class for word, _ in ranked)
         in_class = sum(per_class[class_id][word] for word, _ in ranked)
@@ -337,11 +326,12 @@ def cmd_baseline(opts: dict) -> int:
     train_measures, _ = data.corpus_to_measures(train_corpus, table)
     test_measures, test_ids = data.corpus_to_measures(test_corpus, table)
     stems = _ranking_stems(train_corpus.class_names)
-    out = _prepare_out(opts, "baseline")
-
     k_main = opts["k"]
     sweep = classify.knn_predict_corpus(test_measures, train_measures, ks, cfg, threads=opts["threads"])
     truths = [m.label for m in test_measures]
+    rankings = interpret.tfidf_rankings(train_corpus, opts["top_k"])
+
+    out = _prepare_out(opts, "baseline")
     with open(os.path.join(out, "knn_predictions.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["doc_id", "true_label", "predicted_label"])
@@ -351,22 +341,8 @@ def cmd_baseline(opts: dict) -> int:
         for k in ks:
             fh.write(f"{k},{classify.error_rate(sweep[k], truths)!r}\n")
     print(f"wmd-knn (k={k_main}) error rate: {100.0 * classify.error_rate(sweep[k_main], truths):.1f}")
-
-    rankings = interpret.tfidf_rankings(train_corpus, opts["top_k"])
     for stem, ranked in zip(stems, rankings):
         _write_ranking(os.path.join(out, f"tfidf_top_words_{stem}.tsv"), ranked, "score")
-    return 0
-
-
-def cmd_export_viz(opts: dict) -> int:
-    _require(opts, "vectors", "corpus", "checkpoint", "out")
-    fitted, _, words, vectors = _importance_inputs(opts)
-    table = interpret.compute_importance_table(fitted, words, vectors)
-    out = _prepare_out(opts, "export-viz")
-    rows = interpret.export_projection(
-        fitted, table, vectors, opts["top_k"], os.path.join(out, "projection.tsv")
-    )
-    print(f"wrote {rows} projection rows")
     return 0
 
 
@@ -375,7 +351,6 @@ COMMANDS = {
     "eval": cmd_eval,
     "interpret": cmd_interpret,
     "baseline": cmd_baseline,
-    "export-viz": cmd_export_viz,
 }
 
 

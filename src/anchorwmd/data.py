@@ -102,12 +102,6 @@ class Corpus:
             seen.update(doc.counts)
         return sorted(seen)
 
-    def class_sizes(self) -> list[int]:
-        sizes = [0] * self.num_classes
-        for doc in self.documents:
-            sizes[doc.label] += 1
-        return sizes
-
     def class_token_counts(self) -> list[Counter]:
         """Per class, every token's count summed over the class's documents."""
         counts = [Counter() for _ in range(self.num_classes)]

@@ -236,11 +236,14 @@ def _kmeans_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> n
 
     start = rng.choice(num_distinct, size=k, replace=False)
     centroids = distinct[start].copy()
-    sq_pts = np.einsum("nd,nd->n", distinct, distinct)
+    # an overflow leaves NaN distances; the anchors' first solve reports it once
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_pts = np.einsum("nd,nd->n", distinct, distinct)
     rows = np.arange(num_distinct)
     for _ in range(_KMEANS_MAX_ITERS):
-        sq_cent = np.einsum("kd,kd->k", centroids, centroids)
-        dist2 = sq_pts[:, None] + sq_cent[None, :] - 2.0 * (distinct @ centroids.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq_cent = np.einsum("kd,kd->k", centroids, centroids)
+            dist2 = sq_pts[:, None] + sq_cent[None, :] - 2.0 * (distinct @ centroids.T)
         assign = dist2.argmin(axis=1)
         sizes = np.bincount(assign, weights=counts, minlength=k)
         weights = np.zeros((k, num_distinct))

@@ -100,9 +100,11 @@ def ground_cost_matrix(source_points, target_points) -> np.ndarray:
         raise ValueError(f"point dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("point coordinates must be finite")
-    sq_x = np.einsum("di,di->i", x, x)
-    sq_y = np.einsum("dj,dj->j", y, y)
-    cost = sq_x[:, None] + sq_y[None, :] - 2.0 * (x.T @ y)
+    # an overflow leaves inf or NaN entries for the solver's cost check to report once
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_x = np.einsum("di,di->i", x, x)
+        sq_y = np.einsum("dj,dj->j", y, y)
+        cost = sq_x[:, None] + sq_y[None, :] - 2.0 * (x.T @ y)
     # clip tiny negatives produced by cancellation between the three terms
     np.maximum(cost, 0.0, out=cost)
     return cost

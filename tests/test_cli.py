@@ -84,8 +84,7 @@ class TestTrainCommand:
                 "--out", str(tmp_path / "x"),
             ]
         )
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert_rejected(code, capsys, tmp_path / "x", "/nonexistent/vectors.txt")
 
     def test_config_file_and_flag_precedence(self, fixture_paths, tmp_path):
         config = tmp_path / "config.json"
@@ -336,7 +335,10 @@ class TestInterpretCommand:
         importance_lines = (out / "importance.tsv").read_text().splitlines()
         assert importance_lines[0] == "word\tI_0\tI_1\tD_0\tD_1"
         assert len(importance_lines) == 1 + len(fixture_paths["synth"].train.vocabulary())
-        assert (out / "projection.tsv").exists()
+        projection_lines = (out / "projection.tsv").read_text().strip().splitlines()
+        assert projection_lines[0] == "kind\tclass\tlabel\tpc1\tpc2\timportance"
+        # 2 classes x (p=4 anchors + 10 words)
+        assert len(projection_lines) == 1 + 2 * (4 + 10)
         assert (out / "top_words_north.tsv").exists()
         assert (out / "top_words_south.tsv").exists()
         stdout = capsys.readouterr().out
@@ -473,46 +475,6 @@ class TestBaselineCommand:
         assert_rejected(code, capsys, out, "top_k must be at least 1")
 
 
-class TestExportVizCommand:
-    def test_projection_written(self, fixture_paths, trained, tmp_path, capsys):
-        out = tmp_path / "viz"
-        code = main(
-            [
-                "export-viz",
-                "--vectors", fixture_paths["vectors"],
-                "--corpus", fixture_paths["train"],
-                "--checkpoint", trained,
-                "--out", str(out),
-                "--top-k", "5",
-            ]
-        )
-        assert code == 0
-        lines = (out / "projection.tsv").read_text().strip().splitlines()
-        assert lines[0] == "kind\tclass\tlabel\tpc1\tpc2\timportance"
-        # 2 classes x (p=4 anchors + 5 words)
-        assert len(lines) == 1 + 2 * (4 + 5)
-        assert "wrote" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("top_k", ["0", "-3"])
-    def test_top_k_below_one_rejected(self, fixture_paths, trained, tmp_path, capsys, top_k):
-        out = tmp_path / "no_top_k"
-        code = main(
-            [
-                "export-viz",
-                "--vectors", fixture_paths["vectors"],
-                "--corpus", fixture_paths["train"],
-                "--checkpoint", trained,
-                "--out", str(out),
-                "--top-k", top_k,
-            ]
-        )
-        assert_rejected(code, capsys, out, "top_k must be at least 1")
-
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one_rejected(self, fixture_paths, trained, tmp_path, capsys, threads):
-        assert_flag_not_taken(fixture_paths, trained, tmp_path, capsys, "export-viz", "--threads", threads)
-
-
 @pytest.mark.parametrize(
     "command, flags, message",
     [
@@ -565,7 +527,7 @@ def test_invalid_value_rejected_before_writing(fixture_paths, trained, tmp_path,
     assert_rejected(main(argv + flags), capsys, out, message)
 
 
-@pytest.mark.parametrize("command", ["eval", "interpret", "export-viz"])
+@pytest.mark.parametrize("command", ["eval", "interpret"])
 @pytest.mark.parametrize(
     "case, message",
     [
@@ -609,20 +571,52 @@ def test_rejected_checkpoint_inputs_leave_no_output(fixture_paths, trained, tmp_
     assert_rejected(main(argv), capsys, out, message)
 
 
-@pytest.mark.parametrize("command", ["interpret", "export-viz"])
-def test_overflowing_vectors_leave_no_output(fixture_paths, trained, tmp_path, capsys, command):
-    """A vector row too large to score (its squared distances overflow) is an error, not a table of nan."""
-    synth = fixture_paths["synth"]
+def write_overflowing_vectors(synth, path):
+    """The fixture's word vectors with one corpus word's row at 1e200, whose squared distances overflow."""
     vectors = {w: synth.vectors.vector(w) for w in synth.vectors.index}
     word = synth.train.vocabulary()[0]
     vectors[word] = np.full_like(vectors[word], 1e200)
-    save_word_vectors(vectors, str(tmp_path / "huge.txt"))
+    save_word_vectors(vectors, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["interpret"])
+def test_overflowing_vectors_leave_no_output(fixture_paths, trained, tmp_path, capsys, command):
+    """A vector row too large to score (its squared distances overflow) is an error, not a table of nan."""
+    vectors = write_overflowing_vectors(fixture_paths["synth"], tmp_path / "huge.txt")
     out = tmp_path / "rejected"
     code = main(
-        [command, "--vectors", str(tmp_path / "huge.txt"), "--corpus", fixture_paths["train"], "--checkpoint", trained,
-         "--out", str(out)]
+        [command, "--vectors", vectors, "--corpus", fixture_paths["train"], "--checkpoint", trained, "--out", str(out)]
     )
     assert_rejected(code, capsys, out, "word-to-anchor distances are not finite")
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        pytest.param("train", "cost contains NaN", id="train"),
+        pytest.param("eval", "cost entries must be finite", id="eval"),
+        pytest.param("baseline", "cost entries must be finite", id="baseline"),
+    ],
+)
+def test_overflowing_vectors_in_solves_leave_no_output(fixture_paths, trained, tmp_path, capsys, command, message):
+    """An overflowing ground cost is one error line from the solver, without warnings, and ``--out`` is not made."""
+    vectors = write_overflowing_vectors(fixture_paths["synth"], tmp_path / "huge.txt")
+    out = tmp_path / "rejected"
+    argv = [command, "--vectors", vectors, "--corpus", fixture_paths["train"], "--out", str(out)]
+    if command == "eval":
+        argv += ["--checkpoint", trained]
+    assert_rejected(main(argv), capsys, out, message)
+
+
+def test_failed_training_leaves_no_output(fixture_paths, tmp_path, capsys):
+    """Training rejects a one-class corpus after loading it, and the run still writes nothing."""
+    lines = Path(fixture_paths["train"]).read_text(encoding="utf-8").splitlines(keepends=True)
+    corpus = tmp_path / "north.tsv"
+    corpus.write_text("".join(line for line in lines if line.startswith("north\t")), encoding="utf-8")
+    out = tmp_path / "rejected"
+    code = main(["train", "--vectors", fixture_paths["vectors"], "--corpus", str(corpus), "--out", str(out)])
+    assert_rejected(code, capsys, out, "at least 2 classes")
 
 
 @pytest.mark.parametrize("command", ["train", "baseline"])
@@ -751,7 +745,7 @@ def assert_flag_not_taken(fixture_paths, trained, tmp_path, capsys, command, fla
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["interpret", "export-viz"])
+@pytest.mark.parametrize("command", ["interpret"])
 @pytest.mark.parametrize("flag", ["--epsilon", "--sinkhorn-iters", "--sinkhorn-tol"])
 def test_solver_flags_not_taken_without_solves(fixture_paths, trained, tmp_path, capsys, command, flag):
     assert_flag_not_taken(fixture_paths, trained, tmp_path, capsys, command, flag, "1")

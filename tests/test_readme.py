@@ -36,9 +36,9 @@ def quick_start(tmp_path_factory):
 
 def test_quick_start_runs(quick_start):
     root, lines, codes, err = quick_start
-    assert len(lines) == 5 and all(line.startswith("anchorwmd ") for line in lines)
+    assert len(lines) == 4 and all(line.startswith("anchorwmd ") for line in lines)
     assert codes == [0] * len(lines), lines
-    assert (root / "run" / "viz" / "projection.tsv").exists()
+    assert (root / "run" / "interpret" / "projection.tsv").exists()
     assert "error:" not in err
 
 

@@ -1,11 +1,14 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from anchorwmd import training as training_module
-from anchorwmd.model import AnchorModel, DocumentMeasure, anchor_transport
+from anchorwmd.classify import classify_corpus, error_rate
+from anchorwmd.data import Corpus, Document, WordVectorTable, corpus_to_measures
+from anchorwmd.model import AnchorModel, DocumentMeasure, anchor_transport, init_anchors
 from anchorwmd.ot import SinkhornConfig
 from anchorwmd.training import (
     AdamState,
@@ -431,6 +434,66 @@ class TestTrain:
         docs = [make_doc(rng.standard_normal((2, 2)), [0.5, 0.5], label=0)]
         with pytest.raises(ValueError):
             train(docs, TrainConfig(epochs=1))
+
+
+def planted_nuisance_measures(seed, dim=20, pool=20, tokens=12, docs_per_class=40, noise=2.0):
+    """Train and test measures of two classes that differ only along axis 0.
+
+    Each class owns ``pool`` words at -1 or +1 on axis 0, and ``pool`` common
+    words sit at 0; every word gets N(0, noise^2) on the other axes, so raw
+    distances are dominated by nuisance directions. Each of a document's
+    ``tokens`` tokens is a fair coin between its class's words and the common words.
+    """
+    rng = np.random.default_rng(seed)
+    pools = {name: [f"{name}{i:02d}" for i in range(pool)] for name in ("minus", "plus", "common")}
+    vectors = {}
+    for name, axis0 in (("minus", -1.0), ("plus", 1.0), ("common", 0.0)):
+        for word in pools[name]:
+            vectors[word] = np.concatenate([[axis0], noise * rng.standard_normal(dim - 1)])
+    table = WordVectorTable.from_dict(vectors)
+
+    def measures(tag):
+        docs = []
+        for label, name in enumerate(("minus", "plus")):
+            for i in range(docs_per_class):
+                counts = Counter()
+                for _ in range(tokens):
+                    words = pools[name] if rng.random() < 0.5 else pools["common"]
+                    counts[words[rng.integers(pool)]] += 1
+                docs.append(Document(f"{name}-{tag}-{i}", label, dict(counts)))
+        return corpus_to_measures(Corpus(docs, ["minus", "plus"]), table)[0]
+
+    return measures("train"), measures("test")
+
+
+def _accuracy(model, docs):
+    predicted = [p.predicted_class for p in classify_corpus(docs, model)]
+    return 1.0 - error_rate(predicted, [doc.label for doc in docs])
+
+
+class TestTrainingLearns:
+    """Training beats the untrained model (identity transform, k-means anchors) on a corpus whose raw geometry misleads.
+
+    Thresholds leave a margin below a sweep of generator seeds 0-11 at the
+    defaults: the last epoch's loss was at most 0.11x the first (triplet)
+    and 0.15x (InfoNCE); the axis-0 column ratio was 1.70-2.03 (triplet) and
+    3.43-4.56 (InfoNCE); trained accuracy was never below untrained.
+    """
+
+    @pytest.mark.parametrize(
+        "loss_kind, min_column_ratio",
+        [pytest.param("triplet", 1.3, id="triplet"), pytest.param("infonce", 2.5, id="infonce")],
+    )
+    def test_loss_falls_and_class_axis_grows(self, loss_kind, min_column_ratio):
+        train_docs, test_docs = planted_nuisance_measures(seed=0)
+        cfg = TrainConfig(loss_kind=loss_kind, epochs=30)
+        model, history = train(train_docs, cfg, class_names=["minus", "plus"])
+        assert history[-1].mean_loss < 0.3 * history[0].mean_loss
+        # the untrained identity gives every column norm 1
+        norms = np.linalg.norm(model.transform, axis=0)
+        assert norms[0] / norms[1:].mean() > min_column_ratio
+        untrained = AnchorModel(np.eye(20), init_anchors(train_docs, 2, cfg.anchor_points, cfg.seed), ["minus", "plus"])
+        assert _accuracy(model, test_docs) >= _accuracy(untrained, test_docs)
 
 
 class TestLossHistoryFile:
