@@ -5,9 +5,7 @@ the merged configuration is echoed to the output directory as JSON so every
 run is reproducible from its artifacts. Defaults come from ``TrainConfig`` and
 ``SinkhornConfig``. Every command runs in one order: load and check its
 inputs, compute its results, then create the output directory and write, so
-a run that fails leaves nothing behind. The one computation left for the
-write step is ``interpret``'s projection, which ``export_projection`` computes
-and writes in one call.
+a run that fails leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -292,7 +290,8 @@ def cmd_interpret(opts: dict) -> int:
     vectors = word_vectors.matrix[[word_vectors.index[w] for w in words]]
     stems = _ranking_stems(fitted.class_names)
     table = interpret.compute_importance_table(fitted, words, vectors)
-    rankings = [interpret.top_k_words(table, class_id, opts["top_k"]) for class_id in range(fitted.num_classes)]
+    rankings = interpret.importance_rankings(table, opts["top_k"])
+    projection = interpret.projection_rows(fitted, table, vectors, rankings)
 
     out = _prepare_out(opts, "interpret")
     table.write_tsv(os.path.join(out, "importance.tsv"))
@@ -307,9 +306,7 @@ def cmd_interpret(opts: dict) -> int:
             f"{in_class} of them in this class (share {share:.2f})"
         )
 
-    interpret.export_projection(
-        fitted, table, vectors, opts["top_k"], os.path.join(out, "projection.tsv")
-    )
+    interpret.write_projection(projection, os.path.join(out, "projection.tsv"))
     return 0
 
 

@@ -26,9 +26,12 @@ __all__ = [
     "ImportanceTable",
     "compute_importance_table",
     "top_k_words",
+    "importance_rankings",
     "tfidf_top_words",
     "tfidf_rankings",
     "pca_2d",
+    "projection_rows",
+    "write_projection",
     "export_projection",
 ]
 
@@ -112,6 +115,22 @@ def compute_importance_table(
     )
 
 
+def _capped_k(k: int, num_words: int) -> int:
+    """``k`` capped at the vocabulary size, with a warning, for the caller's caller, when above it."""
+    if k > num_words:
+        warnings.warn(f"requested top-{k} but the vocabulary has {num_words} words; returning all", stacklevel=3)
+        return num_words
+    return k
+
+
+def importance_rankings(table: ImportanceTable, k: int) -> list[list[tuple[str, float]]]:
+    """:func:`top_k_words` of every class; a ``k`` above the vocabulary size warns once, not per class."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    k = _capped_k(k, len(table.words))
+    return [top_k_words(table, class_id, k) for class_id in range(len(table.class_names))]
+
+
 def top_k_words(table: ImportanceTable, class_id: int, k: int) -> list[tuple[str, float]]:
     """The k most important words for a class, ties broken alphabetically.
 
@@ -123,12 +142,7 @@ def top_k_words(table: ImportanceTable, class_id: int, k: int) -> list[tuple[str
     if not (0 <= class_id < len(table.class_names)):
         raise ValueError(f"class id {class_id} out of range")
     num_words = len(table.words)
-    if k > num_words:
-        warnings.warn(
-            f"requested top-{k} but the vocabulary has {num_words} words; returning all",
-            stacklevel=2,
-        )
-        k = num_words
+    k = _capped_k(k, num_words)
     column = np.asarray(table.importances)[:, class_id]
     candidates = np.arange(num_words)
     if k < num_words:
@@ -188,8 +202,8 @@ def pca_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix of the centered rows. An eigenvalue counts toward the rank when
     it exceeds 1e-13 times the largest (a singular-value ratio of about
     3e-7, the scatter's resolution); below rank two the missing coordinate
-    is zero-padded with a warning. A scatter that is not finite is a
-    ``ValueError``.
+    is zero-padded with a warning. A scatter that is not finite, or one
+    with an eigenvalue that is not, is a ``ValueError``.
     """
     # a copy in one layout, so C and Fortran inputs give the same bits
     return _pca_2d_in_place(np.array(points, dtype=float, order="F"))
@@ -205,6 +219,9 @@ def _pca_2d_in_place(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(scatter).all():
         raise ValueError("the projection's scatter matrix is not finite: its input is not finite or too large")
     eigenvalues, eigenvectors = np.linalg.eigh(scatter)
+    if not np.isfinite(eigenvalues).all():
+        # a finite scatter near the overflow threshold can still have an infinite eigenvalue
+        raise ValueError("the projection's scatter matrix has an eigenvalue that is not finite: its input is too large")
     eigenvalues, eigenvectors = eigenvalues[::-1], eigenvectors[:, ::-1]
     cutoff = eigenvalues[0] * 1e-13 if eigenvalues.size else 0.0
     take = min(2, int(np.sum(eigenvalues > cutoff)))
@@ -222,19 +239,20 @@ def _pca_2d_in_place(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centered @ components.T, components
 
 
-def export_projection(
+def projection_rows(
     model: AnchorModel,
     table: ImportanceTable,
     word_vectors: np.ndarray,
-    top_words_per_class: int,
-    path: str,
-) -> int:
-    """Write a 2-D map of anchors and each class's top words as TSV.
+    rankings: list[list[tuple[str, float]]],
+) -> list[tuple[str, str, str, float, float, float]]:
+    """The rows of a 2-D map of anchors and ranked words: kind, class, label, pc1, pc2, importance.
 
     The principal components are fitted on the union of all transformed
-    vocabulary vectors and all anchor columns; rows are written for every
-    anchor column and for the ``top_words_per_class`` highest-importance
-    words of each class. Returns the number of rows written.
+    vocabulary vectors (``word_vectors``, aligned with ``table.words``) and
+    all anchor columns. Per class, in the model's class order, come a row for
+    each anchor column and then one for each word of ``rankings[class]``, a
+    :func:`top_k_words` list. A projection that overflows is a
+    ``ValueError``, as in :func:`pca_2d`.
     """
     vectors = np.asarray(word_vectors, dtype=float)
     columns = anchor_columns(model.anchors)  # (d, Y p)
@@ -250,20 +268,39 @@ def export_projection(
 
     word_row = {word: i for i, word in enumerate(table.words)}
     p = model.num_support_points
-    rows = 0
+    rows = []
+    for k, class_name in enumerate(model.class_names):
+        for j in range(p):
+            x, y = anchor_proj[k * p + j].tolist()
+            rows.append(("anchor", class_name, f"anchor{j:02d}", x, y, float(anchor_importances[k * p + j, k])))
+        for word, score in rankings[k]:
+            x, y = word_proj[word_row[word]].tolist()
+            rows.append(("word", class_name, word, x, y, score))
+    return rows
+
+
+def write_projection(rows: list[tuple[str, str, str, float, float, float]], path: str) -> int:
+    """Write :func:`projection_rows` as TSV with a header; returns the number of rows written."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("kind\tclass\tlabel\tpc1\tpc2\timportance\n")
-        for k, class_name in enumerate(model.class_names):
-            for j in range(p):
-                x, y = anchor_proj[k * p + j]
-                fh.write(
-                    f"anchor\t{class_name}\tanchor{j:02d}\t{float(x)!r}\t{float(y)!r}\t"
-                    f"{float(anchor_importances[k * p + j, k])!r}\n"
-                )
-                rows += 1
-            for word, score in top_k_words(table, k, top_words_per_class):
-                x, y = word_proj[word_row[word]]
-                fh.write(f"word\t{class_name}\t{word}\t{float(x)!r}\t{float(y)!r}\t{score!r}\n")
-                rows += 1
-    logger.info("wrote %d projection rows to %s", rows, path)
-    return rows
+        for kind, class_name, label, x, y, importance in rows:
+            fh.write(f"{kind}\t{class_name}\t{label}\t{x!r}\t{y!r}\t{importance!r}\n")
+    logger.info("wrote %d projection rows to %s", len(rows), path)
+    return len(rows)
+
+
+def export_projection(
+    model: AnchorModel,
+    table: ImportanceTable,
+    word_vectors: np.ndarray,
+    top_words_per_class: int,
+    path: str,
+) -> int:
+    """Write the 2-D map of anchors and each class's ``top_words_per_class`` words as TSV.
+
+    Ranks every class with :func:`importance_rankings`, then writes
+    :func:`projection_rows` with :func:`write_projection`. Returns the number
+    of rows written.
+    """
+    rankings = importance_rankings(table, top_words_per_class)
+    return write_projection(projection_rows(model, table, word_vectors, rankings), path)

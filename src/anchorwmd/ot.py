@@ -41,9 +41,17 @@ row that underflows entirely) has its half-step done in the log domain
 instead, over real rows only. Either way the iterates are, in exact
 arithmetic, those of log-domain Sinkhorn, so iteration counts and results
 match it up to floating-point rounding. Iterations stop once both L1
-marginal gaps are within the tolerance. The column gap is evaluated lazily:
-right after the column half-step it is at rounding level, so it is read only
-for problems whose row gap already meets the tolerance.
+marginal gaps are within the tolerance.
+
+The range check and the stopping rule are read a block of iterations at a
+time. A block's iterations run with no check between them; then one pass
+over the block finds, per problem, the first iteration that meets the rule
+and the first scaling out of range. A problem that meets the rule first
+takes the iterate of that iteration. Otherwise the problems still working go
+back to the start of the first iteration with a scaling out of range and run
+it half-step by half-step under the rule above. So the plans, iteration
+counts and convergence flags are, to the bit, those of checking every
+half-step.
 """
 
 from __future__ import annotations
@@ -236,6 +244,54 @@ def _log_domain_potential(
     return potential
 
 
+def _absorb(
+    side: int,
+    scalings: list,
+    product: np.ndarray,
+    potentials: list,
+    kernel: np.ndarray,
+    log_kernel: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+) -> None:
+    """Repair, in place, each problem whose new half-step scaling ``scalings[side]`` is out of range.
+
+    Both of its scalings are absorbed into the potentials and restart at 1,
+    and its kernel is rebuilt and its ``product`` (``kernel @ v`` on side 0,
+    ``kernel.T @ u`` on side 1) recomputed; a scaling with no finite log is
+    redone as a log-domain half-step instead.
+    """
+    scaling, other = scalings[side], 1 - side
+    # NaN-safe: a NaN entry fails both comparisons
+    if scaling.min() >= _SCALING_LOW and scaling.max() <= _SCALING_HIGH:
+        return
+    hit = ~((scaling.min(axis=1) >= _SCALING_LOW) & (scaling.max(axis=1) <= _SCALING_HIGH))
+    potentials[other][hit] += np.log(scalings[other][hit])
+    out = scaling[hit]
+    finite = np.all(np.isfinite(out), axis=1) & (out.min(axis=1) > 0)
+    absorbed = potentials[side][hit]
+    absorbed[finite] += np.log(out[finite])
+    if not finite.all():
+        lost = np.flatnonzero(hit)[~finite]
+        marginal = a[lost] if side == 0 else b
+        absorbed[~finite] = _log_domain_potential(log_kernel[lost], potentials[other][lost], marginal, side)
+    potentials[side][hit] = absorbed
+    kernel[hit] = _absorbed_kernel(log_kernel[hit], potentials[0][hit], potentials[1][hit])
+    scaling[hit] = 1.0
+    scalings[other][hit] = 1.0
+    product[hit] = _apply(kernel[hit], scalings[other][hit], side)
+
+
+# Iterations run in blocks of this many steps with no check between them; the
+# first block of a solve is half as long. A longer block pays for fewer checks
+# but for more steps past a problem's stopping point. On one-thread raw-WMD
+# k-NN solves (about 50 iterations each) 8 timed within 2% of the fastest of
+# 4 to 16, and ahead of 16 on 40-problem training stacks. The shorter first
+# block serves solves that stop within a few iterations, as eval's against a
+# trained model do (3 or 4).
+_BLOCK = 8
+
+
 def _scaling_iterations(
     log_kernel: np.ndarray, a: np.ndarray, b: np.ndarray, config: SinkhornConfig, real: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,11 +305,21 @@ def _scaling_iterations(
     ``u[k][:, None] * kernel[k] * v[k][None, :]`` with ``kernel[k] = exp(f[k]
     + log_kernel[k] + g[k])``, equal to the log-domain iterate ``exp(f + log
     u + log_kernel + g + log v)``. Side 0 is the rows (``a``, ``f``, ``u``),
-    side 1 the columns (``b``, ``g``, ``v``); both half-steps run one rule,
-    decided per problem. ``products`` holds ``kernel @ v`` and ``kernel.T @
-    u``, so ``u * products[0]`` and ``v * products[1]`` are the iterates'
-    marginals. A problem leaves the working arrays once it meets the stopping
-    rule, so every problem's iterates are those it would have alone.
+    side 1 the columns (``b``, ``g``, ``v``). ``kernel @ v`` and ``kernel.T
+    @ u`` times ``u`` and ``v`` are the iterates' marginals.
+
+    The iterations run in blocks of ``_BLOCK`` steps with no check between
+    them; each step's ``u``, ``v``, ``kernel @ v`` and ``kernel.T @ u`` go
+    into the block's buffers. One min and max over all the block's scalings
+    and one pass over its gaps then read the block: a problem finishes at
+    the first step that meets the stopping rule, with that step's iterate,
+    and leaves the working arrays. If a scaling is out of range, the
+    problems still working go back to the start of the first step that has
+    one and run that step checked, each half-step's scaling repaired by
+    :func:`_absorb` before it is used. Steps run past a problem's stopping
+    point are dropped unread, so they never repair anything. Each problem
+    gets the iterates, iteration count and convergence of checking every
+    half-step, those it would have alone.
     """
     num, n, m = log_kernel.shape
     padded = real is not None
@@ -262,72 +328,84 @@ def _scaling_iterations(
     converged = np.zeros(num, dtype=bool)
     active = np.arange(num)  # stack index of each working problem
     potentials = [np.zeros((num, n)), np.zeros((num, m))]
-    scalings = [np.ones((num, n)), np.ones((num, m))]
     kernel = np.exp(log_kernel)
-    products = [_apply(kernel, scalings[1], 0), None]
+    # the state a step starts from: both scalings and kernel @ v
+    u, v = np.ones((num, n)), np.ones((num, m))
+    kv = _apply(kernel, v, 0)
     iteration = 0
+    checked = False  # whether the next block is one step, checked half-step by half-step
     while True:
-        iteration += 1
-        for side, other in ((0, 1), (1, 0)):
-            if side == 1:
-                scaling = b / products[1]
-            elif padded:
-                # a padded row's 0 / 0 is never formed: its scaling stays 1
-                scaling = np.divide(a, products[0], out=np.ones_like(products[0]), where=real)
-            else:
-                # the masked division's values, without its cost in every iteration
-                scaling = a / products[0]
-            # NaN-safe: a NaN entry fails both comparisons
-            if not (scaling.min() >= _SCALING_LOW and scaling.max() <= _SCALING_HIGH):
-                hit = ~((scaling.min(axis=1) >= _SCALING_LOW) & (scaling.max(axis=1) <= _SCALING_HIGH))
-                # absorb both scalings into the potentials and restart them at 1;
-                # a scaling with no finite log is redone as a log-domain half-step
-                potentials[other][hit] += np.log(scalings[other][hit])
-                out = scaling[hit]
-                finite = np.all(np.isfinite(out), axis=1) & (out.min(axis=1) > 0)
-                absorbed = potentials[side][hit]
-                absorbed[finite] += np.log(out[finite])
-                if not finite.all():
-                    lost = np.flatnonzero(hit)[~finite]
-                    marginal = a[lost] if side == 0 else b
-                    absorbed[~finite] = _log_domain_potential(log_kernel[lost], potentials[other][lost], marginal, side)
-                potentials[side][hit] = absorbed
-                kernel[hit] = _absorbed_kernel(log_kernel[hit], potentials[0][hit], potentials[1][hit])
-                scaling[hit] = 1.0
-                scalings[other][hit] = 1.0
-                products[side][hit] = _apply(kernel[hit], scalings[other][hit], side)
-            scalings[side] = scaling
-            products[other] = _apply(kernel, scaling, other)
-        u, v = scalings
-        # stop at L1 gaps <= tolerance on both sides; the column gap, at rounding
-        # level right after the column half-step, is read only once the row gap is
-        row_gap = np.abs(u * products[0] - a).sum(axis=1)
-        if iteration < config.max_iters and row_gap.min() > config.tolerance:
-            continue
-        met = row_gap <= config.tolerance
-        met[met] = np.abs(v[met] * products[1][met] - b).sum(axis=1) <= config.tolerance
-        done = met if iteration < config.max_iters else np.ones_like(met)
-        if not done.any():
-            continue
-        finished = active[done]
-        iterations[finished] = iteration
-        converged[finished] = met[done]
-        if finished.size == num:
-            # no problem froze earlier: the working stack is the whole stack
-            return u[:, :, None] * kernel * v[:, None, :], iterations, converged
-        plans[finished] = u[done][:, :, None] * kernel[done] * v[done][:, None, :]
-        if done.all():
-            return plans, iterations, converged
+        steps = 1 if checked else min(_BLOCK if iteration else _BLOCK // 2, config.max_iters - iteration)
+        # per step, u | v and kernel @ v | kernel.T @ u; a padded row's u stays 1
+        scaled = (np.ones if padded else np.empty)((steps, active.size, n + m))
+        produced = np.empty((steps, active.size, n + m))
+        us, vs, kvs, ktus = scaled[..., :n], scaled[..., n:], produced[..., :n], produced[..., n:]
+        # the same buffers in the shapes of the stacked products
+        u_rows, v_cols, kv_cols, ktu_rows = us[:, :, None, :], vs[..., None], kvs[..., None], ktus[:, :, None, :]
+        # an unchecked step may run on from a scaling that the check rejects
+        with np.errstate(invalid=None if checked else "ignore"):
+            step_kv = kv
+            for step in range(steps):
+                if padded:
+                    np.divide(a, step_kv, out=us[step], where=real)
+                else:
+                    np.divide(a, step_kv, out=us[step])
+                if checked:
+                    _absorb(0, [us[step], v], step_kv, potentials, kernel, log_kernel, a, b)
+                np.matmul(u_rows[step], kernel, out=ktu_rows[step])
+                np.divide(b, ktus[step], out=vs[step])
+                if checked:
+                    _absorb(1, [us[step], vs[step]], ktus[step], potentials, kernel, log_kernel, a, b)
+                np.matmul(kernel, v_cols[step], out=kv_cols[step])
+                step_kv = kvs[step]
+            # the stopping rule: L1 gaps <= tolerance on both sides; the column
+            # gap, at rounding level after the column half-step, is read only
+            # once some row gap meets it
+            met = np.abs(us * kvs - a).sum(axis=2) <= config.tolerance
+            if met.any():
+                met &= np.abs(vs * ktus - b).sum(axis=2) <= config.tolerance
+            clean = None  # per step and problem: every scaling up to here in range
+            if not (scaled.min() >= _SCALING_LOW and scaled.max() <= _SCALING_HIGH):
+                clean = np.logical_and.accumulate(
+                    (scaled.min(axis=2) >= _SCALING_LOW) & (scaled.max(axis=2) <= _SCALING_HIGH), axis=0
+                )
+                met &= clean
+        stopped = met.any(axis=0)
+        done = stopped
+        if iteration + steps == config.max_iters:
+            done = stopped | (True if clean is None else clean[-1])
+        if done.any():
+            pick = np.flatnonzero(done)
+            at = np.where(stopped, met.argmax(axis=0), steps - 1)[pick]
+            finished = active[pick]
+            iterations[finished] = iteration + 1 + at
+            converged[finished] = stopped[pick]
+            whole = pick.size == active.size
+            plan = us[at, pick][:, :, None] * (kernel if whole else kernel[pick]) * vs[at, pick][:, None, :]
+            if finished.size == num:
+                # no problem froze earlier: the working stack is the whole stack
+                return plan, iterations, converged
+            plans[finished] = plan
+            if whole:
+                return plans, iterations, converged
+        # go on after the block, or from the start of its first step with a
+        # scaling out of range in a problem still working
         keep = ~done
-        active = active[keep]
-        log_kernel = log_kernel[keep]
-        kernel = kernel[keep]
-        potentials = [potential[keep] for potential in potentials]
-        scalings = [scaling[keep] for scaling in scalings]
-        products[0] = products[0][keep]
-        a = a[keep]
-        if padded:
-            real = real[keep]
+        resume, checked = steps, False
+        if clean is not None and not clean[-1, keep].all():
+            resume, checked = int(np.argmin(clean[:, keep].all(axis=1))), True
+        if resume > 0:
+            u, v, kv = us[resume - 1], vs[resume - 1], kvs[resume - 1]
+        iteration += resume
+        if done.any():
+            active = active[keep]
+            log_kernel = log_kernel[keep]
+            kernel = kernel[keep]
+            potentials = [potential[keep] for potential in potentials]
+            u, v, kv = u[keep], v[keep], kv[keep]
+            a = a[keep]
+            if padded:
+                real = real[keep]
 
 
 def _source_rows(source, num: int) -> tuple[np.ndarray, np.ndarray | None]:

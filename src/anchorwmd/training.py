@@ -42,6 +42,11 @@ class TrainConfig:
     Defaults follow the reference configuration: margin 10 for the triplet
     loss, temperature 30 for the InfoNCE loss, Adam at learning rate 0.1,
     and an L2 penalty of 0.001 on the transform matrix.
+
+    Epsilon is a stop-gradient: each step differentiates ``reg_distance``
+    with epsilon held at the value the current costs give it (under relative
+    epsilon, ``sinkhorn.epsilon`` times each problem's mean cost), so the
+    plan alone is the derivative of each value with respect to its costs.
     """
 
     loss_kind: str = "triplet"
@@ -137,6 +142,11 @@ def _stack_terms(model: AnchorModel, docs: list[DocumentMeasure], cfg: TrainConf
     transform and anchor gradients, summed over its documents, or None for
     both when every class coefficient of every document is 0. A document
     whose coefficients are all 0 stays out of the gradient products.
+
+    The gradients hold epsilon fixed at each solve's value (a stop-gradient
+    on relative epsilon's dependence on the mean cost): by the envelope
+    theorem the plan is then the exact derivative of ``reg_distance`` with
+    respect to the costs.
     """
     embedded, result = anchor_transport(model, docs, cfg.sinkhorn)
     num_classes, p = model.num_classes, model.num_support_points

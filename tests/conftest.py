@@ -162,6 +162,94 @@ def log_domain_sinkhorn(cost, source, target, config=None):
     )
 
 
+def reference_scaling_iterations(log_kernel, a, b, config, real):
+    """Sinkhorn iterations checked half-step by half-step (test oracle for ``ot._scaling_iterations``).
+
+    Checks every half-step's scaling for the [1e-50, 1e50] range before using
+    it, absorbing it or redoing it in the log domain when it fails, and reads
+    the stopping rule after every iteration, where ``ot._scaling_iterations``
+    reads both once per block of iterations. Arguments and returns are those
+    of ``ot._scaling_iterations``. The helpers are looked up on the ``ot``
+    module, so a test that counts ``ot._absorbed_kernel`` or
+    ``ot._logsumexp`` calls counts this loop's calls too.
+    """
+    from anchorwmd import ot
+
+    num, n, m = log_kernel.shape
+    padded = real is not None
+    plans = np.empty_like(log_kernel)
+    iterations = np.zeros(num, dtype=int)
+    converged = np.zeros(num, dtype=bool)
+    active = np.arange(num)  # stack index of each working problem
+    potentials = [np.zeros((num, n)), np.zeros((num, m))]
+    scalings = [np.ones((num, n)), np.ones((num, m))]
+    kernel = np.exp(log_kernel)
+    products = [ot._apply(kernel, scalings[1], 0), None]
+    iteration = 0
+    while True:
+        iteration += 1
+        for side, other in ((0, 1), (1, 0)):
+            if side == 1:
+                scaling = b / products[1]
+            elif padded:
+                # a padded row's 0 / 0 is never formed: its scaling stays 1
+                scaling = np.divide(a, products[0], out=np.ones_like(products[0]), where=real)
+            else:
+                # the masked division's values, without its cost in every iteration
+                scaling = a / products[0]
+            # NaN-safe: a NaN entry fails both comparisons
+            if not (scaling.min() >= ot._SCALING_LOW and scaling.max() <= ot._SCALING_HIGH):
+                hit = ~((scaling.min(axis=1) >= ot._SCALING_LOW) & (scaling.max(axis=1) <= ot._SCALING_HIGH))
+                # absorb both scalings into the potentials and restart them at 1;
+                # a scaling with no finite log is redone as a log-domain half-step
+                potentials[other][hit] += np.log(scalings[other][hit])
+                out = scaling[hit]
+                finite = np.all(np.isfinite(out), axis=1) & (out.min(axis=1) > 0)
+                absorbed = potentials[side][hit]
+                absorbed[finite] += np.log(out[finite])
+                if not finite.all():
+                    lost = np.flatnonzero(hit)[~finite]
+                    marginal = a[lost] if side == 0 else b
+                    absorbed[~finite] = ot._log_domain_potential(log_kernel[lost], potentials[other][lost], marginal, side)
+                potentials[side][hit] = absorbed
+                kernel[hit] = ot._absorbed_kernel(log_kernel[hit], potentials[0][hit], potentials[1][hit])
+                scaling[hit] = 1.0
+                scalings[other][hit] = 1.0
+                products[side][hit] = ot._apply(kernel[hit], scalings[other][hit], side)
+            scalings[side] = scaling
+            products[other] = ot._apply(kernel, scaling, other)
+        u, v = scalings
+        # stop at L1 gaps <= tolerance on both sides; the column gap, at rounding
+        # level right after the column half-step, is read only once the row gap is
+        row_gap = np.abs(u * products[0] - a).sum(axis=1)
+        if iteration < config.max_iters and row_gap.min() > config.tolerance:
+            continue
+        met = row_gap <= config.tolerance
+        met[met] = np.abs(v[met] * products[1][met] - b).sum(axis=1) <= config.tolerance
+        done = met if iteration < config.max_iters else np.ones_like(met)
+        if not done.any():
+            continue
+        finished = active[done]
+        iterations[finished] = iteration
+        converged[finished] = met[done]
+        if finished.size == num:
+            # no problem froze earlier: the working stack is the whole stack
+            return u[:, :, None] * kernel * v[:, None, :], iterations, converged
+        plans[finished] = u[done][:, :, None] * kernel[done] * v[done][:, None, :]
+        if done.all():
+            return plans, iterations, converged
+        keep = ~done
+        active = active[keep]
+        log_kernel = log_kernel[keep]
+        kernel = kernel[keep]
+        potentials = [potential[keep] for potential in potentials]
+        scalings = [scaling[keep] for scaling in scalings]
+        products[0] = products[0][keep]
+        a = a[keep]
+        if padded:
+            real = real[keep]
+
+
 def multiset_kmeans_centroids(points, k, rng, max_iters=50, restarts=None):
     """Lloyd's algorithm over every row of ``points`` (test oracle for ``model._kmeans_centroids``).
 

@@ -349,17 +349,20 @@ class TestInterpretCommand:
 
     def test_oversized_top_k_returns_full_ranking(self, fixture_paths, trained, tmp_path):
         out = tmp_path / "interp_all"
-        code = main(
-            [
-                "interpret",
-                "--vectors", fixture_paths["vectors"],
-                "--corpus", fixture_paths["train"],
-                "--checkpoint", trained,
-                "--out", str(out),
-                "--top-k", "10000",
-            ]
-        )
+        # each class is ranked once, for its file and its projection rows alike
+        with pytest.warns(UserWarning, match="requested top-10000") as caught:
+            code = main(
+                [
+                    "interpret",
+                    "--vectors", fixture_paths["vectors"],
+                    "--corpus", fixture_paths["train"],
+                    "--checkpoint", trained,
+                    "--out", str(out),
+                    "--top-k", "10000",
+                ]
+            )
         assert code == 0
+        assert len([w for w in caught if "requested top-10000" in str(w.message)]) == 1
         top_lines = (out / "top_words_north.tsv").read_text().strip().splitlines()
         vocab_size = len(fixture_paths["synth"].train.vocabulary())
         assert len(top_lines) == 1 + vocab_size
@@ -589,6 +592,29 @@ def test_overflowing_vectors_leave_no_output(fixture_paths, trained, tmp_path, c
         [command, "--vectors", vectors, "--corpus", fixture_paths["train"], "--checkpoint", trained, "--out", str(out)]
     )
     assert_rejected(code, capsys, out, "word-to-anchor distances are not finite")
+
+
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        pytest.param(0, "the projection's scatter matrix is not finite", id="scatter"),
+        pytest.param(2, "the projection's scatter matrix has an eigenvalue that is not finite", id="eigenvalue"),
+    ],
+)
+def test_overflowing_projection_leaves_no_output(fixture_paths, trained, tmp_path, capsys, axis, message):
+    """Eight words at 3e153 on one axis score finitely, but their projection overflows: no ``--out``.
+
+    At 7e153 the trained transform already makes their anchor distances overflow.
+    """
+    vectors = {w: fixture_paths["synth"].vectors.vector(w) for w in fixture_paths["synth"].vectors.index}
+    for word in fixture_paths["synth"].train.vocabulary()[:8]:
+        vectors[word] = vectors[word].copy()
+        vectors[word][axis] = 3e153
+    save_word_vectors(vectors, str(tmp_path / "large.txt"))
+    out = tmp_path / "rejected"
+    argv = ["interpret", "--vectors", str(tmp_path / "large.txt"), "--corpus", fixture_paths["train"]]
+    code = main(argv + ["--checkpoint", trained, "--out", str(out)])
+    assert_rejected(code, capsys, out, message)
 
 
 @pytest.mark.parametrize(

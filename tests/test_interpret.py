@@ -10,10 +10,13 @@ from anchorwmd.interpret import (
     ImportanceTable,
     compute_importance_table,
     export_projection,
+    importance_rankings,
     pca_2d,
+    projection_rows,
     tfidf_rankings,
     tfidf_top_words,
     top_k_words,
+    write_projection,
 )
 from anchorwmd.model import AnchorModel
 from anchorwmd.ot import ground_cost_matrix
@@ -289,6 +292,13 @@ class TestTopKOracle:
             ranked = top_k_words(table, 1, 21)
         assert ranked == reference_top_k_words(table, 1, 20)
 
+    def test_rankings_of_every_class_warn_once(self, rng):
+        table = random_table(rng, 20, 3, 3)
+        with pytest.warns(UserWarning, match="requested top-21") as caught:
+            rankings = importance_rankings(table, 21)
+        assert len(caught) == 1
+        assert rankings == [reference_top_k_words(table, class_id, 20) for class_id in range(3)]
+
     def test_k_equal_vocabulary_does_not_warn(self, rng):
         table = random_table(rng, 20, 2)
         with warnings.catch_warnings():
@@ -467,6 +477,13 @@ class TestPca:
         with pytest.raises(ValueError, match="scatter matrix is not finite"):
             pca_2d(pts)
 
+    def test_infinite_eigenvalue_rejected(self, rng):
+        # the scatter is finite (1.0e308 at most) but its top eigenvalue, 2.0e308, overflows
+        pts = rng.standard_normal((2000, 3))
+        pts[::2, :2] = 4.5e152
+        with pytest.raises(ValueError, match="eigenvalue that is not finite"):
+            pca_2d(pts)
+
     @pytest.mark.parametrize("shape", [(500, 40), (40, 40), (12, 40)], ids=["tall", "square", "wide"])
     def test_memory_layout_does_not_change_bits(self, rng, shape):
         pts = rng.standard_normal(shape)
@@ -498,6 +515,17 @@ class TestExportProjection:
         kinds = [line.split("\t")[0] for line in lines[1:]]
         assert kinds.count("anchor") == 4  # 2 classes x p=2
         assert kinds.count("word") == 4  # 2 classes x top-2
+
+    def test_rows_computed_apart_write_the_same_file(self, tmp_path, rng):
+        # projection_rows, then write_projection: what cmd_interpret does around --out
+        model = AnchorModel(rng.standard_normal((3, 3)), rng.standard_normal((2, 3, 2)), ["a", "b"])
+        words = [f"w{i}" for i in range(5)]
+        vectors = rng.standard_normal((5, 3))
+        table = compute_importance_table(model, words, vectors)
+        rows = projection_rows(model, table, vectors, importance_rankings(table, 2))
+        assert write_projection(rows, str(tmp_path / "apart.tsv")) == len(rows) == 8
+        export_projection(model, table, vectors, top_words_per_class=2, path=str(tmp_path / "joint.tsv"))
+        assert (tmp_path / "apart.tsv").read_bytes() == (tmp_path / "joint.tsv").read_bytes()
 
     def test_coordinates_parse_as_the_projection(self, tmp_path, rng):
         model = AnchorModel(rng.standard_normal((3, 3)), rng.standard_normal((2, 3, 2)), ["a", "b"])

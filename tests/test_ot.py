@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from anchorwmd import ot
 from anchorwmd.model import DocumentMeasure
 from anchorwmd.ot import SinkhornConfig, ground_cost_matrix, sinkhorn, sinkhorn_stack, validate_histogram
-from conftest import exact_ot_uniform, log_domain_sinkhorn
+from conftest import exact_ot_uniform, log_domain_sinkhorn, reference_scaling_iterations
 
 
 class TestValidateHistogram:
@@ -285,6 +285,145 @@ class TestHardPaths:
         res = self._solve_strictly(cost, a, b, config)
         assert len(log_steps) > 2
         self._check_against_oracle(res, cost, a, b, config)
+
+
+def _loop_inputs(costs, source, target, config):
+    """The log-kernel, source rows, target row and padding mask that ``sinkhorn_stack`` iterates on."""
+    cost = np.ascontiguousarray(costs, dtype=float)
+    a, real = ot._source_rows(source, cost.shape[0])
+    log_kernel = cost / -ot._stack_epsilon(config, cost, real)[:, None, None]
+    if real is not None:
+        log_kernel[~real] = -np.inf
+    return log_kernel, a, validate_histogram(target)[None], real
+
+
+def _run_loop(loop, inputs, config):
+    log_kernel, a, b, real = inputs
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        return loop(log_kernel.copy(), a.copy(), b.copy(), config, None if real is None else real.copy())
+
+
+def _repair_iterations(monkeypatch, inputs, config, name, until):
+    """The iterations up to ``until`` at which the reference loop calls ``ot.<name>``."""
+    calls = _counting(monkeypatch, name)
+    found, previous = [], 0
+    for limit in range(1, until + 1):
+        before = len(calls)
+        limited = SinkhornConfig(config.epsilon, config.relative, limit, config.tolerance)
+        _, iterations, _ = _run_loop(reference_scaling_iterations, inputs, limited)
+        if len(calls) - before > previous:
+            found.append(limit)
+        previous = len(calls) - before
+        if iterations.max() < limit:
+            break
+    monkeypatch.undo()
+    return found
+
+
+class TestBlockLoopMatchesReference:
+    """The block loop returns, to the bit, what checking every half-step returns.
+
+    ``reference_scaling_iterations`` is the loop that checks the scaling
+    range after every half-step and the stopping rule after every iteration.
+    """
+
+    @staticmethod
+    def _assert_same(inputs, config):
+        plans, iterations, converged = _run_loop(ot._scaling_iterations, inputs, config)
+        ref_plans, ref_iterations, ref_converged = _run_loop(reference_scaling_iterations, inputs, config)
+        assert np.array_equal(iterations, ref_iterations)
+        assert np.array_equal(converged, ref_converged)
+        assert np.array_equal(plans, ref_plans)
+        return iterations
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num=st.integers(1, 4),
+        n=st.integers(1, 40),
+        m=st.integers(1, 12),
+        d=st.sampled_from([2, 3, 30, 300]),
+        padded=st.booleans(),
+        outlier=st.booleans(),
+        epsilon=st.sampled_from([(0.1, True), (0.01, True), (0.001, True), (20.0, False)]),
+        max_iters=st.integers(1, 300),
+        tolerance=st.sampled_from([1e-4, 1e-6, 1e-9]),
+    )
+    def test_property_bit_equal_to_reference(self, seed, num, n, m, d, padded, outlier, epsilon, max_iters, tolerance):
+        rng = np.random.default_rng(seed)
+        costs = np.stack(
+            [ground_cost_matrix(rng.standard_normal((d, n)), rng.standard_normal((d, m))) for _ in range(num)]
+        )
+        if outlier:
+            # a row a thousand mean costs away: absorption, or a log-domain step
+            costs[0, 0] += 1e3 * costs[0].mean()
+        if padded:
+            source = np.zeros((num, n))
+            for k, length in enumerate(rng.integers(1, n + 1, num)):
+                source[k, :length] = rng.uniform(0.1, 1.0, length)
+            source /= source.sum(axis=1, keepdims=True)
+        else:
+            source = rng.uniform(0.1, 1.0, n)
+            source /= source.sum()
+        target = rng.uniform(0.1, 1.0, m)
+        config = SinkhornConfig(epsilon[0], epsilon[1], max_iters, tolerance)
+        self._assert_same(_loop_inputs(costs, source, target / target.sum(), config), config)
+
+    @pytest.mark.parametrize("max_iters", [1, 3, 4, 5, 11, 12, 13, 200])
+    def test_max_iters_inside_and_on_block_edges(self, max_iters):
+        # a slow solve that every limit cuts short, whether or not it ends a block
+        rng = np.random.default_rng(1)
+        costs = np.stack([ground_cost_matrix(rng.standard_normal((3, 9)), rng.standard_normal((3, 7)))])
+        config = SinkhornConfig(epsilon=0.01, max_iters=max_iters, tolerance=1e-12)
+        iterations = self._assert_same(_loop_inputs(costs, np.full(9, 1 / 9), np.full(7, 1 / 7), config), config)
+        assert iterations.tolist() == [max_iters]
+
+    @staticmethod
+    def _repairs_match_reference(monkeypatch, inputs, config):
+        counts = []
+        for loop in (reference_scaling_iterations, ot._scaling_iterations):
+            rebuilds = _counting(monkeypatch, "_absorbed_kernel")
+            log_steps = _counting(monkeypatch, "_logsumexp")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with np.errstate(all="raise"):
+                    _run_loop(loop, inputs, config)
+            monkeypatch.undo()
+            counts.append((len(rebuilds), len(log_steps)))
+        assert counts[0] == counts[1]
+        return counts[0]
+
+    def test_absorption_inside_a_block(self, monkeypatch):
+        # the first scaling out of range comes at iteration 9, the fifth step of
+        # the block of iterations 5-12, and is absorbed: no log-domain step
+        rng = np.random.default_rng(0)
+        cost = ground_cost_matrix(rng.standard_normal((2, 12)), rng.standard_normal((2, 9)))
+        a, b = rng.uniform(0.1, 1.0, 12), rng.uniform(0.1, 1.0, 9)
+        config = SinkhornConfig(epsilon=0.004, max_iters=1000)
+        inputs = _loop_inputs(cost[None], a / a.sum(), b / b.sum(), config)
+        assert _repair_iterations(monkeypatch, inputs, config, "_absorbed_kernel", until=60) == [9]
+        rebuilds, log_steps = self._repairs_match_reference(monkeypatch, inputs, config)
+        assert rebuilds > 0 and log_steps == 0
+        self._assert_same(inputs, config)
+
+    def test_log_domain_fallback_inside_a_block(self, monkeypatch):
+        # a subnormal source weight is absorbed at iteration 1; later K @ v
+        # underflows in its row and the half-step is redone in the log domain
+        # at iterations 28 and 55, the third steps of the blocks after the
+        # checked ones (2-9, ..., 26-33 and 29-36, ..., 53-60)
+        rng = np.random.default_rng(8)
+        cost = ground_cost_matrix(rng.standard_normal((3, 8)), rng.standard_normal((3, 6)))
+        a, b = rng.uniform(0.1, 1.0, 8), rng.uniform(0.1, 1.0, 6)
+        cost *= 100.0 / cost.mean()
+        a[0] = 0.0
+        a /= a.sum()
+        a[0] = 1e-310
+        config = SinkhornConfig(epsilon=0.1, relative=False, max_iters=300)
+        inputs = _loop_inputs(cost[None], a, b / b.sum(), config)
+        assert _repair_iterations(monkeypatch, inputs, config, "_absorbed_kernel", until=60) == [1, 28, 55]
+        assert _repair_iterations(monkeypatch, inputs, config, "_logsumexp", until=60) == [28, 55]
+        rebuilds, log_steps = self._repairs_match_reference(monkeypatch, inputs, config)
+        assert rebuilds >= 3 and log_steps > 0
+        self._assert_same(inputs, config)
 
 
 def _assert_same_result(stacked, alone):
