@@ -138,7 +138,7 @@ def _merge_options(args: argparse.Namespace) -> dict:
         try:
             with open(config_path, encoding="utf-8") as fh:
                 file_values = json.load(fh)
-        except ValueError as exc:  # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply to decode
             raise ValueError(f"{config_path}: {exc}") from None
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object")

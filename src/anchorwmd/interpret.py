@@ -41,15 +41,15 @@ logger = logging.getLogger(__name__)
 _TSV_CHUNK_ROWS = 1024
 
 
-def _anchor_scores(points: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _anchor_scores(points: np.ndarray, model: AnchorModel) -> tuple[np.ndarray, np.ndarray]:
     """Minimum anchor distances and importances of (d, N) points, both (N, Y).
 
     ``D[i, k]`` is the smallest squared distance from point i to a column of
-    anchor k; the importance of point i for class y is
+    anchor k of ``model``; the importance of point i for class y is
     ``sum_{k != y} D[i, k] - (Y - 1) * D[i, y]``.
     """
-    num_classes, _, p = anchors.shape
-    cost = ground_cost_matrix(points, anchor_columns(anchors))
+    num_classes, p = model.num_classes, model.num_support_points
+    cost = ground_cost_matrix(points, anchor_columns(model.anchors), model.column_sq_norms)
     min_dists = cost.reshape(-1, num_classes, p).min(axis=2)
     return min_dists, min_dists.sum(axis=1, keepdims=True) - num_classes * min_dists
 
@@ -97,14 +97,16 @@ def compute_importance_table(
 
     ``word_vectors`` is a (V, d) matrix of raw (untransformed) vectors
     aligned with ``words``; they are pushed through the model transform
-    before scoring.
+    before scoring. Vectors or a model so large that the transformed vectors
+    or their anchor distances are not finite raise ``ValueError``.
     """
     vectors = np.asarray(word_vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[0] != len(words):
         raise ValueError("word_vectors must be (len(words), d)")
+    points = model.embed(vectors.T)
     # an overflow is reported once, as the error below, not as a warning per operation
     with np.errstate(over="ignore", invalid="ignore"):
-        min_dists, importances = _anchor_scores(model.transform @ vectors.T, model.anchors)
+        min_dists, importances = _anchor_scores(points, model)
     if not (np.isfinite(min_dists).all() and np.isfinite(importances).all()):
         raise ValueError("word-to-anchor distances are not finite: the word vectors or the model are too large")
     return ImportanceTable(
@@ -256,7 +258,7 @@ def projection_rows(
     """
     vectors = np.asarray(word_vectors, dtype=float)
     columns = anchor_columns(model.anchors)  # (d, Y p)
-    _, anchor_importances = _anchor_scores(columns, model.anchors)
+    _, anchor_importances = _anchor_scores(columns, model)
     # the PCA input built once, in pca_2d's layout: transformed words, then anchor columns
     num_words = vectors.shape[0]
     points = np.empty((num_words + columns.shape[1], columns.shape[0]), order="F")

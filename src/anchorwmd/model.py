@@ -17,15 +17,15 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ot import (
     SinkhornConfig,
     SinkhornResult,
+    _squared_norms,
     ground_cost_matrix,
     sinkhorn_stack,
     validate_histogram,
@@ -85,37 +85,54 @@ class DocumentMeasure:
         return self.support.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnchorModel:
     """The trained model: transform matrix plus one anchor per class.
 
     ``transform`` is (d, d); ``anchors`` is (num_classes, d, p) with one
-    uniform-measure point cloud per class.
+    uniform-measure point cloud per class. Instances are value objects: they
+    hold their own read-only copies of the arrays. ``anchors`` is laid out in
+    (d, num_classes, p) memory order, so :func:`anchor_columns` of it is a
+    view, and ``column_sq_norms`` holds the squared norms of those columns,
+    computed once for every ground cost against the anchors.
     """
 
     transform: np.ndarray
     anchors: np.ndarray
     class_names: list[str]
     vocab_hash: str = ""
+    column_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.transform = np.asarray(self.transform, dtype=float)
-        self.anchors = np.asarray(self.anchors, dtype=float)
-        if self.transform.ndim != 2 or self.transform.shape[0] != self.transform.shape[1]:
-            raise ValueError(f"transform must be square, got shape {self.transform.shape}")
-        if self.anchors.ndim != 3 or self.anchors.shape[2] < 1:
-            raise ValueError(f"anchors must be (num_classes, d, p >= 1), got shape {self.anchors.shape}")
-        if self.anchors.shape[1] != self.transform.shape[0]:
+        transform = np.array(self.transform, dtype=float)
+        anchors = np.asarray(self.anchors, dtype=float)
+        if transform.ndim != 2 or transform.shape[0] != transform.shape[1]:
+            raise ValueError(f"transform must be square, got shape {transform.shape}")
+        if anchors.ndim != 3 or anchors.shape[2] < 1:
+            raise ValueError(f"anchors must be (num_classes, d, p >= 1), got shape {anchors.shape}")
+        if anchors.shape[1] != transform.shape[0]:
             raise ValueError(
-                f"anchor dimension {self.anchors.shape[1]} does not match "
-                f"transform dimension {self.transform.shape[0]}"
+                f"anchor dimension {anchors.shape[1]} does not match "
+                f"transform dimension {transform.shape[0]}"
             )
-        if len(self.class_names) != self.anchors.shape[0]:
+        if len(self.class_names) != anchors.shape[0]:
             raise ValueError("one class name per anchor required")
         if len(set(self.class_names)) != len(self.class_names):
             raise ValueError(f"class names must be distinct, got {list(self.class_names)}")
-        if not (np.all(np.isfinite(self.transform)) and np.all(np.isfinite(self.anchors))):
+        if not (np.all(np.isfinite(transform)) and np.all(np.isfinite(anchors))):
             raise ValueError("model parameters must be finite")
+        columns = np.array(anchors.transpose(1, 0, 2), order="C")
+        transform.setflags(write=False)
+        columns.setflags(write=False)
+        anchors = columns.transpose(1, 0, 2)
+        # an overflow leaves inf norms for the solver's cost check to report once
+        with np.errstate(over="ignore"):
+            sq_norms = _squared_norms(anchor_columns(anchors))
+        sq_norms.setflags(write=False)
+        object.__setattr__(self, "transform", transform)
+        object.__setattr__(self, "anchors", anchors)
+        object.__setattr__(self, "class_names", list(self.class_names))
+        object.__setattr__(self, "column_sq_norms", sq_norms)
 
     @property
     def dim(self) -> int:
@@ -128,6 +145,14 @@ class AnchorModel:
     @property
     def num_support_points(self) -> int:
         return self.anchors.shape[2]
+
+    def embed(self, points: np.ndarray) -> np.ndarray:
+        """``transform @ points`` for (d, N) word vectors; a product that overflows is a ``ValueError``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            embedded = self.transform @ points
+        if not np.isfinite(embedded).all():
+            raise ValueError("transformed word vectors are not finite: the word vectors or the model are too large")
+        return embedded
 
 
 def anchor_columns(anchors: np.ndarray) -> np.ndarray:
@@ -150,9 +175,10 @@ def anchor_transport(
     (len(docs) * Y,) and its plans (len(docs) * Y, n_max, p), padded to the
     longest document: a plan's rows past its document's n_i are 0. One
     embedding product runs over the concatenated supports and one ground
-    cost against all Y * p anchor columns in :func:`anchor_columns` order;
-    :func:`_stack_rows` places its rows in each document's Y (n_i, p) class
-    slices, solved as one stack. A document's values depend in their last
+    cost against all Y * p anchor columns in :func:`anchor_columns` order,
+    with the model's column norms; each document's rows of it are copied
+    into its Y (n_i, p) class slices, with zeros after them, and solved as
+    one stack. A document's values depend in their last
     bits on n_max; a stack of one document has no padding. Training ranks
     classes by ``reg_distance`` (the value its gradient differentiates);
     nearest-anchor classification takes the argmin of ``distance``, which is
@@ -165,18 +191,19 @@ def anchor_transport(
         if doc.dim != model.dim:
             raise ValueError(f"document dimension {doc.dim} does not match model dimension {model.dim}")
     num_docs, num_classes, p = len(docs), model.num_classes, model.num_support_points
-    sizes = [doc.size for doc in docs]
-    n_max = max(sizes)
+    n_max = max(doc.size for doc in docs)
     target = np.full(p, 1.0 / p)
-    # the anchor columns are formed after the embedding: in the other order
-    # one-document solves measured 20-25% slower (allocation order alone)
-    embedded = model.transform @ np.concatenate([doc.support for doc in docs], axis=1)
-    cost = ground_cost_matrix(embedded, anchor_columns(model.anchors))
-    doc_of_row, row = _stack_rows(sizes)
-    stack = np.zeros((num_docs, num_classes, n_max, p))
-    stack[doc_of_row, :, row] = cost.reshape(-1, num_classes, p)
+    embedded = model.embed(np.concatenate([doc.support for doc in docs], axis=1))
+    cost = ground_cost_matrix(embedded, anchor_columns(model.anchors), model.column_sq_norms)
+    stack = np.empty((num_docs, num_classes, n_max, p))
     source = np.zeros((num_docs, n_max))
-    source[doc_of_row, row] = np.concatenate([doc.weights for doc in docs])
+    start = 0
+    for i, doc in enumerate(docs):
+        stop = start + doc.size
+        stack[i, :, : doc.size] = cost[start:stop].reshape(doc.size, num_classes, p).transpose(1, 0, 2)
+        stack[i, :, doc.size :] = 0.0
+        source[i, : doc.size] = doc.weights
+        start = stop
     return embedded, sinkhorn_stack(stack.reshape(-1, n_max, p), np.repeat(source, num_classes, axis=0), target, config)
 
 
@@ -204,14 +231,23 @@ def _ordered_map(fn, items: list, threads: int) -> list:
 def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(points, axis=0)`` and how many rows of ``points`` equal each.
 
-    Equal rows are merged first by counting their bytes, so the lexicographic
-    sort only runs over distinct rows.
+    One lexicographic sort on a prefix of the columns, one column first and
+    doubled until rows that tie on the prefix are equal in full: then the
+    prefix order is the full row order, and equal rows are neighbours.
     """
-    points = points + 0.0  # -0.0 becomes 0.0: finite rows have equal bytes exactly when they compare equal
-    counts = Counter(row.tobytes() for row in points)
-    rows = np.frombuffer(b"".join(counts), dtype=points.dtype).reshape(len(counts), -1)
-    distinct = np.unique(rows, axis=0)
-    return distinct, np.array([counts[row.tobytes()] for row in distinct])
+    num_rows, dim = points.shape
+    width = 1
+    while True:
+        # np.lexsort sorts by its last key first
+        order = np.lexsort(points[:, width - 1 :: -1].T)
+        prefix = points[order, :width]
+        tied = (prefix[1:] == prefix[:-1]).all(axis=1)
+        if width == dim or np.array_equal(points[order[1:][tied]], points[order[:-1][tied]]):
+            break
+        width = min(2 * width, dim)
+    starts = np.flatnonzero(np.concatenate(([True], ~tied)))
+    # -0.0 sorts and compares equal to 0.0; as 0.0 a group's row holds np.unique's bytes
+    return points[order[starts]] + 0.0, np.diff(starts, append=num_rows)
 
 
 _KMEANS_MAX_ITERS = 50
@@ -332,7 +368,7 @@ def load_checkpoint(path: str) -> AnchorModel:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply to decode
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"checkpoint must be a JSON object, got a JSON {type(payload).__name__}")

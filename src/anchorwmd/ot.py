@@ -15,7 +15,9 @@ share one stack. A padded row has zero mass, a ``-inf`` log-kernel row and
 a scaling fixed at 1, so it adds exactly 0 to every column product and its
 plan row stays exactly 0. The stack returns one :class:`SinkhornResult`,
 with (B,) values and (B, n, m) plans; indexing it gives one problem's
-result. :func:`sinkhorn` is the stack of one. Every real histogram entry
+result; its ``reg_distance`` is computed when first read, so a caller that
+reads only ``distance`` never takes the log of a plan. :func:`sinkhorn` is
+the stack of one. Every real histogram entry
 must be positive. Validation and rounding run once per stack; relative
 epsilon (the mean over the problem's real cells), potentials, iteration
 counts and convergence are per problem, and a problem leaves the iterations
@@ -56,6 +58,7 @@ half-step.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,12 +96,19 @@ def validate_histogram(weights) -> np.ndarray:
     return w
 
 
-def ground_cost_matrix(source_points, target_points) -> np.ndarray:
+def _squared_norms(points: np.ndarray) -> np.ndarray:
+    """The squared Euclidean norm of each column of a (d, n) array."""
+    return np.einsum("dj,dj->j", points, points)
+
+
+def ground_cost_matrix(source_points, target_points, target_sq_norms=None) -> np.ndarray:
     """Pairwise squared Euclidean distances between two point sets.
 
-    Both arguments are (d, n) arrays with one point per column; the result
-    has shape (n_source, n_target) with entry (i, j) equal to
-    ``||source[:, i] - target[:, j]||^2``.
+    Both point arguments are (d, n) arrays with one point per column; the
+    result has shape (n_source, n_target) with entry (i, j) equal to
+    ``||source[:, i] - target[:, j]||^2``. A caller that keeps one target
+    set may pass its squared column norms, as :func:`_squared_norms` gives
+    them, as ``target_sq_norms``; they are then not recomputed.
     """
     x = np.asarray(source_points, dtype=float)
     y = np.asarray(target_points, dtype=float)
@@ -108,10 +118,12 @@ def ground_cost_matrix(source_points, target_points) -> np.ndarray:
         raise ValueError(f"point dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("point coordinates must be finite")
+    if target_sq_norms is not None and np.shape(target_sq_norms) != (y.shape[1],):
+        raise ValueError(f"{np.shape(target_sq_norms)} target norms for {y.shape[1]} target points")
     # an overflow leaves inf or NaN entries for the solver's cost check to report once
     with np.errstate(over="ignore", invalid="ignore"):
-        sq_x = np.einsum("di,di->i", x, x)
-        sq_y = np.einsum("dj,dj->j", y, y)
+        sq_x = _squared_norms(x)
+        sq_y = _squared_norms(y) if target_sq_norms is None else target_sq_norms
         cost = sq_x[:, None] + sq_y[None, :] - 2.0 * (x.T @ y)
     # clip tiny negatives produced by cancellation between the three terms
     np.maximum(cost, 0.0, out=cost)
@@ -165,7 +177,8 @@ class SinkhornResult:
     with the entropy term excluded. ``reg_distance`` is the full regularized
     objective ``<plan, cost> + epsilon * sum(plan * (log plan - 1))``; by the
     envelope theorem its gradient with respect to the cost matrix is exactly
-    the plan, so it is the value the training loop differentiates.
+    the plan, so it is the value the training loop differentiates. It is
+    computed from the other fields when first read, then kept.
 
     From :func:`sinkhorn_stack` every value field is a (B,) array and
     ``plan`` a (B, n, m) array; ``result[k]`` is problem k's result, with
@@ -176,13 +189,27 @@ class SinkhornResult:
     plan: np.ndarray
     iterations_used: int | np.ndarray
     converged: bool | np.ndarray
-    reg_distance: float | np.ndarray
     epsilon: float | np.ndarray
+
+    @functools.cached_property
+    def reg_distance(self) -> float | np.ndarray:
+        stacked = self.plan.ndim == 3
+        plans = self.plan if stacked else self.plan[None]
+        num = plans.shape[0]
+        # as in the solve: an extreme cost scale overflows to inf without a warning
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            # a zero entry adds 0 * log(tiny) = 0
+            log_plans = np.log(np.maximum(plans, _TINY))
+            mass = plans.reshape(num, -1).sum(axis=1)
+            entropy_terms = (plans * log_plans).reshape(num, -1).sum(axis=1) - mass
+            if stacked:
+                return self.distance + self.epsilon * entropy_terms
+            return float(self.distance + self.epsilon * entropy_terms[0])
 
     def __getitem__(self, k: int) -> SinkhornResult:
         return SinkhornResult(
             float(self.distance[k]), self.plan[k], int(self.iterations_used[k]),
-            bool(self.converged[k]), float(self.reg_distance[k]), float(self.epsilon[k]),
+            bool(self.converged[k]), float(self.epsilon[k]),
         )
 
 
@@ -192,16 +219,16 @@ def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _round_to_marginals(plan: np.ndarray, row_sums: np.ndarray, col_sums: np.ndarray) -> np.ndarray:
-    """Project a positive matrix, or each of a (B, n, m) stack, onto the transportation polytope.
+    """Project a positive matrix, or each of a (B, n, m) stack, onto the transportation polytope, in place.
 
     Scales rows then columns down to their prescribed sums and distributes
-    the leftover mass as a rank-one correction, so the returned matrix meets
-    both marginals up to floating-point error regardless of how early the
-    iterations stopped.
+    the leftover mass as a rank-one correction, so the returned matrix,
+    ``plan`` itself, meets both marginals up to floating-point error
+    regardless of how early the iterations stopped.
     """
     # row and column sums as products with ones, which BLAS runs faster than sum()
     ones_n, ones_m = np.ones(plan.shape[-2]), np.ones(plan.shape[-1])
-    plan = plan * np.minimum(row_sums / np.maximum(plan @ ones_m, _TINY), 1.0)[..., :, None]
+    plan *= np.minimum(row_sums / np.maximum(plan @ ones_m, _TINY), 1.0)[..., :, None]
     plan *= np.minimum(col_sums / np.maximum(ones_n @ plan, _TINY), 1.0)[..., None, :]
     missing_row = np.maximum(row_sums - plan @ ones_m, 0.0)
     missing_col = np.maximum(col_sums - ones_n @ plan, 0.0)
@@ -488,20 +515,10 @@ def sinkhorn_stack(costs, source, target, config: SinkhornConfig | None = None) 
         if real is not None:
             log_kernel[~real] = -np.inf
         plans, iterations, converged = _scaling_iterations(log_kernel, a, b, config, real)
+        # the iterations' plans are fresh arrays: rounded in place
         plans = _round_to_marginals(plans, a, b)
         distances = (plans * cost).reshape(num, -1).sum(axis=1)
-        # a zero entry adds 0 * log(tiny) = 0
-        log_plans = np.log(np.maximum(plans, _TINY))
-        mass = plans.reshape(num, -1).sum(axis=1)
-        entropy_terms = (plans * log_plans).reshape(num, -1).sum(axis=1) - mass
-    return SinkhornResult(
-        distance=distances,
-        plan=plans,
-        iterations_used=iterations,
-        converged=converged,
-        reg_distance=distances + eps * entropy_terms,
-        epsilon=eps,
-    )
+    return SinkhornResult(distance=distances, plan=plans, iterations_used=iterations, converged=converged, epsilon=eps)
 
 
 def sinkhorn(cost, source, target, config: SinkhornConfig | None = None) -> SinkhornResult:

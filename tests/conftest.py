@@ -1,6 +1,7 @@
 import itertools
 import shutil
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -114,14 +115,27 @@ def exact_ot_uniform(cost) -> float:
     return best / n
 
 
+@dataclass(frozen=True)
+class LogDomainResult:
+    """The fields of ``ot.SinkhornResult`` for one problem, ``reg_distance`` given, not derived."""
+
+    distance: float
+    plan: np.ndarray
+    iterations_used: int
+    converged: bool
+    reg_distance: float
+    epsilon: float
+
+
 def log_domain_sinkhorn(cost, source, target, config=None):
     """Sinkhorn with every iteration in the log domain (test oracle for ``ot.sinkhorn``).
 
     Three n×m exp passes per iteration: two log-sum-exp updates of the dual
     potentials and the plan whose marginals are checked. Rounding and the
-    reported values follow ``ot.sinkhorn``.
+    reported values follow ``ot.sinkhorn``; the entropy of ``reg_distance``
+    is its own sum over the plan's positive entries.
     """
-    from anchorwmd.ot import SinkhornConfig, SinkhornResult, _logsumexp, _round_to_marginals
+    from anchorwmd.ot import SinkhornConfig, _logsumexp, _round_to_marginals
 
     if config is None:
         config = SinkhornConfig()
@@ -152,7 +166,7 @@ def log_domain_sinkhorn(cost, source, target, config=None):
     distance = float(np.sum(plan * cost))
     positive = plan[plan > 0]
     entropy_term = float(np.sum(positive * np.log(positive)) - plan.sum())
-    return SinkhornResult(
+    return LogDomainResult(
         distance=distance,
         plan=plan,
         iterations_used=iterations,
@@ -248,6 +262,45 @@ def reference_scaling_iterations(log_kernel, a, b, config, real):
         a = a[keep]
         if padded:
             real = real[keep]
+
+
+def eager_reg_distance(result):
+    """``reg_distance`` of a stacked ``ot.SinkhornResult``, computed here (test oracle for its lazy field).
+
+    (B,) values ``distance + epsilon * (sum(plan * log(max(plan, tiny))) - sum(plan))``.
+    """
+    num = result.plan.shape[0]
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        log_plans = np.log(np.maximum(result.plan, np.finfo(float).tiny))
+        mass = result.plan.reshape(num, -1).sum(axis=1)
+        entropy_terms = (result.plan * log_plans).reshape(num, -1).sum(axis=1) - mass
+        return result.distance + result.epsilon * entropy_terms
+
+
+def reference_anchor_transport(model, docs, config=None):
+    """Documents against every anchor, the stack built by scatter (test oracle for ``model.anchor_transport``).
+
+    Embeds with the transform product, takes the ground cost against a copy
+    of the anchor columns with their norms recomputed, scatters each word's
+    cost row into a zeroed padded stack by fancy indexing, solves it and
+    computes ``reg_distance`` eagerly. Returns the embedded supports, the
+    stacked result and its (B,) ``reg_distance``.
+    """
+    from anchorwmd.model import _stack_rows, anchor_columns
+    from anchorwmd.ot import ground_cost_matrix, sinkhorn_stack
+
+    num_docs, num_classes, p = len(docs), model.num_classes, model.num_support_points
+    sizes = [doc.size for doc in docs]
+    n_max = max(sizes)
+    embedded = model.transform @ np.concatenate([doc.support for doc in docs], axis=1)
+    cost = ground_cost_matrix(embedded, anchor_columns(model.anchors).copy())
+    doc_of_row, row = _stack_rows(sizes)
+    stack = np.zeros((num_docs, num_classes, n_max, p))
+    stack[doc_of_row, :, row] = cost.reshape(-1, num_classes, p)
+    source = np.zeros((num_docs, n_max))
+    source[doc_of_row, row] = np.concatenate([doc.weights for doc in docs])
+    result = sinkhorn_stack(stack.reshape(-1, n_max, p), np.repeat(source, num_classes, axis=0), np.full(p, 1.0 / p), config)
+    return embedded, result, eager_reg_distance(result)
 
 
 def multiset_kmeans_centroids(points, k, rng, max_iters=50, restarts=None):

@@ -541,6 +541,8 @@ def test_invalid_value_rejected_before_writing(fixture_paths, trained, tmp_path,
         ("unknown_class", "class 'zzz' not present"),
         ("duplicate_class", "class names must be distinct, got ['a b', 'a b']"),
         ("truncated", "truncated.json: "),
+        ("nested", "nested.json: maximum recursion depth exceeded"),
+        ("overflowing_model", "transformed word vectors are not finite: the word vectors or the model are too large"),
     ],
 )
 def test_rejected_checkpoint_inputs_leave_no_output(fixture_paths, trained, tmp_path, capsys, command, case, message):
@@ -559,6 +561,17 @@ def test_rejected_checkpoint_inputs_leave_no_output(fixture_paths, trained, tmp_
         paths["checkpoint"] = tmp_path / "truncated.json"
         text = Path(trained).read_text(encoding="utf-8")
         paths["checkpoint"].write_text(text[: len(text) // 2])
+    elif case == "nested":
+        paths["checkpoint"] = tmp_path / "nested.json"
+        text = Path(trained).read_text(encoding="utf-8")
+        payload = json.loads(text)
+        # the transform replaced by an array nested deeper than the decoder recurses
+        paths["checkpoint"].write_text(text.replace(json.dumps(payload["transform"]), "[" * 200_000 + "]" * 200_000))
+    elif case == "overflowing_model":
+        paths["checkpoint"] = tmp_path / "overflowing.json"
+        payload = json.loads(Path(trained).read_text(encoding="utf-8"))
+        payload["transform"] = np.full_like(np.array(payload["transform"]), 1e308).tolist()
+        paths["checkpoint"].write_text(json.dumps(payload))
     elif case == "duplicate_class":
         paths["checkpoint"] = tmp_path / "duplicate.json"
         payload = json.loads(Path(trained).read_text(encoding="utf-8"))
@@ -663,9 +676,9 @@ def write_dirs_corpus(root, corpus, names=None):
         (class_dir / (names or {}).get(i, f"doc{i}.txt")).write_text(" ".join(words))
 
 
-@pytest.mark.parametrize("case", ["corpus", "dirs_corpus", "vectors", "config"])
+@pytest.mark.parametrize("case", ["corpus", "dirs_corpus", "vectors", "config", "nested_config"])
 def test_unreadable_input_names_its_file(fixture_paths, tmp_path, capsys, case):
-    """A file that is not UTF-8, or a config file that is not JSON, is named in the one-line error."""
+    """A file that is not UTF-8, or a config file that is not JSON or nests too deeply, is named in the one-line error."""
     paths = {"vectors": fixture_paths["vectors"], "corpus": fixture_paths["train"]}
     extra = []
     if case == "corpus":
@@ -681,9 +694,13 @@ def test_unreadable_input_names_its_file(fixture_paths, tmp_path, capsys, case):
         bad = tmp_path / "vectors.txt"
         bad.write_bytes(b"alpha 1.0 2.0\n\xffbeta 1.0 2.0\n")
         paths["vectors"] = bad
-    else:
+    elif case == "config":
         bad = tmp_path / "config.json"
         bad.write_text('{"epochs": 3, "seed": ')
+        extra = ["--config", str(bad)]
+    else:
+        bad = tmp_path / "config.json"
+        bad.write_text('{"epochs": ' + "[" * 200_000 + "]" * 200_000 + "}")
         extra = ["--config", str(bad)]
     out = tmp_path / "rejected"
     argv = ["train"] + [f"--{key}={value}" for key, value in paths.items()] + extra + ["--out", str(out)]

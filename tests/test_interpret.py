@@ -191,7 +191,7 @@ class TestImportanceTable:
             return ground_cost_matrix(*args)
 
         monkeypatch.setattr(interpret, "ground_cost_matrix", counting_ground_cost)
-        min_dists, importances = interpret._anchor_scores(points, anchors)
+        min_dists, importances = interpret._anchor_scores(points, AnchorModel(np.eye(5), anchors, list("abcd")))
         assert len(calls) == 1
         ref_dists, ref_importances = per_anchor_scores(points, anchors)
         assert np.array_equal(min_dists, ref_dists)

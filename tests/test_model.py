@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from anchorwmd import model as model_module
 from anchorwmd.model import (
@@ -15,7 +18,7 @@ from anchorwmd.model import (
     save_checkpoint,
 )
 from anchorwmd.ot import SinkhornConfig, ground_cost_matrix
-from conftest import lp_transport_value, multiset_kmeans_centroids
+from conftest import lp_transport_value, multiset_kmeans_centroids, reference_anchor_transport
 
 
 def repeated_cloud(seed, dim, pool_size, num_points):
@@ -65,6 +68,67 @@ class TestDocumentMeasure:
         doc = make_doc(np.zeros((2, 2)), [0.5, 0.5])
         with pytest.raises(ValueError):
             doc.support[0, 0] = 1.0
+
+
+class TestAnchorModel:
+    def test_arrays_read_only_and_own(self, rng):
+        transform, anchors = rng.standard_normal((3, 3)), rng.standard_normal((4, 3, 2))
+        model = AnchorModel(transform, anchors, list("abcd"))
+        for arr in (model.transform, model.anchors, model.column_sq_norms, anchor_columns(model.anchors)):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            model.anchors[0, 0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.transform = np.eye(3)
+        # the model copies its inputs: changing them later leaves it as it was
+        transform[0, 0] += 1.0
+        anchors[0, 0, 0] += 1.0
+        assert model.transform[0, 0] != transform[0, 0]
+        assert model.anchors[0, 0, 0] != anchors[0, 0, 0]
+
+    def test_anchor_columns_are_a_view_with_cached_norms(self, rng):
+        anchors = rng.standard_normal((4, 3, 2))
+        model = AnchorModel(np.eye(3), anchors, list("abcd"))
+        columns = anchor_columns(model.anchors)
+        assert np.shares_memory(columns, model.anchors)
+        assert np.array_equal(model.anchors, anchors)
+        copied = anchor_columns(anchors)
+        assert np.array_equal(columns, copied)
+        assert np.array_equal(model.column_sq_norms, np.einsum("dj,dj->j", copied, copied))
+
+    def test_overflowing_embedding_is_one_error(self, rng):
+        model = AnchorModel(np.full((3, 3), 1e308), rng.standard_normal((2, 3, 2)), ["a", "b"])
+        doc = make_doc(np.ones((3, 2)), [0.5, 0.5])
+        with pytest.raises(ValueError, match="transformed word vectors are not finite"):
+            anchor_transport(model, [doc])
+
+
+class TestAnchorTransportMatchesReference:
+    """The slice-built stack against the fancy-index scatter of ``reference_anchor_transport``."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 12), min_size=1, max_size=9),
+        num_classes=st.integers(1, 4),
+        p=st.integers(1, 5),
+        d=st.sampled_from([1, 3, 30]),
+        relative=st.booleans(),
+    )
+    def test_property_bit_equal(self, seed, sizes, num_classes, p, d, relative):
+        g = np.random.default_rng(seed)
+        model = AnchorModel(
+            np.eye(d) + 0.3 * g.standard_normal((d, d)), g.standard_normal((num_classes, d, p)),
+            [str(k) for k in range(num_classes)],
+        )
+        docs = [make_doc(g.standard_normal((d, n)), g.dirichlet(np.ones(n))) for n in sizes]
+        config = SinkhornConfig(epsilon=0.1 if relative else 2.0, relative=relative)
+        embedded, result = anchor_transport(model, docs, config)
+        ref_embedded, ref, ref_reg_distance = reference_anchor_transport(model, docs, config)
+        assert np.array_equal(embedded, ref_embedded)
+        assert np.array_equal(result.plan, ref.plan)
+        for name in ("distance", "iterations_used", "converged", "epsilon"):
+            assert np.array_equal(getattr(result, name), getattr(ref, name))
+        assert np.array_equal(result.reg_distance, ref_reg_distance)
 
 
 def embed(doc, transform, num_classes=2, p=2):
@@ -314,6 +378,34 @@ class TestInitAnchors:
         assert np.array_equal(anchors, oracle_anchors(docs, 2, p=3, seed=2))
         nearest = np.abs(anchors[0][:, :, None] - pool[:2].T[:, None, :]).max(axis=0).min(axis=1)
         assert np.all(nearest < 1e-3)  # every class-0 anchor point is a jittered copy of one of its two vectors
+
+
+class TestDistinctRows:
+    @given(
+        data=st.data(),
+        num_rows=st.integers(1, 40),
+        dim=st.integers(1, 6),
+        pool_size=st.integers(1, 6),
+    )
+    def test_property_matches_np_unique(self, data, num_rows, dim, pool_size):
+        # a few values, signed zeros among them, so rows repeat, tie on a prefix and differ later
+        value = st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.5e-300, 7.0])
+        pool = np.array(data.draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=pool_size, max_size=pool_size)))
+        points = pool[data.draw(st.lists(st.integers(0, pool_size - 1), min_size=num_rows, max_size=num_rows))]
+        distinct, counts = model_module._distinct_rows(points)
+        want, want_counts = np.unique(points, axis=0, return_counts=True)
+        assert np.array_equal(distinct, want)
+        assert np.array_equal(counts, want_counts)
+        assert not np.signbit(distinct[distinct == 0.0]).any()
+
+    def test_rows_equal_on_a_long_prefix(self):
+        points = np.zeros((5, 9))
+        points[[1, 3], 8] = 1.0
+        points[4, 5] = -2.0
+        distinct, counts = model_module._distinct_rows(points)
+        want, want_counts = np.unique(points, axis=0, return_counts=True)
+        assert np.array_equal(distinct, want) and np.array_equal(counts, want_counts)
+        assert counts.tolist() == [1, 2, 2]
 
 
 class TestCheckpoint:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from anchorwmd import ot
 from anchorwmd.model import DocumentMeasure
 from anchorwmd.ot import SinkhornConfig, ground_cost_matrix, sinkhorn, sinkhorn_stack, validate_histogram
-from conftest import exact_ot_uniform, log_domain_sinkhorn, reference_scaling_iterations
+from conftest import eager_reg_distance, exact_ot_uniform, log_domain_sinkhorn, reference_scaling_iterations
 
 
 class TestValidateHistogram:
@@ -56,6 +56,21 @@ class TestGroundCost:
     def test_non_finite_points(self):
         with pytest.raises(ValueError):
             ground_cost_matrix(np.array([[np.nan], [0.0]]), np.zeros((2, 1)))
+
+    def test_given_target_norms_give_the_same_bits(self, rng):
+        x, y = rng.standard_normal((30, 7)), rng.standard_normal((30, 5))
+        assert np.array_equal(ground_cost_matrix(x, y, ot._squared_norms(y)), ground_cost_matrix(x, y))
+        with pytest.raises(ValueError, match="target norms"):
+            ground_cost_matrix(x, y, np.ones(4))
+        # the points are checked whether or not their norms are given
+        with pytest.raises(ValueError, match="must be finite"):
+            ground_cost_matrix(x, np.full((30, 5), np.inf), np.ones(5))
+
+    def test_round_to_marginals_scales_in_place(self, rng):
+        plan = rng.uniform(0.1, 1.0, (2, 4, 3))
+        a, b = np.full((2, 4), 0.25), np.full((1, 3), 1 / 3)
+        assert ot._round_to_marginals(plan, a, b) is plan
+        assert plan.sum(axis=2) == pytest.approx(a)
 
 
 class TestExactOtUniform:
@@ -680,6 +695,29 @@ class TestPaddedStack:
             sinkhorn_stack(costs, np.array([[0.2, 0.3, 0.5]]), target)
         with pytest.raises(ValueError, match="sums to"):
             sinkhorn_stack(costs, np.array([[0.5, 0.6, 0.0], [0.2, 0.3, 0.5]]), target)
+
+
+class TestLazyRegDistance:
+    """``reg_distance`` is computed on first read, to the bit the formula once applied to every solve."""
+
+    def _padded_stack(self, rng, sizes=(7, 3, 5), m=4):
+        n_max = max(sizes)
+        costs = rng.uniform(0.0, 5.0, (len(sizes), n_max, m))
+        source = np.zeros((len(sizes), n_max))
+        for k, n in enumerate(sizes):
+            source[k, :n] = rng.dirichlet(np.ones(n))
+        return costs, source, np.full(m, 1.0 / m)
+
+    @pytest.mark.parametrize("relative, epsilon", [(True, 0.1), (True, 0.01), (False, 3.0)])
+    def test_stack_and_each_problem_bit_equal_to_eager_formula(self, rng, relative, epsilon):
+        result = sinkhorn_stack(*self._padded_stack(rng), SinkhornConfig(epsilon=epsilon, relative=relative))
+        assert "reg_distance" not in vars(result)  # nothing computed before the first read
+        eager = eager_reg_distance(result)
+        assert np.array_equal(result.reg_distance, eager)
+        assert result.reg_distance is result.reg_distance  # computed once, then kept
+        for k in range(result.plan.shape[0]):
+            assert result[k].reg_distance == eager[k]
+            assert type(result[k].reg_distance) is float
 
 
 class TestSinkhornConfig:
