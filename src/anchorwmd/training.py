@@ -135,20 +135,22 @@ def _document_stacks(docs: list) -> list[list]:
 
 
 def _stack_terms(model: AnchorModel, docs: list[DocumentMeasure], cfg: TrainConfig):
-    """Per-document losses and stats, and summed gradients, for one stack of documents.
+    """Per-document losses and stats, and the stack's share of the gradients, for one stack of documents.
 
     The documents' transport solves are one padded stack. Returns the
-    losses, the stats, the non-converged solve count, and the stack's
-    transform and anchor gradients, summed over its documents, or None for
-    both when every class coefficient of every document is 0. A document
-    whose coefficients are all 0 stays out of the gradient products.
+    losses, the stats, the non-converged solve count, and two sums over the
+    stack's words: ``X @ W`` (d, Y * p) and ``W.sum(axis=0)`` (Y * p,), or
+    None for both when every class coefficient of every document is 0. W
+    (N, Y * p) is d loss / d cost and X (d, N) holds the raw supports; a
+    document whose coefficients are all 0 stays out of both.
+    :func:`batch_gradients` turns the batch's sums into the gradients.
 
     The gradients hold epsilon fixed at each solve's value (a stop-gradient
     on relative epsilon's dependence on the mean cost): by the envelope
     theorem the plan is then the exact derivative of ``reg_distance`` with
     respect to the costs.
     """
-    embedded, result = anchor_transport(model, docs, cfg.sinkhorn)
+    _, result = anchor_transport(model, docs, cfg.sinkhorn)
     num_classes, p = model.num_classes, model.num_support_points
     dists = result.reg_distance.reshape(len(docs), num_classes)
     terms = [
@@ -171,17 +173,8 @@ def _stack_terms(model: AnchorModel, docs: list[DocumentMeasure], cfg: TrainConf
     plans = result.plan.reshape(len(docs), num_classes, -1, p)
     # d loss / d cost (N, Y * p): each class's plan times its coefficient, class-major
     weighted = (coeffs[doc_of_row, :, None] * plans[doc_of_row, :, row]).reshape(row.size, -1)
-    embedded = embedded[:, keep]
-    columns = anchor_columns(model.anchors)
-    # d cost(i,j) / d z_i = 2 (z_i - q_j)
-    grad_embedded = 2.0 * (embedded * weighted.sum(axis=1) - columns @ weighted.T)
-    # d cost(i,j) / d q_j = -2 (z_i - q_j)
-    grad_columns = 2.0 * (columns * weighted.sum(axis=0) - embedded @ weighted)
-    # z = A x: one product of the stack's embedded-word gradients with its supports
     supports = np.concatenate([doc.support for doc, on in zip(docs, active) if on], axis=1)
-    grad_transform = grad_embedded @ supports.T
-    grad_anchors = grad_columns.reshape(model.dim, num_classes, p).transpose(1, 0, 2)
-    return losses, stats, nonconverged, grad_transform, grad_anchors
+    return losses, stats, nonconverged, supports @ weighted, weighted.sum(axis=0)
 
 
 def batch_gradients(model: AnchorModel, batch: list[DocumentMeasure], cfg: TrainConfig) -> GradientBundle:
@@ -189,11 +182,21 @@ def batch_gradients(model: AnchorModel, batch: list[DocumentMeasure], cfg: Train
 
     Every label is checked against the model's classes before any solve.
     The batch is cut, in order, into stacks of a fixed number of documents;
-    each stack is one padded transport solve and one gradient pass, and the
-    stacks run on ``cfg.threads`` workers. Results are summed in stack
-    order, so they do not depend on the thread count. The L2 penalty on the
-    transform is added here, both to the loss and to its gradient. Anchors
-    are not regularized.
+    each stack is one padded transport solve and one pass that reduces its
+    plans to ``X @ W`` and the column sums of W (:func:`_stack_terms`), and
+    the stacks run on ``cfg.threads`` workers. Results are summed in stack
+    order, so they do not depend on the thread count.
+
+    With cost(i, j) = |A x_i - q_j|^2, d cost / d A = 2 (A x_i - q_j) x_i^T
+    and d cost / d q_j = -2 (A x_i - q_j). Each document's class
+    coefficients sum to 0 (the triplet hinges' -1 per active class and
+    their count; InfoNCE's (1 - sum of the softmax) / temperature), and
+    every row of a class's rounded plan sums to the word's weight, so every
+    row of W sums to 0 and the A x_i term drops out. That leaves
+    d L / d A = -2 Q (X W)^T and d L / d Q = 2 (Q diag(colsum W) - A X W)
+    for the anchor columns Q: two d x (Y * p) x d products per batch. The
+    L2 penalty on the transform is added here, both to the loss and to its
+    gradient. Anchors are not regularized.
     """
     if not batch:
         raise ValueError("batch is empty")
@@ -206,19 +209,24 @@ def batch_gradients(model: AnchorModel, batch: list[DocumentMeasure], cfg: Train
     stacks = _ordered_map(lambda docs: _stack_terms(model, docs, cfg), _document_stacks(batch), cfg.threads)
 
     scale = 1.0 / len(batch)
-    grad_transform = np.zeros_like(model.transform)
-    grad_anchors = np.zeros_like(model.anchors)
+    columns = anchor_columns(model.anchors)
+    supports_weighted = np.zeros_like(columns)
+    column_weights = np.zeros(columns.shape[1])
     loss = 0.0
     stat = 0.0
     nonconverged = 0
-    for losses, stats, stack_nc, stack_gt, stack_ga in stacks:
+    for losses, stats, stack_nc, stack_xw, stack_colsum in stacks:
         for doc_loss, doc_stat in zip(losses, stats):
             loss += doc_loss * scale
             stat += doc_stat * scale
         nonconverged += stack_nc
-        if stack_gt is not None:
-            grad_transform += stack_gt * scale
-            grad_anchors += stack_ga * scale
+        if stack_xw is not None:
+            supports_weighted += stack_xw
+            column_weights += stack_colsum
+
+    grad_transform = -2.0 * scale * (columns @ supports_weighted.T)
+    grad_columns = 2.0 * scale * (columns * column_weights - model.transform @ supports_weighted)
+    grad_anchors = grad_columns.reshape(model.dim, model.num_classes, -1).transpose(1, 0, 2)
 
     if cfg.l2_coeff > 0:
         loss += cfg.l2_coeff * float(np.sum(model.transform**2))
@@ -301,7 +309,9 @@ def train(
     The transform starts at identity and anchors at per-class k-means
     centroids; every epoch shuffles the corpus with the seeded generator and
     applies one Adam step per batch. Returns the final model and per-epoch
-    mean losses (including the L2 penalty).
+    mean losses (including the L2 penalty). An epoch whose mean loss is not
+    finite (say, a margin so large that the hinges overflow) is a
+    ``ValueError`` naming the epoch.
     """
     if not corpus:
         raise ValueError("corpus is empty")
@@ -339,10 +349,15 @@ def train(
             total_loss += bundle.loss_value * len(batch)
             total_stat += bundle.stat * len(batch)
             total_nonconverged += bundle.nonconverged_solves
+        mean_loss = total_loss / len(corpus)
+        if not np.isfinite(mean_loss):
+            raise ValueError(
+                f"epoch {epoch}: mean loss {mean_loss!r} is not finite; the margin or the inputs are too large"
+            )
         history.append(
             EpochStats(
                 epoch=epoch,
-                mean_loss=total_loss / len(corpus),
+                mean_loss=mean_loss,
                 stat=total_stat / len(corpus),
                 nonconverged=total_nonconverged,
             )

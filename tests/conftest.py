@@ -73,6 +73,91 @@ def reference_load_word_vectors(path: str):
     return WordVectorTable(index=index, matrix=matrix, vocab_hash=_vocab_digest(tokens, dim if dim is not None else 0))
 
 
+_TOKEN_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
+
+
+def _reference_tokens(text: str) -> list[str]:
+    """Character-by-character tokenizer: lowercase, runs of ASCII letters and digits, at least
+    two characters and not all digits."""
+    tokens, run = [], ""
+    for ch in text.lower() + " ":
+        if ch in _TOKEN_CHARS:
+            run += ch
+            continue
+        if len(run) >= 2 and not all(c in "0123456789" for c in run):
+            tokens.append(run)
+        run = ""
+    return tokens
+
+
+def _reference_text(path: str) -> str:
+    """A whole file decoded as UTF-8 with an optional leading byte-order mark; a decode error names the file."""
+    from anchorwmd.data import ParseError
+
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def reference_load_corpus(path: str, fmt: str):
+    r"""Corpus reader over whole decoded files (test oracle for ``data.load_corpus``).
+
+    ``lines``: the text is cut at every ``\r\n``, ``\r`` or ``\n``; lines
+    of whitespace only are skipped, and every other line needs a tab, with a
+    label before the first one that is not blank once stripped. ``dirs``:
+    each subdirectory of ``path``, in name order, is a class, and each of its
+    ``.txt`` files, in name order, a document. Class names are every label
+    read, documents without a surviving token are dropped with a warning,
+    and a corpus left without documents is a ``ParseError``.
+    """
+    import logging
+    import os
+    import re
+    from collections import Counter
+
+    from anchorwmd.data import Corpus, Document, ParseError
+
+    rows = []
+    if fmt == "lines":
+        base = os.path.basename(path)
+        for lineno, line in enumerate(re.split("\r\n|\r|\n", _reference_text(path)), 1):
+            if all(ch.isspace() for ch in line):
+                continue
+            if "\t" not in line:
+                raise ParseError(f"{path}:{lineno}: expected '<label><TAB><text>'")
+            tab = line.index("\t")
+            label = line[:tab].strip()
+            if not label:
+                raise ParseError(f"{path}:{lineno}: empty label")
+            rows.append((label, f"{base}:{lineno}", line[tab + 1 :]))
+    else:
+        class_dirs = [name for name in sorted(os.listdir(path)) if os.path.isdir(os.path.join(path, name))]
+        if not class_dirs:
+            raise ParseError(f"{path}: no class subdirectories found")
+        for name in class_dirs:
+            for fname in sorted(os.listdir(os.path.join(path, name))):
+                if fname.endswith(".txt"):
+                    rows.append((name, f"{name}/{fname}", _reference_text(os.path.join(path, name, fname))))
+
+    class_names = sorted({label for label, _, _ in rows})
+    log = logging.getLogger("anchorwmd.data")
+    documents = []
+    for label, doc_id, text in rows:
+        counts = Counter(_reference_tokens(text))
+        if counts:
+            documents.append(Document(doc_id=doc_id, label=class_names.index(label), counts=dict(counts)))
+        else:
+            log.warning("dropping %s: no tokens survive filtering", doc_id)
+    if len(documents) < len(rows):
+        log.warning("dropped %d empty documents from %s", len(rows) - len(documents), path)
+    if not documents:
+        raise ParseError(f"{path}: corpus contains no non-empty documents")
+    return Corpus(documents=documents, class_names=class_names)
+
+
 def lp_transport_value(cost: np.ndarray, source: np.ndarray, target: np.ndarray) -> float:
     """Exact transport LP value via scipy's HiGHS solver (test oracle)."""
     from scipy.optimize import linprog

@@ -488,6 +488,7 @@ class TestBaselineCommand:
             (("train", "eval", "baseline"), "--sinkhorn-tol", "inf", "tolerance must be positive and finite"),
             (("train",), "--margin", "nan", "margin must be finite"),
             (("train",), "--margin", "inf", "margin must be finite"),
+            (("train",), "--margin", "1e308", "epoch 0: mean loss inf is not finite"),
             (("train",), "--tau", "inf", "temperature must be positive and finite"),
             (("train",), "--lr", "inf", "learning_rate must be non-negative and finite"),
             (("train",), "--l2", "nan", "l2_coeff must be non-negative and finite"),

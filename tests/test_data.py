@@ -4,7 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from conftest import reference_load_word_vectors
+from conftest import reference_load_corpus, reference_load_word_vectors
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -99,6 +99,41 @@ class TestLoadCorpusDirs:
     def test_no_class_dirs_is_error(self, tmp_path):
         with pytest.raises(ParseError):
             load_corpus(str(tmp_path), fmt="dirs")
+
+
+class TestCorpusErrors:
+    """Each malformed corpus is one ``ParseError`` line naming the file, and the line where there is one."""
+
+    def test_missing_tab(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("a\tfine line\n\nno tab here\n")
+        with pytest.raises(ParseError) as info:
+            load_corpus(str(path), "lines")
+        assert str(info.value) == f"{path}:3: expected '<label><TAB><text>'"
+
+    def test_empty_label(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("a\tfine line\n \t words without a label\n")
+        with pytest.raises(ParseError) as info:
+            load_corpus(str(path), "lines")
+        assert str(info.value) == f"{path}:2: empty label"
+
+    def test_no_class_subdirectories(self, tmp_path):
+        (tmp_path / "stray.txt").write_text("words at the top level")
+        with pytest.raises(ParseError) as info:
+            load_corpus(str(tmp_path), "dirs")
+        assert str(info.value) == f"{tmp_path}: no class subdirectories found"
+
+    @pytest.mark.parametrize("fmt", ["lines", "dirs"])
+    def test_non_utf8_file_named_by_path(self, tmp_path, fmt):
+        (tmp_path / "red").mkdir()
+        (tmp_path / "red" / "good.txt").write_text("crimson scarlet")
+        bad = tmp_path / "red" / "latin1.txt"
+        bad.write_bytes(b"red\tcaf\xe9 words\n")
+        with pytest.raises(ParseError) as info:
+            load_corpus(str(bad if fmt == "lines" else tmp_path), fmt)
+        reason = "'utf-8' codec can't decode byte 0xe9 in position 7: invalid continuation byte"
+        assert str(info.value) == f"{bad}: {reason}"
 
 
 class TestWordVectors:
@@ -272,6 +307,106 @@ class TestWordVectorsOracle:
         assert ours.matrix.tobytes() == reference.matrix.tobytes()
         assert ours.vocab_hash == reference.vocab_hash
         assert our_messages == reference_messages
+
+
+_LABELS = st.sampled_from(["red", "blue", " red ", "Blue", "\u65e5\u672c", "a b"])
+_CORPUS_WORDS = st.sampled_from(
+    ["cat", "Dog", "DOG", "a", "42", "x1", "mp3s", "end-to-end", "caf\xe9", "\u0130stanbul", "stra\xdfe", "..", "\u65e5"]
+)
+_CORPUS_GAPS = st.sampled_from([" ", "  ", "\t", ",", "\xa0", "\x0c", "\x0b", "\x1c", "\x85", "\u2028"])
+
+
+@st.composite
+def _corpus_texts(draw):
+    """A document's raw text: words of every kind between separators that are not line breaks."""
+    text = ""
+    for _ in range(draw(st.integers(0, 5))):
+        text += draw(_CORPUS_GAPS) + draw(_CORPUS_WORDS)
+    return text + draw(st.sampled_from(["", " ", "\xa0"]))
+
+
+@st.composite
+def _lines_corpora(draw):
+    """A ``lines`` corpus file's bytes: labelled lines, blank lines, lines without a tab,
+    mixed line endings, an optional byte-order mark and now and then a byte that is not UTF-8."""
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.integers(0, 19))
+        if kind < 3:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\xa0", "\x0c"])))
+        elif kind == 3:
+            lines.append(draw(_corpus_texts()))
+        else:
+            label = draw(st.sampled_from(["", " ", "\xa0"]) if kind == 4 else _LABELS)
+            lines.append(label + "\t" + draw(_corpus_texts()))
+    text = ""
+    for i, line in enumerate(lines, 1):
+        text += line + draw(st.sampled_from(["\n", "\r\n", "\r"] + [""] * (i == len(lines))))
+    data = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode()
+    if draw(st.integers(0, 9)) == 0:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.sampled_from([b"\xff", b"\xe9 ", b"\xc3"])) + data[cut:]
+    return data
+
+
+@st.composite
+def _dirs_corpora(draw):
+    """A ``dirs`` corpus: class directories, ``.txt`` files and others, stray top-level files."""
+    classes = draw(st.lists(st.sampled_from(["red", "blue", "a b", "\u65e5\u672c", "x.txt"]), max_size=3, unique=True))
+    tree = {}
+    for name in classes:
+        names = st.sampled_from(["d1.txt", "d2.txt", "B.txt", "notes.md", "upper.TXT", "\xe9.txt"])
+        tree[name] = {
+            fname: draw(_corpus_texts()).encode(draw(st.sampled_from(["utf-8", "utf-8-sig"])))
+            for fname in draw(st.lists(names, max_size=3, unique=True))
+        }
+        if tree[name] and draw(st.integers(0, 9)) == 0:
+            tree[name][sorted(tree[name])[0]] += b"\xff"
+    stray = draw(st.lists(st.sampled_from(["top.txt", "README"]), max_size=2, unique=True))
+    return tree, stray
+
+
+def _parse_both(path: str, fmt: str):
+    """``load_corpus`` and the reference on ``path``: each one's corpus or error, and its warnings."""
+    logger = logging.getLogger("anchorwmd.data")
+    outcomes = []
+    for load in (load_corpus, reference_load_corpus):
+        records = _Records()
+        logger.addHandler(records)
+        try:
+            outcome = load(path, fmt)
+        except ParseError as exc:
+            outcome = str(exc)
+        finally:
+            logger.removeHandler(records)
+        outcomes.append((outcome, records.messages))
+    return outcomes
+
+
+class TestCorpusOracle:
+    @given(data=_lines_corpora())
+    def test_property_lines_match_the_line_by_line_reference(self, data):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "corpus.tsv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            ours, reference = _parse_both(path, "lines")
+        assert ours == reference
+
+    @given(corpus=_dirs_corpora())
+    def test_property_dirs_match_the_file_by_file_reference(self, corpus):
+        tree, stray = corpus
+        with tempfile.TemporaryDirectory() as directory:
+            for name, files in tree.items():
+                os.mkdir(os.path.join(directory, name))
+                for fname, data in files.items():
+                    with open(os.path.join(directory, name, fname), "wb") as fh:
+                        fh.write(data)
+            for fname in stray:
+                with open(os.path.join(directory, fname), "w", encoding="utf-8") as fh:
+                    fh.write("stray words")
+            ours, reference = _parse_both(directory, "dirs")
+        assert ours == reference
 
 
 class TestToMeasure:

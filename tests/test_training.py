@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from anchorwmd import ot as ot_module
 from anchorwmd import training as training_module
@@ -117,6 +119,42 @@ class TestLossCoefficients:
                     down[k] -= h
                     fd = (loss(up) - loss(down)) / (2 * h)
                     assert coeffs[k] == pytest.approx(fd, abs=1e-6)
+
+
+def _distances():
+    """Distance lists with a label: spreads from ties to gaps at which every other probability underflows."""
+    values = st.one_of(
+        st.floats(0.0, 1e3),
+        st.floats(0.0, 1e12),
+        st.sampled_from([0.0, 5e-324, 1.0, 7.0, 1e6, 1e300]),
+    )
+    return st.lists(values, min_size=2, max_size=12).flatmap(
+        lambda dists: st.tuples(st.just(np.array(dists)), st.integers(0, len(dists) - 1))
+    )
+
+
+class TestCoefficientsSumToZero:
+    """The gradient assembly drops each word's z_i * sum_k c_k term, which holds only when every
+    document's class coefficients sum to 0 (``batch_gradients``)."""
+
+    @given(case=_distances(), margin=st.floats(-1e6, 1e6))
+    def test_property_triplet_coefficients_sum_to_exactly_zero(self, case, margin):
+        dists, label = case
+        _, coeffs, _ = _triplet_terms(dists, label, margin)
+        assert math.fsum(coeffs) == 0.0
+
+    @given(case=_distances(), temperature=st.floats(1e-3, 1e3))
+    def test_property_infonce_coefficients_sum_to_zero_within_ulps(self, case, temperature):
+        dists, label = case
+        _, coeffs, _ = _infonce_terms(dists, label, temperature)
+        # (1 - sum of the softmax) / temperature: the softmax sums to 1 within Y roundings,
+        # and 1 / temperature, the scaled terms and the label's addition add one each
+        assert abs(math.fsum(coeffs)) <= (dists.size + 3) * np.spacing(1.0 / temperature)
+
+    def test_infonce_underflowing_probabilities_keep_the_sum(self):
+        _, coeffs, _ = _infonce_terms(np.array([0.0, 1e6, 3.0, 1e300]), 2, 0.5)
+        assert coeffs[1] == coeffs[3] == 0.0
+        assert abs(math.fsum(coeffs)) <= 7 * np.spacing(2.0)
 
 
 class TestLossTerms:
@@ -382,6 +420,29 @@ class TestBatchGradients:
         for got, ref in ((single.grad_transform, ref_transform), (single.grad_anchors, ref_anchors)):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
         assert single.loss_value == pytest.approx(ref_loss, rel=1e-12)
+
+    @pytest.mark.parametrize("max_iters", [1, 3])
+    @pytest.mark.parametrize("loss_kind", ["triplet", "infonce"])
+    def test_unconverged_ragged_stacks_match_reference(self, rng, loss_kind, max_iters):
+        # rounding puts a stopped solve's plan back on its marginals, so its rows
+        # still sum to the word weights and the coefficients' zero sum still cancels
+        docs, model = _mixed_batch(rng, 3, docs_per_class=4)
+        docs = docs[:13]
+        assert len({doc.size for doc in docs[:8]}) > 1 and len({doc.size for doc in docs[8:]}) > 1
+        cfg = TrainConfig(
+            loss_kind=loss_kind,
+            margin=10.0,
+            temperature=30.0,
+            l2_coeff=0.001,
+            sinkhorn=SinkhornConfig(max_iters=max_iters),
+        )
+        bundle = batch_gradients(model, docs, cfg)
+        assert bundle.nonconverged_solves > 0
+        ref_transform, ref_anchors, ref_loss, active_docs = _reference_batch_gradients(model, docs, cfg)
+        assert active_docs > 0
+        for got, ref in ((bundle.grad_transform, ref_transform), (bundle.grad_anchors, ref_anchors)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert bundle.loss_value == pytest.approx(ref_loss, rel=1e-12)
 
     def test_wrong_dimension_document_in_a_stack_rejected(self, rng):
         docs, model, cfg = _tiny_setup(rng, "triplet", n_docs=10)
