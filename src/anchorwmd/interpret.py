@@ -10,7 +10,6 @@ squared Euclidean metric as the transport ground cost is used throughout.
 
 from __future__ import annotations
 
-import json
 import logging
 import warnings
 from collections import Counter
@@ -19,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Corpus
+from .floattext import _join_reprs
 from .model import AnchorModel, anchor_columns
 from .ot import ground_cost_matrix
 
@@ -72,21 +72,20 @@ class ImportanceTable:
         """One row per word: the word, its importances ``I_k``, then its distances ``D_k``.
 
         Column k is class k of ``class_names``; every value is written as
-        ``repr(float(x))``.
+        ``repr(float(x))``, and a value that is not finite is a ``ValueError``.
         """
         num_classes = len(self.class_names)
         importances = np.asarray(self.importances, dtype=float)
         min_distances = np.asarray(self.min_distances, dtype=float)
-        # the C JSON encoder writes each float as its repr; tab separators make a chunk's
-        # rows "[[row]\t[row]...]"
-        encode = json.JSONEncoder(separators=("\t", ":"), allow_nan=False).encode
+        if not (np.isfinite(importances).all() and np.isfinite(min_distances).all()):
+            raise ValueError("importance table values must be finite")
         with open(path, "w", encoding="utf-8") as fh:
             header = ["word"] + [f"I_{k}" for k in range(num_classes)] + [f"D_{k}" for k in range(num_classes)]
             fh.write("\t".join(header) + "\n")
             for start in range(0, len(self.words), _TSV_CHUNK_ROWS):
                 stop = start + _TSV_CHUNK_ROWS
                 values = np.concatenate((importances[start:stop], min_distances[start:stop]), axis=1)
-                rows = encode(values.tolist())[2:-2].split("]\t[")
+                rows = _join_reprs(values, "\t", "\n").split("\n")
                 fh.write("".join(f"{word}\t{row}\n" for word, row in zip(self.words[start:stop], rows)))
 
 

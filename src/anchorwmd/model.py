@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .floattext import _join_reprs
 from .ot import (
     SinkhornConfig,
     SinkhornResult,
@@ -321,13 +322,18 @@ def init_anchors(
 
 
 def save_checkpoint(model: AnchorModel, path: str) -> None:
-    """Write the model as a single JSON document, atomically."""
-    payload = {
+    """Write the model as a single JSON document, atomically.
+
+    The bytes are ``json.dumps(payload, sort_keys=True)`` of the header,
+    names and nested-list arrays, written a field at a time; every float is
+    its ``repr``, from :func:`~anchorwmd.floattext._join_reprs`.
+    """
+    fields = {
         "dim": model.dim,
         "num_classes": model.num_classes,
         "p": model.num_support_points,
-        "transform": model.transform.tolist(),
-        "anchors": model.anchors.tolist(),
+        "transform": model.transform,
+        "anchors": model.anchors,
         "class_names": list(model.class_names),
         "vocab_hash": model.vocab_hash,
     }
@@ -335,13 +341,34 @@ def save_checkpoint(model: AnchorModel, path: str) -> None:
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".checkpoint-", suffix=".json")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            # json.dumps encodes in C in one pass; json.dump streams through the Python encoder
-            fh.write(json.dumps(payload, sort_keys=True))
+            fh.write("{")
+            for i, key in enumerate(sorted(fields)):
+                fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+                value = fields[key]
+                if isinstance(value, np.ndarray):
+                    _write_json_array(fh, value)
+                else:
+                    fh.write(json.dumps(value))
+            fh.write("}")
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def _write_json_array(fh, values: np.ndarray) -> None:
+    """``json.dump(values.tolist(), fh)`` for a float array of at least two dimensions."""
+    if values.ndim > 2:
+        fh.write("[")
+        for i, part in enumerate(values):
+            fh.write(", " if i else "")
+            _write_json_array(fh, part)
+        fh.write("]")
+    elif len(values):
+        fh.write(f"[[{_join_reprs(values, ', ', '], [')}]]")
+    else:
+        fh.write("[]")
 
 
 _CHECKPOINT_KEYS = ("transform", "anchors", "class_names", "num_classes", "dim", "p")

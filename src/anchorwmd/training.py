@@ -323,6 +323,12 @@ def train(
         raise ValueError("training needs at least 2 classes")
     if class_names is None:
         class_names = [str(k) for k in range(num_classes)]
+    present = set(labels)
+    for label, name in enumerate(class_names):
+        if label not in present:
+            raise ValueError(
+                f"class {name!r} has no training documents (each one was dropped: no tokens, or no word vectors)"
+            )
 
     dim = corpus[0].dim
     transform = np.eye(dim)

@@ -659,6 +659,15 @@ def test_failed_training_leaves_no_output(fixture_paths, tmp_path, capsys):
     assert_rejected(code, capsys, out, "at least 2 classes")
 
 
+def test_class_whose_documents_were_all_dropped_is_named(fixture_paths, tmp_path, capsys):
+    """A label whose only line keeps no token is still a class; training names it rather than its index."""
+    corpus = tmp_path / "ghost.tsv"
+    corpus.write_text(Path(fixture_paths["train"]).read_text(encoding="utf-8") + "ghost\ta 1 2\n", encoding="utf-8")
+    out = tmp_path / "rejected"
+    code = main(["train", "--vectors", fixture_paths["vectors"], "--corpus", str(corpus), "--out", str(out)])
+    assert_rejected(code, capsys, out, "class 'ghost' has no training documents (each one was dropped")
+
+
 @pytest.mark.parametrize("command", ["train", "baseline"])
 def test_malformed_vectors_leave_no_output(fixture_paths, tmp_path, capsys, command):
     vectors = tmp_path / "vectors.txt"

@@ -233,6 +233,16 @@ class TestWriteTsvOracle:
         reference_write_tsv(table, str(tmp_path / "ref.tsv"))
         assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
 
+    def test_special_values_bytes_equal_reference(self, tmp_path, rng):
+        table = random_table(rng, 40, 3)
+        table.words[:2] = ["caf\u00e9", "\u65e5\u672c"]
+        table.importances[:, 0] = 0.0
+        table.importances[1:7, 1] = [-0.0, 5e-324, -5e-324, 2.0**-13, -(2.0**53), 1e16]
+        table.min_distances[:4, 2] = [0.5, 1024.0, 1e-4, 0.1 + 0.2]
+        table.write_tsv(str(tmp_path / "new.tsv"))
+        reference_write_tsv(table, str(tmp_path / "ref.tsv"))
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+
     def test_int_valued_table_prints_floats(self, tmp_path, rng):
         table = ImportanceTable(
             words=["a", "b", "c"],

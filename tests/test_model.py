@@ -454,6 +454,23 @@ class TestCheckpoint:
         with open(tmp_path / "streamed.json", "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True)
         assert path.read_bytes() == (tmp_path / "streamed.json").read_bytes()
+        # special values: exact zeros of an identity transform, -0.0, a subnormal, powers of two, non-ASCII text
+        anchors = rng.standard_normal((2, 5, 3))
+        anchors.flat[:6] = [-0.0, 5e-324, 2.0**-13, -(2.0**53), 0.5, 1e16]
+        special = AnchorModel(np.eye(5), anchors, ["caf\u00e9", "\u65e5\u672c"], vocab_hash="h\u00e4sh")
+        save_checkpoint(special, str(path))
+        payload = {
+            "dim": 5,
+            "num_classes": 2,
+            "p": 3,
+            "transform": np.eye(5).tolist(),
+            "anchors": anchors.tolist(),
+            "class_names": ["caf\u00e9", "\u65e5\u672c"],
+            "vocab_hash": "h\u00e4sh",
+        }
+        with open(tmp_path / "streamed.json", "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True)
+        assert path.read_bytes() == (tmp_path / "streamed.json").read_bytes()
 
     def test_checkpoint_fields(self, tmp_path, rng):
         model = AnchorModel(
