@@ -1,4 +1,5 @@
 import itertools
+import os
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import settings
 
 # one profile for every property test: reproducible examples, no example
-# database and no per-example deadline on a slow or shared host
+# database and no per-example deadline on a slow or shared host;
+# ANCHORWMD_HYPOTHESIS_PROFILE=thorough runs ten times the examples
 settings.register_profile("anchorwmd", derandomize=True, database=None, deadline=None)
-settings.load_profile("anchorwmd")
+settings.register_profile("thorough", settings.get_profile("anchorwmd"), max_examples=1000)
+settings.load_profile(os.environ.get("ANCHORWMD_HYPOTHESIS_PROFILE", "anchorwmd"))
 
 
 @pytest.fixture
@@ -212,14 +215,39 @@ class LogDomainResult:
     epsilon: float
 
 
-def log_domain_sinkhorn(cost, source, target, config=None):
+def _relaxation_step(relaxed, marked, gap, iteration):
+    """The relaxation decisions after ``iteration``: the (new) relaxed mask and marked row gaps.
+
+    The row gap of iteration ``ot._RELAX_AT - ot._BLOCK + 1`` is marked; at
+    iteration ``ot._RELAX_AT`` a problem relaxes when its gap fell by a
+    factor of at most ``1 / ot._RELAX_RATE`` per iteration since; every
+    ``ot._BLOCK`` iterations after that a relaxed problem whose gap grew
+    more than ``ot._GUARD`` times since the last mark goes back to plain
+    steps for good, and its gap is marked again.
+    """
+    from anchorwmd import ot
+
+    if iteration == ot._RELAX_AT - ot._BLOCK + 1:
+        return relaxed, gap
+    if iteration == ot._RELAX_AT:
+        return gap >= marked * ot._RELAX_RATE ** (ot._BLOCK - 1), gap
+    if iteration > ot._RELAX_AT and (iteration - ot._RELAX_AT) % ot._BLOCK == 0:
+        return relaxed & ~(gap > ot._GUARD * marked), gap
+    return relaxed, marked
+
+
+def log_domain_sinkhorn(cost, source, target, config=None, relax=True):
     """Sinkhorn with every iteration in the log domain (test oracle for ``ot.sinkhorn``).
 
     Three n×m exp passes per iteration: two log-sum-exp updates of the dual
-    potentials and the plan whose marginals are checked. Rounding and the
-    reported values follow ``ot.sinkhorn``; the entropy of ``reg_distance``
-    is its own sum over the plan's positive entries.
+    potentials and the plan whose marginals are checked. With ``relax``, the
+    solver's over-relaxation rule decides after each iteration from the row
+    gap whether the next half-steps move each potential ``ot._OMEGA`` times
+    the way to its plain update. Rounding and the reported values follow
+    ``ot.sinkhorn``; the entropy of ``reg_distance`` is its own sum over the
+    plan's positive entries.
     """
+    from anchorwmd import ot
     from anchorwmd.ot import SinkhornConfig, _logsumexp, _round_to_marginals
 
     if config is None:
@@ -234,18 +262,23 @@ def log_domain_sinkhorn(cost, source, target, config=None):
     log_b = np.log(b)
     u = np.zeros(a.size)
     v = np.zeros(b.size)
+    relaxed, marked = np.zeros(1, dtype=bool), np.zeros(1)
     converged = False
     iterations = 0
     with np.errstate(under="ignore"):
         for iterations in range(1, config.max_iters + 1):
-            u = log_a - _logsumexp(log_kernel + v[None, :], axis=1)
-            v = log_b - _logsumexp(log_kernel + u[:, None], axis=0)
+            u_plain = log_a - _logsumexp(log_kernel + v[None, :], axis=1)
+            u = u + ot._OMEGA * (u_plain - u) if relaxed[0] else u_plain
+            v_plain = log_b - _logsumexp(log_kernel + u[:, None], axis=0)
+            v = v + ot._OMEGA * (v_plain - v) if relaxed[0] else v_plain
             plan = np.exp(u[:, None] + log_kernel + v[None, :])
             row_gap = float(np.abs(plan.sum(axis=1) - a).sum())
             col_gap = float(np.abs(plan.sum(axis=0) - b).sum())
             if max(row_gap, col_gap) <= config.tolerance:
                 converged = True
                 break
+            if relax:
+                relaxed, marked = _relaxation_step(relaxed, marked, np.array([row_gap]), iterations)
         plan = _round_to_marginals(plan, a, b)
 
     distance = float(np.sum(plan * cost))
@@ -261,14 +294,19 @@ def log_domain_sinkhorn(cost, source, target, config=None):
     )
 
 
-def reference_scaling_iterations(log_kernel, a, b, config, real):
+def reference_scaling_iterations(log_kernel, a, b, config, real, relax=True):
     """Sinkhorn iterations checked half-step by half-step (test oracle for ``ot._scaling_iterations``).
 
     Checks every half-step's scaling for the [1e-50, 1e50] range before using
     it, absorbing it or redoing it in the log domain when it fails, and reads
     the stopping rule after every iteration, where ``ot._scaling_iterations``
-    reads both once per block of iterations. Arguments and returns are those
-    of ``ot._scaling_iterations``. The helpers are looked up on the ``ot``
+    reads both once per block of iterations. With ``relax``, the
+    over-relaxation decisions of ``_relaxation_step`` are read after every
+    iteration too, and a relaxed problem's half-step scaling ``s`` becomes
+    ``s * (s / previous) ** (ot._OMEGA - 1)`` before its check; a relaxed
+    log-domain half-step moves the potential ``ot._OMEGA`` times the way to
+    the plain one. Arguments and returns are those of
+    ``ot._scaling_iterations``. The helpers are looked up on the ``ot``
     module, so a test that counts ``ot._absorbed_kernel`` or
     ``ot._logsumexp`` calls counts this loop's calls too.
     """
@@ -284,6 +322,7 @@ def reference_scaling_iterations(log_kernel, a, b, config, real):
     scalings = [np.ones((num, n)), np.ones((num, m))]
     kernel = np.exp(log_kernel)
     products = [ot._apply(kernel, scalings[1], 0), None]
+    relaxed, marked = np.zeros(num, dtype=bool), np.zeros(num)
     iteration = 0
     while True:
         iteration += 1
@@ -296,6 +335,9 @@ def reference_scaling_iterations(log_kernel, a, b, config, real):
             else:
                 # the masked division's values, without its cost in every iteration
                 scaling = a / products[0]
+            previous = scalings[side]
+            if relaxed.any():
+                scaling[relaxed] = scaling[relaxed] * (scaling[relaxed] / previous[relaxed]) ** (ot._OMEGA - 1)
             # NaN-safe: a NaN entry fails both comparisons
             if not (scaling.min() >= ot._SCALING_LOW and scaling.max() <= ot._SCALING_HIGH):
                 hit = ~((scaling.min(axis=1) >= ot._SCALING_LOW) & (scaling.max(axis=1) <= ot._SCALING_HIGH))
@@ -309,7 +351,11 @@ def reference_scaling_iterations(log_kernel, a, b, config, real):
                 if not finite.all():
                     lost = np.flatnonzero(hit)[~finite]
                     marginal = a[lost] if side == 0 else b
-                    absorbed[~finite] = ot._log_domain_potential(log_kernel[lost], potentials[other][lost], marginal, side)
+                    potential = ot._log_domain_potential(log_kernel[lost], potentials[other][lost], marginal, side)
+                    pick = relaxed[lost]
+                    start = absorbed[~finite][pick] + np.log(previous[lost[pick]])
+                    potential[pick] = start + ot._OMEGA * (potential[pick] - start)
+                    absorbed[~finite] = potential
                 potentials[side][hit] = absorbed
                 kernel[hit] = ot._absorbed_kernel(log_kernel[hit], potentials[0][hit], potentials[1][hit])
                 scaling[hit] = 1.0
@@ -319,8 +365,10 @@ def reference_scaling_iterations(log_kernel, a, b, config, real):
             products[other] = ot._apply(kernel, scaling, other)
         u, v = scalings
         # stop at L1 gaps <= tolerance on both sides; the column gap, at rounding
-        # level right after the column half-step, is read only once the row gap is
+        # level right after a plain column half-step, is read only once the row gap is
         row_gap = np.abs(u * products[0] - a).sum(axis=1)
+        if relax:
+            relaxed, marked = _relaxation_step(relaxed, marked, row_gap, iteration)
         if iteration < config.max_iters and row_gap.min() > config.tolerance:
             continue
         met = row_gap <= config.tolerance
@@ -344,6 +392,7 @@ def reference_scaling_iterations(log_kernel, a, b, config, real):
         potentials = [potential[keep] for potential in potentials]
         scalings = [scaling[keep] for scaling in scalings]
         products[0] = products[0][keep]
+        relaxed, marked = relaxed[keep], marked[keep]
         a = a[keep]
         if padded:
             real = real[keep]

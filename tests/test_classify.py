@@ -1,9 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from anchorwmd import classify, ot
 from anchorwmd.classify import anchor_nn_classify, classify_corpus, error_rate, knn_predict_corpus, write_predictions
 from anchorwmd.model import AnchorModel, DocumentMeasure, anchor_transport
-from anchorwmd.ot import SinkhornConfig
+from anchorwmd.ot import SinkhornConfig, ground_cost_matrix, sinkhorn
 from anchorwmd.training import TrainConfig, train
 
 
@@ -184,6 +189,51 @@ class TestWmdKnn:
         train = [make_doc(rng.standard_normal((2, 2)), [0.5, 0.5], label=0)]
         with pytest.raises(ValueError):
             knn_predict_corpus([train[0]], train, [0])
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+        test_size=st.integers(1, 12),
+        d=st.sampled_from([1, 2, 3, 30, 300]),
+        fortran=st.lists(st.booleans(), min_size=7, max_size=7),
+        block_values=st.sampled_from([1, 40, classify._KNN_BLOCK_VALUES]),
+        epsilon=st.sampled_from([(0.1, True), (0.01, True), (5.0, False)]),
+    )
+    def test_property_distances_match_per_pair_solves(self, seed, sizes, test_size, d, fortran, block_values, epsilon):
+        # ragged documents whose supports are C- or Fortran-ordered, in blocks
+        # of one document, of a few, or all in one: each pair's columns of its
+        # block's product are its own ground cost up to the product's rounding
+        # (to the bit in a block of one), and each distance is the solve on them
+        rng = np.random.default_rng(seed)
+
+        def doc(size, layout):
+            support = rng.standard_normal((size, d)).T  # Fortran order
+            return make_doc(support if layout else np.ascontiguousarray(support), rng.dirichlet(np.ones(size)))
+
+        test = doc(test_size, fortran[-1])
+        train = [doc(size, layout) for size, layout in zip(sizes, fortran)]
+        config = SinkhornConfig(epsilon=epsilon[0], relative=epsilon[1])
+        with mock.patch.object(classify, "_KNN_BLOCK_VALUES", block_values):
+            blocks = classify._blocks(train)
+            [distances] = classify._knn_distances([test], train, config, threads=1)
+        assert [neighbour for block in blocks for neighbour in block] == train
+        sq_test = ot._squared_norms(test.support)
+        k = 0
+        for block in blocks:
+            points = np.concatenate([neighbour.support for neighbour in block], axis=1)
+            norms = np.concatenate([ot._squared_norms(neighbour.support) for neighbour in block])
+            cost = ground_cost_matrix(test.support, points, norms)
+            start = 0
+            for neighbour in block:
+                columns = cost[:, start : start + neighbour.size]
+                start += neighbour.size
+                own = ground_cost_matrix(test.support, neighbour.support)
+                scale = sq_test[:, None] + ot._squared_norms(neighbour.support)[None, :]
+                assert np.all(np.abs(columns - own) <= 1e-12 * scale)
+                assert distances[k] == sinkhorn(columns, test.weights, neighbour.weights, config).distance
+                if len(block) == 1 or np.array_equal(columns, own):
+                    assert distances[k] == sinkhorn(own, test.weights, neighbour.weights, config).distance
+                k += 1
 
 
 class TestErrorRate:

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorwmd import ot
@@ -335,6 +335,52 @@ def _repair_iterations(monkeypatch, inputs, config, name, until):
     return found
 
 
+# the stacks the block-loop properties draw: ragged or not, sharp or flat
+# kernels, an outlier row and a subnormal source weight that force absorption
+# or log-domain steps
+_LOOP_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    num=st.integers(1, 4),
+    n=st.integers(1, 40),
+    m=st.integers(1, 12),
+    d=st.sampled_from([2, 3, 30, 300]),
+    padded=st.booleans(),
+    outlier=st.booleans(),
+    subnormal=st.booleans(),
+    epsilon=st.sampled_from([(0.1, True), (0.01, True), (0.001, True), (20.0, False)]),
+    max_iters=st.integers(1, 300),
+    tolerance=st.sampled_from([1e-4, 1e-6, 1e-9]),
+)
+
+
+def _loop_case(seed, num, n, m, d, padded, outlier, subnormal, epsilon, max_iters, tolerance):
+    """The block-loop inputs and config of one ``_LOOP_CASES`` draw."""
+    rng = np.random.default_rng(seed)
+    costs = np.stack([ground_cost_matrix(rng.standard_normal((d, n)), rng.standard_normal((d, m))) for _ in range(num)])
+    if outlier:
+        # a row a thousand mean costs away: absorption, or a log-domain step
+        costs[0, 0] += 1e3 * costs[0].mean()
+    if padded:
+        source = np.zeros((num, n))
+        for k, length in enumerate(rng.integers(1, n + 1, num)):
+            source[k, :length] = rng.uniform(0.1, 1.0, length)
+        source /= source.sum(axis=1, keepdims=True)
+    else:
+        source = rng.uniform(0.1, 1.0, n)
+        source /= source.sum()
+    rows = np.atleast_2d(source)  # a view: one row per problem, or the shared one
+    heavy = rows[:, 1:].sum(axis=1) > 0  # rows with a second real entry
+    if subnormal and heavy.any():
+        # a first weight of 1e-310: once absorbed, its row's kernel products
+        # can underflow to zero
+        rows[heavy, 0] = 0.0
+        rows[heavy] /= rows[heavy].sum(axis=1, keepdims=True)
+        rows[heavy, 0] = 1e-310
+    target = rng.uniform(0.1, 1.0, m)
+    config = SinkhornConfig(epsilon[0], epsilon[1], max_iters, tolerance)
+    return _loop_inputs(costs, source, target / target.sum(), config), config
+
+
 class TestBlockLoopMatchesReference:
     """The block loop returns, to the bit, what checking every half-step returns.
 
@@ -351,37 +397,31 @@ class TestBlockLoopMatchesReference:
         assert np.array_equal(plans, ref_plans)
         return iterations
 
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        num=st.integers(1, 4),
-        n=st.integers(1, 40),
-        m=st.integers(1, 12),
-        d=st.sampled_from([2, 3, 30, 300]),
-        padded=st.booleans(),
-        outlier=st.booleans(),
-        epsilon=st.sampled_from([(0.1, True), (0.01, True), (0.001, True), (20.0, False)]),
-        max_iters=st.integers(1, 300),
-        tolerance=st.sampled_from([1e-4, 1e-6, 1e-9]),
-    )
-    def test_property_bit_equal_to_reference(self, seed, num, n, m, d, padded, outlier, epsilon, max_iters, tolerance):
-        rng = np.random.default_rng(seed)
-        costs = np.stack(
-            [ground_cost_matrix(rng.standard_normal((d, n)), rng.standard_normal((d, m))) for _ in range(num)]
-        )
-        if outlier:
-            # a row a thousand mean costs away: absorption, or a log-domain step
-            costs[0, 0] += 1e3 * costs[0].mean()
-        if padded:
-            source = np.zeros((num, n))
-            for k, length in enumerate(rng.integers(1, n + 1, num)):
-                source[k, :length] = rng.uniform(0.1, 1.0, length)
-            source /= source.sum(axis=1, keepdims=True)
-        else:
-            source = rng.uniform(0.1, 1.0, n)
-            source /= source.sum()
-        target = rng.uniform(0.1, 1.0, m)
-        config = SinkhornConfig(epsilon[0], epsilon[1], max_iters, tolerance)
-        self._assert_same(_loop_inputs(costs, source, target / target.sum(), config), config)
+    def test_property_bit_equal_to_reference(self, monkeypatch):
+        # the draws include relaxed problems whose scaling is absorbed, and
+        # relaxed problems redone in the log domain, in padded and in
+        # unpadded stacks; only the block loop repairs through ot._absorb
+        reached = set()
+        inner = ot._absorb
+
+        def recording(side, scalings, product, potentials, kernel, log_kernel, a, b, previous, relaxed):
+            scaling = scalings[side]
+            if relaxed is not None:
+                hit = ~((scaling.min(axis=1) >= ot._SCALING_LOW) & (scaling.max(axis=1) <= ot._SCALING_HIGH))
+                finite = np.all(np.isfinite(scaling), axis=1) & (scaling.min(axis=1) > 0)
+                for k in np.flatnonzero(hit & relaxed):
+                    reached.add((bool((a == 0).any()), "absorbed" if finite[k] else "log domain"))
+            inner(side, scalings, product, potentials, kernel, log_kernel, a, b, previous, relaxed)
+
+        monkeypatch.setattr(ot, "_absorb", recording)
+
+        @settings(max_examples=3 * settings.default.max_examples)
+        @given(**_LOOP_CASES)
+        def bit_equal(**case):
+            self._assert_same(*_loop_case(**case))
+
+        bit_equal()
+        assert reached == {(padded, kind) for padded in (False, True) for kind in ("absorbed", "log domain")}
 
     @pytest.mark.parametrize("max_iters", [1, 3, 4, 5, 11, 12, 13, 200])
     def test_max_iters_inside_and_on_block_edges(self, max_iters):
@@ -409,22 +449,23 @@ class TestBlockLoopMatchesReference:
 
     def test_absorption_inside_a_block(self, monkeypatch):
         # the first scaling out of range comes at iteration 9, the fifth step of
-        # the block of iterations 5-12, and is absorbed: no log-domain step
+        # the block of iterations 5-12, and is absorbed: no log-domain step; the
+        # relaxed steps from iteration 13 on absorb again at iteration 48
         rng = np.random.default_rng(0)
         cost = ground_cost_matrix(rng.standard_normal((2, 12)), rng.standard_normal((2, 9)))
         a, b = rng.uniform(0.1, 1.0, 12), rng.uniform(0.1, 1.0, 9)
         config = SinkhornConfig(epsilon=0.004, max_iters=1000)
         inputs = _loop_inputs(cost[None], a / a.sum(), b / b.sum(), config)
-        assert _repair_iterations(monkeypatch, inputs, config, "_absorbed_kernel", until=60) == [9]
+        assert _repair_iterations(monkeypatch, inputs, config, "_absorbed_kernel", until=60) == [9, 48]
         rebuilds, log_steps = self._repairs_match_reference(monkeypatch, inputs, config)
         assert rebuilds > 0 and log_steps == 0
         self._assert_same(inputs, config)
 
     def test_log_domain_fallback_inside_a_block(self, monkeypatch):
-        # a subnormal source weight is absorbed at iteration 1; later K @ v
-        # underflows in its row and the half-step is redone in the log domain
-        # at iterations 28 and 55, the third steps of the blocks after the
-        # checked ones (2-9, ..., 26-33 and 29-36, ..., 53-60)
+        # a subnormal source weight is absorbed at iteration 1; once the problem
+        # relaxes after iteration 12, K @ v underflows in its row every ten
+        # iterations and the relaxed half-step is redone in the log domain, at
+        # iterations 19, 29, ..., 59: steps inside the blocks 13-20, ..., 53-60
         rng = np.random.default_rng(8)
         cost = ground_cost_matrix(rng.standard_normal((3, 8)), rng.standard_normal((3, 6)))
         a, b = rng.uniform(0.1, 1.0, 8), rng.uniform(0.1, 1.0, 6)
@@ -434,11 +475,81 @@ class TestBlockLoopMatchesReference:
         a[0] = 1e-310
         config = SinkhornConfig(epsilon=0.1, relative=False, max_iters=300)
         inputs = _loop_inputs(cost[None], a, b / b.sum(), config)
-        assert _repair_iterations(monkeypatch, inputs, config, "_absorbed_kernel", until=60) == [1, 28, 55]
-        assert _repair_iterations(monkeypatch, inputs, config, "_logsumexp", until=60) == [28, 55]
+        assert _repair_iterations(monkeypatch, inputs, config, "_absorbed_kernel", until=60) == [1, 19, 29, 39, 49, 59]
+        assert _repair_iterations(monkeypatch, inputs, config, "_logsumexp", until=60) == [19, 29, 39, 49, 59]
         rebuilds, log_steps = self._repairs_match_reference(monkeypatch, inputs, config)
         assert rebuilds >= 3 and log_steps > 0
         self._assert_same(inputs, config)
+
+
+class TestOverRelaxation:
+    """Slow solves over-relax after iteration 12; fast ones keep the plain iterates."""
+
+    SLOW = SinkhornConfig(epsilon=0.01)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_converges_where_plain_runs_out(self, seed):
+        # a document of 117 words against a 16-point anchor in d=30 at relative
+        # epsilon 0.01: plain Sinkhorn is still short of the tolerance at max_iters
+        cost, a, b = _random_problem(np.random.default_rng(seed), 117, 16, 30)
+        assert not log_domain_sinkhorn(cost, a, b, self.SLOW, relax=False).converged
+        res = sinkhorn(cost, a, b, self.SLOW)
+        assert res.converged
+        oracle = log_domain_sinkhorn(cost, a, b, self.SLOW)
+        assert res.iterations_used == oracle.iterations_used
+        assert res.distance == pytest.approx(oracle.distance, rel=1e-9)
+        assert res.reg_distance == pytest.approx(oracle.reg_distance, rel=1e-9)
+        assert np.abs(res.plan - oracle.plan).max() < 1e-12
+        # the fixed point of plain Sinkhorn, given the iterations to reach it
+        long = log_domain_sinkhorn(cost, a, b, SinkhornConfig(epsilon=0.01, max_iters=5000), relax=False)
+        assert long.converged and long.iterations_used > 2 * res.iterations_used
+        assert res.distance == pytest.approx(long.distance, rel=1e-6)
+        assert res.reg_distance == pytest.approx(long.reg_distance, rel=1e-6)
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.05])
+    def test_solves_that_stop_by_iteration_12_keep_their_bits(self, epsilon):
+        # a ragged stack whose problems stop between 5 and 57 plain iterations
+        rng = np.random.default_rng(3)
+        n, m = 30, 16
+        dims = (300, 100, 30, 10, 300, 30)
+        costs = np.stack([ground_cost_matrix(rng.standard_normal((d, n)), rng.standard_normal((d, m))) for d in dims])
+        source = np.zeros((6, n))
+        for k, length in enumerate((30, 25, 30, 12, 7, 30)):
+            source[k, :length] = rng.uniform(0.1, 1.0, length)
+        config = SinkhornConfig(epsilon=epsilon)
+        inputs = _loop_inputs(costs, source / source.sum(axis=1, keepdims=True), np.full(m, 1 / m), config)
+        plans, iterations, converged = _run_loop(ot._scaling_iterations, inputs, config)
+        plain_plans, plain_iterations, _ = _run_loop(
+            lambda *args: reference_scaling_iterations(*args, relax=False), inputs, config
+        )
+        early = plain_iterations <= ot._RELAX_AT
+        assert early.any() and not early.all() and converged.all()
+        assert np.array_equal(iterations[early], plain_iterations[early])
+        assert np.array_equal(plans[early], plain_plans[early])
+        # the slow ones relaxed: fewer iterations, other bits
+        assert (iterations[~early] <= plain_iterations[~early]).all()
+        assert not np.array_equal(plans[~early], plain_plans[~early])
+
+    def test_guard_returns_a_diverging_problem_to_plain_steps(self, monkeypatch):
+        # at omega 1.99 this problem's row gap grows after the switch; the guard
+        # sends it back to plain steps before it converges
+        monkeypatch.setattr(ot, "_OMEGA", 1.99)
+        cost, a, b = _random_problem(np.random.default_rng(1), 20, 10, 3)
+        config = SinkhornConfig(epsilon=0.1, max_iters=300)
+        inputs = _loop_inputs(cost[None], a, b, config)
+        relaxed_half_steps = _counting(monkeypatch, "_relax")
+        plans, iterations, converged = _run_loop(ot._scaling_iterations, inputs, config)
+        assert converged.all()
+        # relaxed after iteration 12, but not for every iteration after it
+        assert 0 < len(relaxed_half_steps) < 2 * (iterations[0] - ot._RELAX_AT)
+        ref_plans, ref_iterations, _ = _run_loop(reference_scaling_iterations, inputs, config)
+        assert np.array_equal(iterations, ref_iterations)
+        assert np.array_equal(plans, ref_plans)
+        # without the guard it stays relaxed, and at omega 1.99 its gap shrinks
+        # by about 1% an iteration: 300 iterations are too few
+        monkeypatch.setattr(ot, "_GUARD", np.inf)
+        _, _, unguarded = _run_loop(ot._scaling_iterations, inputs, config)
+        assert not unguarded.all()
 
 
 def _assert_same_result(stacked, alone):
@@ -457,7 +568,7 @@ def _assert_same_result(stacked, alone):
 class TestSinkhornStack:
     """The stacked core solves every problem as it would be solved alone."""
 
-    CONFIG = SinkhornConfig(epsilon=0.05, max_iters=40)
+    CONFIG = SinkhornConfig(epsilon=0.05, max_iters=30)
 
     @staticmethod
     def _mixed_stack(rng):
