@@ -3,11 +3,15 @@
 A document is an empirical measure over embedded word vectors; each class is
 represented by an anchor, a point cloud of ``p`` support columns carrying a
 uniform measure. The transform is a dense square matrix applied column-wise
-to word vectors. :func:`anchor_transport` is the model's one computation:
-a list of documents' embedded words transported to every class anchor, as
-one Sinkhorn stack padded to the longest document. Training and
-nearest-anchor classification are two readings of it. Training solves
-fixed-size stacks of consecutive documents, so a document's values depend
+to word vectors. The model's one computation is in two steps:
+:func:`anchor_cost_rows` embeds word vectors and costs each against every
+anchor column, and :func:`transport_cost_rows` solves documents' cost rows
+against every class anchor as one Sinkhorn stack padded to the longest
+document. :func:`anchor_transport` is the two in a row over documents'
+concatenated supports. Training and nearest-anchor classification are two
+readings of them. Training costs each distinct word of a batch once
+(:class:`DistinctWords`) and solves fixed-size stacks of consecutive
+documents from those rows, so a document's values depend on the batch and
 on document order but never on the worker count; classification solves
 each document as a stack of one, with no padding.
 """
@@ -34,12 +38,16 @@ from .ot import (
 
 __all__ = [
     "DocumentMeasure",
+    "DistinctWords",
     "AnchorModel",
     "anchor_columns",
+    "anchor_cost_rows",
     "anchor_transport",
+    "distinct_words",
     "init_anchors",
     "save_checkpoint",
     "load_checkpoint",
+    "transport_cost_rows",
 ]
 
 
@@ -84,6 +92,49 @@ class DocumentMeasure:
     @property
     def size(self) -> int:
         return self.support.shape[1]
+
+
+@dataclass(frozen=True)
+class DistinctWords:
+    """The distinct word vectors of a list of documents, one row each.
+
+    ``vectors`` is (V, d); ``rows[i]`` holds the row of ``vectors`` of each
+    support column of document i, so ``vectors[rows[i]].T`` equals its
+    support. Built by :func:`distinct_words`.
+    """
+
+    vectors: np.ndarray
+    rows: list[np.ndarray]
+
+    def take(self, indices) -> DistinctWords:
+        """The same table for the documents at ``indices``, in that order."""
+        return DistinctWords(self.vectors, [self.rows[i] for i in indices])
+
+
+def distinct_words(docs: list[DocumentMeasure]) -> DistinctWords:
+    """One row per distinct ``word_id`` of ``docs``, filled and checked document by document.
+
+    Each id's row is its first column. Every document's support must then
+    equal its rows by value; if some id carries two different vectors, every
+    support column becomes its own row instead.
+    """
+    dim = docs[0].dim
+    for doc in docs:
+        if doc.dim != dim:
+            raise ValueError(f"document dimension {doc.dim} does not match the first document's {dim}")
+    splits = np.cumsum([doc.size for doc in docs])[:-1]
+    ids = np.concatenate([doc.word_ids for doc in docs])
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    is_first = np.zeros(ids.size, dtype=bool)
+    is_first[first] = True
+    rows = np.split(inverse, splits)
+    vectors = np.empty((first.size, dim))
+    for doc, doc_rows, doc_first in zip(docs, rows, np.split(is_first, splits)):
+        vectors[doc_rows[doc_first]] = doc.support.T[doc_first]
+    if not all(np.array_equal(vectors[doc_rows], doc.support.T) for doc, doc_rows in zip(docs, rows)):
+        vectors = np.concatenate([doc.support.T for doc in docs])
+        rows = np.split(np.arange(ids.size), splits)
+    return DistinctWords(vectors, rows)
 
 
 @dataclass(frozen=True)
@@ -162,50 +213,70 @@ def anchor_columns(anchors: np.ndarray) -> np.ndarray:
     return anchors.transpose(1, 0, 2).reshape(dim, num_classes * p)
 
 
+def anchor_cost_rows(model: AnchorModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Embed (d, N) raw word vectors and cost each against every anchor column.
+
+    Returns the embedded vectors ``model.transform @ points`` (d, N) and
+    their (N, Y * p) cost rows: one ground cost against all anchor columns
+    in :func:`anchor_columns` order, with the model's column norms.
+    """
+    embedded = model.embed(points)
+    return embedded, ground_cost_matrix(embedded, anchor_columns(model.anchors), model.column_sq_norms)
+
+
+def transport_cost_rows(
+    model: AnchorModel, costs: list[np.ndarray], weights: list[np.ndarray], config: SinkhornConfig | None = None
+) -> SinkhornResult:
+    """Solve documents against every class anchor from their cost rows, as one padded stack.
+
+    ``costs[i]`` is document i's (n_i, Y * p) rows from
+    :func:`anchor_cost_rows` and ``weights[i]`` its histogram. Each
+    document's rows are copied into its Y (n_i, p) class slices, with zeros
+    after them, and all are solved as one stack padded to the longest
+    document, under the uniform measure 1/p on each anchor's columns. A
+    stack of one document has no padding and passes its histogram once.
+    """
+    num_docs, num_classes, p = len(costs), model.num_classes, model.num_support_points
+    n_max = max(len(rows) for rows in costs)
+    stack = np.empty((num_docs, num_classes, n_max, p))
+    source = np.zeros((num_docs, n_max))
+    for i, (rows, doc_weights) in enumerate(zip(costs, weights)):
+        size = len(rows)
+        stack[i, :, :size] = rows.reshape(size, num_classes, p).transpose(1, 0, 2)
+        stack[i, :, size:] = 0.0
+        source[i, :size] = doc_weights
+    source = weights[0] if num_docs == 1 else np.repeat(source, num_classes, axis=0)
+    return sinkhorn_stack(stack.reshape(-1, n_max, p), source, np.full(p, 1.0 / p), config)
+
+
 def anchor_transport(
     model: AnchorModel, docs: list[DocumentMeasure], config: SinkhornConfig | None = None
 ) -> tuple[np.ndarray, SinkhornResult]:
     """Transport raw documents' embedded words to every class anchor, as one padded stack.
 
-    Returns the embedded supports ``model.transform @ support`` of all
-    documents side by side, a (d, N) matrix with document i's n_i columns
-    after those of the documents before it, and one stacked
-    :class:`SinkhornResult` over the ``len(docs) * Y`` problems,
-    document-major: problem ``i * Y + k`` is document i against anchor k,
-    under the uniform measure 1/p on that anchor's columns. Its values are
-    (len(docs) * Y,) and its plans (len(docs) * Y, n_max, p), padded to the
-    longest document: a plan's rows past its document's n_i are 0. One
-    embedding product runs over the concatenated supports and one ground
-    cost against all Y * p anchor columns in :func:`anchor_columns` order,
-    with the model's column norms; each document's rows of it are copied
-    into its Y (n_i, p) class slices, with zeros after them, and solved as
-    one stack. A document's values depend in their last
-    bits on n_max; a stack of one document has no padding. Training ranks
-    classes by ``reg_distance`` (the value its gradient differentiates);
-    nearest-anchor classification takes the argmin of ``distance``, which is
-    the rule that ranks under relative epsilon, where the entropy term of
-    ``reg_distance`` grows with epsilon and favours far anchors.
+    :func:`anchor_cost_rows` over the documents' concatenated supports, then
+    :func:`transport_cost_rows` of each document's rows. Returns the
+    embedded supports of all documents side by side, a (d, N) matrix with
+    document i's n_i columns after those of the documents before it, and
+    one stacked :class:`SinkhornResult` over the ``len(docs) * Y`` problems,
+    document-major: problem ``i * Y + k`` is document i against anchor k.
+    Its values are (len(docs) * Y,) and its plans (len(docs) * Y, n_max, p),
+    padded to the longest document: a plan's rows past its document's n_i
+    are 0. A document's values depend in their last bits on n_max.
+    Training ranks classes by ``reg_distance`` (the value its gradient
+    differentiates); nearest-anchor classification takes the argmin of
+    ``distance``, which is the rule that ranks under relative epsilon, where
+    the entropy term of ``reg_distance`` grows with epsilon and favours far
+    anchors.
     """
     if not docs:
         raise ValueError("no documents to transport")
     for doc in docs:
         if doc.dim != model.dim:
             raise ValueError(f"document dimension {doc.dim} does not match model dimension {model.dim}")
-    num_docs, num_classes, p = len(docs), model.num_classes, model.num_support_points
-    n_max = max(doc.size for doc in docs)
-    target = np.full(p, 1.0 / p)
-    embedded = model.embed(np.concatenate([doc.support for doc in docs], axis=1))
-    cost = ground_cost_matrix(embedded, anchor_columns(model.anchors), model.column_sq_norms)
-    stack = np.empty((num_docs, num_classes, n_max, p))
-    source = np.zeros((num_docs, n_max))
-    start = 0
-    for i, doc in enumerate(docs):
-        stop = start + doc.size
-        stack[i, :, : doc.size] = cost[start:stop].reshape(doc.size, num_classes, p).transpose(1, 0, 2)
-        stack[i, :, doc.size :] = 0.0
-        source[i, : doc.size] = doc.weights
-        start = stop
-    return embedded, sinkhorn_stack(stack.reshape(-1, n_max, p), np.repeat(source, num_classes, axis=0), target, config)
+    embedded, cost = anchor_cost_rows(model, np.concatenate([doc.support for doc in docs], axis=1))
+    costs = np.split(cost, np.cumsum([doc.size for doc in docs])[:-1])
+    return embedded, transport_cost_rows(model, costs, [doc.weights for doc in docs], config)
 
 
 def _stack_rows(sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -229,14 +300,18 @@ def _ordered_map(fn, items: list, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_rows(points: np.ndarray, counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(points, axis=0)`` and how many rows of ``points`` equal each.
 
-    One lexicographic sort on a prefix of the columns, one column first and
-    doubled until rows that tie on the prefix are equal in full: then the
-    prefix order is the full row order, and equal rows are neighbours.
+    With ``counts``, row i of ``points`` stands for ``counts[i]`` rows, and
+    the counts of equal rows are summed. One lexicographic sort on a prefix
+    of the columns, one column first and doubled until rows that tie on the
+    prefix are equal in full: then the prefix order is the full row order,
+    and equal rows are neighbours.
     """
     num_rows, dim = points.shape
+    if counts is None:
+        counts = np.ones(num_rows, dtype=int)
     width = 1
     while True:
         # np.lexsort sorts by its last key first
@@ -248,23 +323,26 @@ def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         width = min(2 * width, dim)
     starts = np.flatnonzero(np.concatenate(([True], ~tied)))
     # -0.0 sorts and compares equal to 0.0; as 0.0 a group's row holds np.unique's bytes
-    return points[order[starts]] + 0.0, np.diff(starts, append=num_rows)
+    return points[order[starts]] + 0.0, np.add.reduceat(counts[order], starts)
 
 
 _KMEANS_MAX_ITERS = 50
 
 
-def _kmeans_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_centroids(
+    points: np.ndarray, k: int, rng: np.random.Generator, counts: np.ndarray | None = None
+) -> np.ndarray:
     """Lloyd's algorithm over row vectors, seeded and deterministic.
 
-    Runs over the distinct rows, each weighted by how often it occurs, which
-    gives the same clusters as Lloyd over every row, for at most ``_KMEANS_MAX_ITERS``
-    iterations. Initial centroids are distinct rows drawn without replacement;
-    if fewer than ``k`` distinct rows exist, centroids are duplicated with a
-    small seeded jitter. Empty clusters restart at the row currently farthest
-    from its centroid.
+    Row i of ``points`` stands for ``counts[i]`` rows (one without
+    ``counts``). Runs over the distinct rows, each weighted by how often it
+    occurs, which gives the same clusters as Lloyd over every row, for at
+    most ``_KMEANS_MAX_ITERS`` iterations. Initial centroids are distinct
+    rows drawn without replacement; if fewer than ``k`` distinct rows exist,
+    centroids are duplicated with a small seeded jitter. Empty clusters
+    restart at the row currently farthest from its centroid.
     """
-    distinct, counts = _distinct_rows(points)
+    distinct, counts = _distinct_rows(points, counts)
     num_distinct = distinct.shape[0]
     if num_distinct < k:
         reps = -(-k // num_distinct)  # ceil
@@ -296,28 +374,33 @@ def _kmeans_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> n
 
 
 def init_anchors(
-    corpus: list[DocumentMeasure], num_classes: int, p: int, seed: int
+    corpus: list[DocumentMeasure], num_classes: int, p: int, seed: int, words: DistinctWords | None = None
 ) -> np.ndarray:
     """Cluster each class's word vectors into ``p`` anchor support points.
 
     Runs seeded k-means per class over the multiset of support columns of
     that class's documents: Lloyd iterates over the class's distinct word
     vectors, each weighted by how often it occurs among those columns.
-    Returns a (num_classes, d, p) array of centroid columns.
+    ``words`` is the corpus's :func:`distinct_words` table, built here when
+    not given: a class's rows of it are counted first, and equal vectors
+    under different ids are then merged with their counts summed, so the
+    centroids are those of the columns themselves, to the bit. Returns a
+    (num_classes, d, p) array of centroid columns.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
     if not corpus:
         raise ValueError("corpus is empty")
-    dim = corpus[0].dim
-    anchors = np.empty((num_classes, dim, p))
+    if words is None:
+        words = distinct_words(corpus)
+    anchors = np.empty((num_classes, words.vectors.shape[1], p))
     for label in range(num_classes):
-        columns = [doc.support for doc in corpus if doc.label == label]
-        if not columns:
+        rows = [doc_rows for doc, doc_rows in zip(corpus, words.rows) if doc.label == label]
+        if not rows:
             raise ValueError(f"class {label} has no documents")
-        points = np.concatenate(columns, axis=1).T  # rows = word vectors
+        distinct, counts = np.unique(np.concatenate(rows), return_counts=True)
         rng = np.random.default_rng([seed, label])
-        anchors[label] = _kmeans_centroids(points, p, rng).T
+        anchors[label] = _kmeans_centroids(words.vectors[distinct], p, rng, counts).T
     return anchors
 
 

@@ -14,7 +14,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import AnchorModel, DocumentMeasure, _ordered_map, _stack_rows, anchor_columns, anchor_transport, init_anchors
+from .model import (
+    AnchorModel,
+    DistinctWords,
+    DocumentMeasure,
+    _ordered_map,
+    _stack_rows,
+    anchor_columns,
+    anchor_cost_rows,
+    distinct_words,
+    init_anchors,
+    transport_cost_rows,
+)
 from .ot import SinkhornConfig
 
 __all__ = [
@@ -134,10 +145,11 @@ def _document_stacks(docs: list) -> list[list]:
     return [docs[start : start + _STACK_DOCUMENTS] for start in range(0, len(docs), _STACK_DOCUMENTS)]
 
 
-def _stack_terms(model: AnchorModel, docs: list[DocumentMeasure], cfg: TrainConfig):
+def _stack_terms(model: AnchorModel, docs: list[DocumentMeasure], costs: list[np.ndarray], cfg: TrainConfig):
     """Per-document losses and stats, and the stack's share of the gradients, for one stack of documents.
 
-    The documents' transport solves are one padded stack. Returns the
+    ``costs[i]`` is document i's (n_i, Y * p) cost rows; the documents'
+    transport solves are one padded stack of them. Returns the
     losses, the stats, the non-converged solve count, and two sums over the
     stack's words: ``X @ W`` (d, Y * p) and ``W.sum(axis=0)`` (Y * p,), or
     None for both when every class coefficient of every document is 0. W
@@ -150,7 +162,7 @@ def _stack_terms(model: AnchorModel, docs: list[DocumentMeasure], cfg: TrainConf
     theorem the plan is then the exact derivative of ``reg_distance`` with
     respect to the costs.
     """
-    _, result = anchor_transport(model, docs, cfg.sinkhorn)
+    result = transport_cost_rows(model, costs, [doc.weights for doc in docs], cfg.sinkhorn)
     num_classes, p = model.num_classes, model.num_support_points
     dists = result.reg_distance.reshape(len(docs), num_classes)
     terms = [
@@ -177,15 +189,22 @@ def _stack_terms(model: AnchorModel, docs: list[DocumentMeasure], cfg: TrainConf
     return losses, stats, nonconverged, supports @ weighted, weighted.sum(axis=0)
 
 
-def batch_gradients(model: AnchorModel, batch: list[DocumentMeasure], cfg: TrainConfig) -> GradientBundle:
+def batch_gradients(
+    model: AnchorModel, batch: list[DocumentMeasure], cfg: TrainConfig, words: DistinctWords | None = None
+) -> GradientBundle:
     """Average loss and gradients over a batch of raw documents.
 
-    Every label is checked against the model's classes before any solve.
-    The batch is cut, in order, into stacks of a fixed number of documents;
-    each stack is one padded transport solve and one pass that reduces its
-    plans to ``X @ W`` and the column sums of W (:func:`_stack_terms`), and
-    the stacks run on ``cfg.threads`` workers. Results are summed in stack
-    order, so they do not depend on the thread count.
+    Every label and dimension is checked against the model before any
+    word is costed. ``words`` is the batch's :func:`~anchorwmd.model.distinct_words`
+    table (``rows[i]`` for ``batch[i]``; :func:`train` takes it from the
+    corpus's), built here when not given. The batch's distinct words are
+    embedded and costed against every anchor column once
+    (:func:`~anchorwmd.model.anchor_cost_rows`). The batch is then cut, in
+    order, into stacks of a fixed number of documents; each stack gathers
+    its documents' cost rows, solves them as one padded stack and reduces
+    its plans to ``X @ W`` and the column sums of W (:func:`_stack_terms`),
+    and the stacks run on ``cfg.threads`` workers. Results are summed in
+    stack order, so they do not depend on the thread count.
 
     With cost(i, j) = |A x_i - q_j|^2, d cost / d A = 2 (A x_i - q_j) x_i^T
     and d cost / d q_j = -2 (A x_i - q_j). Each document's class
@@ -205,8 +224,21 @@ def batch_gradients(model: AnchorModel, batch: list[DocumentMeasure], cfg: Train
             raise ValueError("training documents must carry a class label")
         if not 0 <= doc.label < model.num_classes:
             raise ValueError(f"document label {doc.label} out of range for {model.num_classes} classes")
+        if doc.dim != model.dim:
+            raise ValueError(f"document dimension {doc.dim} does not match model dimension {model.dim}")
+    if words is None:
+        words = distinct_words(batch)
+    elif [rows.size for rows in words.rows] != [doc.size for doc in batch]:
+        raise ValueError("the word table's rows do not match the batch's documents")
 
-    stacks = _ordered_map(lambda docs: _stack_terms(model, docs, cfg), _document_stacks(batch), cfg.threads)
+    batch_rows, local_rows = np.unique(np.concatenate(words.rows), return_inverse=True)
+    _, cost = anchor_cost_rows(model, words.vectors[batch_rows].T)
+    doc_rows = np.split(local_rows, np.cumsum([doc.size for doc in batch])[:-1])
+    stacks = _ordered_map(
+        lambda stack: _stack_terms(model, [doc for doc, _ in stack], [cost[rows] for _, rows in stack], cfg),
+        _document_stacks(list(zip(batch, doc_rows))),
+        cfg.threads,
+    )
 
     scale = 1.0 / len(batch)
     columns = anchor_columns(model.anchors)
@@ -306,7 +338,9 @@ def train(
 ) -> tuple[AnchorModel, list[EpochStats]]:
     """Fit the transform and anchors on a labeled corpus.
 
-    The transform starts at identity and anchors at per-class k-means
+    The corpus's distinct words are tabled once
+    (:func:`~anchorwmd.model.distinct_words`), for the k-means and for every
+    batch. The transform starts at identity and anchors at per-class k-means
     centroids; every epoch shuffles the corpus with the seeded generator and
     applies one Adam step per batch. Returns the final model and per-epoch
     mean losses (including the L2 penalty). An epoch whose mean loss is not
@@ -330,9 +364,9 @@ def train(
                 f"class {name!r} has no training documents (each one was dropped: no tokens, or no word vectors)"
             )
 
-    dim = corpus[0].dim
-    transform = np.eye(dim)
-    anchors = init_anchors(corpus, num_classes, cfg.anchor_points, cfg.seed)
+    words = distinct_words(corpus)
+    transform = np.eye(corpus[0].dim)
+    anchors = init_anchors(corpus, num_classes, cfg.anchor_points, cfg.seed, words)
     state = AdamState.zeros_like([transform, anchors])
     rng = np.random.default_rng(cfg.seed)
 
@@ -343,9 +377,10 @@ def train(
         total_stat = 0.0
         total_nonconverged = 0
         for start in range(0, len(order), cfg.batch_size):
-            batch = [corpus[i] for i in order[start : start + cfg.batch_size]]
+            indices = order[start : start + cfg.batch_size]
+            batch = [corpus[i] for i in indices]
             model = AnchorModel(transform, anchors, class_names, vocab_hash)
-            bundle = batch_gradients(model, batch, cfg)
+            bundle = batch_gradients(model, batch, cfg, words.take(indices))
             (transform, anchors), state = adam_step(
                 [transform, anchors],
                 [bundle.grad_transform, bundle.grad_anchors],

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from anchorwmd import model as model_module
+from anchorwmd.data import WordVectorTable, to_measure
 from anchorwmd.model import (
     AnchorModel,
     DocumentMeasure,
     anchor_columns,
     anchor_transport,
+    distinct_words,
     init_anchors,
     load_checkpoint,
     save_checkpoint,
@@ -38,6 +41,17 @@ def oracle_anchors(docs, num_classes, p, seed):
     """``init_anchors`` through the multiset Lloyd oracle."""
     return np.stack([
         multiset_kmeans_centroids(
+            np.concatenate([doc.support for doc in docs if doc.label == label], axis=1).T,
+            p, np.random.default_rng([seed, label]),
+        ).T
+        for label in range(num_classes)
+    ])
+
+
+def column_anchors(docs, num_classes, p, seed):
+    """``init_anchors`` without a word table: k-means over each class's concatenated support columns."""
+    return np.stack([
+        model_module._kmeans_centroids(
             np.concatenate([doc.support for doc in docs if doc.label == label], axis=1).T,
             p, np.random.default_rng([seed, label]),
         ).T
@@ -378,6 +392,51 @@ class TestInitAnchors:
         assert np.array_equal(anchors, oracle_anchors(docs, 2, p=3, seed=2))
         nearest = np.abs(anchors[0][:, :, None] - pool[:2].T[:, None, :]).max(axis=0).min(axis=1)
         assert np.all(nearest < 1e-3)  # every class-0 anchor point is a jittered copy of one of its two vectors
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shared_vocabulary_with_signed_zeros_equals_oracle(self, seed):
+        # dyadic vectors in clusters of 2 and 4 columns: every cluster mean is exact, so
+        # the table's weighted Lloyd and the oracle's Lloyd over every column agree to the bit
+        vectors = {
+            "a0": [0.0, 1.0, 0.25], "a1": [-0.0, 1.0, 0.25], "a2": [0.5, 1.0, 0.25],
+            "b0": [8.0, -2.0, 1.0], "b1": [8.5, -2.0, 1.0], "c0": [0.0, -6.0, 4.0], "c1": [0.25, -6.0, 4.0],
+        }
+        table = WordVectorTable.from_dict({token: np.array(v) for token, v in vectors.items()})
+        classes = [[("a0", "a2", "b0"), ("a0", "a1", "b1")], [("b0", "b1", "c0"), ("b0", "b1", "c1")]]
+        docs = [to_measure(Counter(tokens), table, label=label) for label, texts in enumerate(classes) for tokens in texts]
+        assert distinct_words(docs).vectors.shape[0] == 7  # a0 and a1 are two ids with one vector
+        anchors = init_anchors(docs, 2, p=2, seed=seed)
+        assert np.array_equal(anchors, oracle_anchors(docs, 2, p=2, seed=seed))
+        assert sorted(anchors[0].T.tolist()) == [[0.125, 1.0, 0.25], [8.25, -2.0, 1.0]]
+        assert sorted(anchors[1].T.tolist()) == [[0.125, -6.0, 4.0], [8.25, -2.0, 1.0]]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_classes=st.integers(2, 4),
+        p=st.integers(1, 6),
+        dim=st.sampled_from([2, 5, 30]),
+        pool_size=st.integers(3, 20),
+        docs_per_class=st.integers(1, 5),
+    )
+    def test_property_table_equals_columns(self, seed, num_classes, p, dim, pool_size, docs_per_class):
+        # one vocabulary shared by every class, with a -0.0/0.0 pair of vectors and
+        # two ids of one vector: through the table, init_anchors is the k-means of the columns
+        g = np.random.default_rng(seed)
+        pool = g.standard_normal((pool_size, dim)) * g.choice([0.1, 1.0, 5.0], size=(pool_size, 1))
+        signed = g.standard_normal(dim)
+        signed[0] = 0.0
+        vectors = {f"w{i}": row for i, row in enumerate(pool)}
+        vectors.update(zero=signed, negzero=signed * np.r_[-1.0, np.ones(dim - 1)], twin=pool[0].copy())
+        table = WordVectorTable.from_dict(vectors)
+        tokens = list(vectors)
+        docs = [to_measure(Counter(["zero", "negzero", "twin", "w0"]), table, label=0)] + [
+            to_measure(Counter(g.choice(tokens, size=int(g.integers(1, 12)))), table, label=label)
+            for label in range(num_classes) for _ in range(docs_per_class)
+        ]
+        assert np.signbit(docs[0].support[0, list(docs[0].word_ids).index(table.index["negzero"])])
+        got = init_anchors(docs, num_classes, p, seed)
+        assert np.array_equal(got, column_anchors(docs, num_classes, p, seed))
+        assert np.array_equal(got, init_anchors(docs, num_classes, p, seed, distinct_words(docs[::-1]).take(range(len(docs))[::-1])))
 
 
 class TestDistinctRows:

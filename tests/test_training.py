@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from anchorwmd import ot as ot_module
 from anchorwmd import training as training_module
 from anchorwmd.classify import classify_corpus, error_rate
-from anchorwmd.data import Corpus, Document, WordVectorTable, corpus_to_measures
-from anchorwmd.model import AnchorModel, DocumentMeasure, anchor_transport, init_anchors
+from anchorwmd.data import Corpus, Document, WordVectorTable, corpus_to_measures, to_measure
+from anchorwmd.model import AnchorModel, DocumentMeasure, anchor_transport, distinct_words, init_anchors
 from anchorwmd.ot import SinkhornConfig
 from anchorwmd.training import (
     AdamState,
@@ -454,8 +454,9 @@ class TestBatchGradients:
     def test_label_outside_the_classes_rejected(self, rng, monkeypatch, label):
         docs, model, cfg = _tiny_setup(rng, "triplet", n_docs=10)
         docs[9] = make_doc(docs[9].support, docs[9].weights, label=label)
-        # checked before any stack is solved
-        monkeypatch.setattr(training_module, "anchor_transport", lambda *args: pytest.fail("solved a stack"))
+        # checked before any word is costed or any stack is solved
+        monkeypatch.setattr(training_module, "anchor_cost_rows", lambda *args: pytest.fail("costed the words"))
+        monkeypatch.setattr(training_module, "transport_cost_rows", lambda *args: pytest.fail("solved a stack"))
         with pytest.raises(ValueError, match=f"label {label} out of range for 2 classes"):
             batch_gradients(model, docs, cfg)
 
@@ -463,6 +464,91 @@ class TestBatchGradients:
         _, model, cfg = _tiny_setup(rng, "triplet")
         with pytest.raises(ValueError):
             batch_gradients(model, [], cfg)
+
+
+SHARED_WORD_CASES = ("shared", "two_ids_one_vector", "one_id_two_vectors")
+
+
+def shared_vocabulary_batch(seed, num_docs, case, y=3, d=6, p=3):
+    """Labeled documents from ``to_measure`` on one word-vector table, and a model.
+
+    Each document draws tokens from its class's three words (every third
+    document from the next class's, so some hinges are active) and from
+    four common words, and always holds ``common0``, so words repeat within
+    and across stacks. ``two_ids_one_vector`` adds a class-0 token whose
+    vector is that of ``c0w0``; ``one_id_two_vectors`` moves the
+    ``common0`` column of the last document off its word's vector.
+    """
+    g = np.random.default_rng(seed)
+    centers = 20.0 * np.eye(y, d)
+    vectors = {f"c{k}w{j}": centers[k] + 0.3 * g.standard_normal(d) for k in range(y) for j in range(3)}
+    vectors.update({f"common{j}": 10.0 + 3.0 * g.standard_normal(d) for j in range(4)})
+    if case == "two_ids_one_vector":
+        vectors["c0twin"] = vectors["c0w0"].copy()
+    table = WordVectorTable.from_dict(vectors)
+    docs = []
+    for i in range(num_docs):
+        label = i % y
+        source = (label + 1) % y if i % 3 == 2 else label
+        own = [token for token in vectors if token.startswith(f"c{source}")]
+        tokens = g.choice(own + [f"common{j}" for j in range(4)], size=int(g.integers(2, 8)))
+        docs.append(to_measure(Counter(["common0", *tokens]), table, label=label))
+    if case == "one_id_two_vectors":
+        doc = docs[-1]
+        support = doc.support.copy()
+        support[:, list(doc.word_ids).index(table.index["common0"])] += 0.5
+        docs[-1] = DocumentMeasure(doc.word_ids, support, doc.weights, label=doc.label)
+    model = AnchorModel(
+        np.eye(d) + 0.05 * g.standard_normal((d, d)),
+        centers[:, :, None] + 0.3 * g.standard_normal((y, d, p)),
+        [str(k) for k in range(y)],
+    )
+    return docs, model
+
+
+class TestSharedVocabularyBatches:
+    """A batch's distinct words are embedded and costed once; each stack gathers its rows."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_docs=st.integers(9, 20),
+        case=st.sampled_from(SHARED_WORD_CASES),
+        loss_kind=st.sampled_from(["triplet", "infonce"]),
+    )
+    def test_property_matches_reference_at_any_thread_count(self, seed, num_docs, case, loss_kind):
+        docs, model = shared_vocabulary_batch(seed, num_docs, case)
+        words = distinct_words(docs)
+        columns = sum(doc.size for doc in docs)
+        distinct_ids = np.unique(np.concatenate([doc.word_ids for doc in docs])).size
+        assert words.vectors.shape[0] == (columns if case == "one_id_two_vectors" else distinct_ids)
+        for doc, rows in zip(docs, words.rows):
+            assert np.array_equal(words.vectors[rows].T, doc.support)
+
+        cfg = TrainConfig(loss_kind=loss_kind, margin=10.0, temperature=30.0, l2_coeff=0.001)
+        single = batch_gradients(model, docs, cfg)
+        threaded = batch_gradients(model, docs, replace(cfg, threads=4))
+        for bundle in (threaded, batch_gradients(model, docs, cfg, words)):
+            assert np.array_equal(single.grad_transform, bundle.grad_transform)
+            assert np.array_equal(single.grad_anchors, bundle.grad_anchors)
+            assert (single.loss_value, single.stat, single.nonconverged_solves) == (
+                bundle.loss_value, bundle.stat, bundle.nonconverged_solves)
+        if case != "one_id_two_vectors":
+            # a corpus's table, as train() passes it, gives the batch the same rows in the same order
+            order = np.arange(num_docs)[::-1]
+            from_corpus = batch_gradients(model, docs, cfg, distinct_words([docs[i] for i in order]).take(np.argsort(order)))
+            assert np.array_equal(single.grad_transform, from_corpus.grad_transform)
+            assert np.array_equal(single.grad_anchors, from_corpus.grad_anchors)
+
+        ref_transform, ref_anchors, ref_loss, _ = _reference_batch_gradients(model, docs, cfg)
+        for got, ref in ((single.grad_transform, ref_transform), (single.grad_anchors, ref_anchors)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert single.loss_value == pytest.approx(ref_loss, rel=1e-12)
+
+    def test_words_of_another_batch_rejected(self):
+        docs, model = shared_vocabulary_batch(3, 9, "shared")
+        words = distinct_words(docs)
+        with pytest.raises(ValueError, match="rows do not match the batch"):
+            batch_gradients(model, docs[1:], TrainConfig(), words)
 
 
 class TestL2Shrinkage:
