@@ -12,7 +12,6 @@ from .interpret import compute_importance_table, tfidf_top_words, top_k_words
 from .model import (
     AnchorModel,
     DocumentMeasure,
-    anchor_transport,
     init_anchors,
     load_checkpoint,
     save_checkpoint,
@@ -34,7 +33,6 @@ __all__ = [
     "WordVectorTable",
     "adam_step",
     "anchor_nn_classify",
-    "anchor_transport",
     "batch_gradients",
     "compute_importance_table",
     "error_rate",

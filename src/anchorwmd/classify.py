@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AnchorModel, DocumentMeasure, _ordered_map, anchor_transport
+from .model import AnchorModel, DocumentMeasure, _ordered_map, anchor_cost_rows, transport_cost_rows
 from .ot import SinkhornConfig, _squared_norms, ground_cost_matrix, sinkhorn
 
 __all__ = [
@@ -34,12 +34,13 @@ def anchor_nn_classify(
 ) -> Prediction:
     """Assign the class of the nearest anchor.
 
-    Transports the raw document to every anchor with
-    :func:`~anchorwmd.model.anchor_transport`, as a stack of one document,
-    and returns the argmin of the unregularized ``distance`` (first index
-    wins exact ties).
+    Costs the raw document's words against every anchor column
+    (:func:`~anchorwmd.model.anchor_cost_rows`), solves them against every
+    anchor as a stack of one document
+    (:func:`~anchorwmd.model.transport_cost_rows`), and returns the argmin
+    of the unregularized ``distance`` (first index wins exact ties).
     """
-    _, result = anchor_transport(model, [doc], config)
+    result = transport_cost_rows(model, [anchor_cost_rows(model, doc.support)], [doc.weights], config)
     return Prediction(predicted_class=int(np.argmin(result.distance)), anchor_distances=result.distance)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Corpus
 from .floattext import _join_reprs
-from .model import AnchorModel, anchor_columns
+from .model import AnchorModel, anchor_columns, anchor_cost_rows
 from .ot import ground_cost_matrix
 
 __all__ = [
@@ -41,15 +41,15 @@ logger = logging.getLogger(__name__)
 _TSV_CHUNK_ROWS = 1024
 
 
-def _anchor_scores(points: np.ndarray, model: AnchorModel) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum anchor distances and importances of (d, N) points, both (N, Y).
+def _anchor_scores(cost: np.ndarray, model: AnchorModel) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum anchor distances and importances of N points from their (N, Y * p) cost rows, both (N, Y).
 
-    ``D[i, k]`` is the smallest squared distance from point i to a column of
-    anchor k of ``model``; the importance of point i for class y is
-    ``sum_{k != y} D[i, k] - (Y - 1) * D[i, y]``.
+    ``cost`` holds each point's squared distances to the anchor columns of
+    ``model``, in :func:`~anchorwmd.model.anchor_columns` order. ``D[i, k]``
+    is the smallest of point i's distances to a column of anchor k; the
+    importance of point i for class y is ``sum_{k != y} D[i, k] - (Y - 1) * D[i, y]``.
     """
     num_classes, p = model.num_classes, model.num_support_points
-    cost = ground_cost_matrix(points, anchor_columns(model.anchors), model.column_sq_norms)
     min_dists = cost.reshape(-1, num_classes, p).min(axis=2)
     return min_dists, min_dists.sum(axis=1, keepdims=True) - num_classes * min_dists
 
@@ -95,17 +95,18 @@ def compute_importance_table(
     """Score every word against every class anchor.
 
     ``word_vectors`` is a (V, d) matrix of raw (untransformed) vectors
-    aligned with ``words``; they are pushed through the model transform
-    before scoring. Vectors or a model so large that the transformed vectors
-    or their anchor distances are not finite raise ``ValueError``.
+    aligned with ``words``, costed against every anchor column by
+    :func:`~anchorwmd.model.anchor_cost_rows`, as training and
+    classification cost a document's words. Vectors of another dimension
+    than the model's, or so large that the transformed vectors or their
+    anchor distances are not finite, raise ``ValueError``.
     """
     vectors = np.asarray(word_vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[0] != len(words):
         raise ValueError("word_vectors must be (len(words), d)")
-    points = model.embed(vectors.T)
     # an overflow is reported once, as the error below, not as a warning per operation
     with np.errstate(over="ignore", invalid="ignore"):
-        min_dists, importances = _anchor_scores(points, model)
+        min_dists, importances = _anchor_scores(anchor_cost_rows(model, vectors.T), model)
     if not (np.isfinite(min_dists).all() and np.isfinite(importances).all()):
         raise ValueError("word-to-anchor distances are not finite: the word vectors or the model are too large")
     return ImportanceTable(
@@ -257,7 +258,8 @@ def projection_rows(
     """
     vectors = np.asarray(word_vectors, dtype=float)
     columns = anchor_columns(model.anchors)  # (d, Y p)
-    _, anchor_importances = _anchor_scores(columns, model)
+    # the anchor columns are already embedded: their costs come straight from ground_cost_matrix
+    _, anchor_importances = _anchor_scores(ground_cost_matrix(columns, columns, model.column_sq_norms), model)
     # the PCA input built once, in pca_2d's layout: transformed words, then anchor columns
     num_words = vectors.shape[0]
     points = np.empty((num_words + columns.shape[1], columns.shape[0]), order="F")

@@ -3,17 +3,18 @@
 A document is an empirical measure over embedded word vectors; each class is
 represented by an anchor, a point cloud of ``p`` support columns carrying a
 uniform measure. The transform is a dense square matrix applied column-wise
-to word vectors. The model's one computation is in two steps:
-:func:`anchor_cost_rows` embeds word vectors and costs each against every
-anchor column, and :func:`transport_cost_rows` solves documents' cost rows
-against every class anchor as one Sinkhorn stack padded to the longest
-document. :func:`anchor_transport` is the two in a row over documents'
-concatenated supports. Training and nearest-anchor classification are two
-readings of them. Training costs each distinct word of a batch once
-(:class:`DistinctWords`) and solves fixed-size stacks of consecutive
+to word vectors. The model's one computation, a document against every
+anchor, is in two steps: :func:`anchor_cost_rows` embeds raw word vectors
+and costs each against every anchor column, and :func:`transport_cost_rows`
+solves documents' cost rows against every class anchor as one Sinkhorn
+stack padded to the longest document. Training, nearest-anchor
+classification and interpretation all call the first step, and the first
+two solve with the second. Training costs each distinct word of a batch
+once (:class:`DistinctWords`) and solves fixed-size stacks of consecutive
 documents from those rows, so a document's values depend on the batch and
 on document order but never on the worker count; classification solves
-each document as a stack of one, with no padding.
+each document as a stack of one, with no padding; interpretation reduces
+each vocabulary word's cost row to its nearest column of every anchor.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "AnchorModel",
     "anchor_columns",
     "anchor_cost_rows",
-    "anchor_transport",
     "distinct_words",
     "init_anchors",
     "save_checkpoint",
@@ -213,15 +213,18 @@ def anchor_columns(anchors: np.ndarray) -> np.ndarray:
     return anchors.transpose(1, 0, 2).reshape(dim, num_classes * p)
 
 
-def anchor_cost_rows(model: AnchorModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def anchor_cost_rows(model: AnchorModel, points: np.ndarray) -> np.ndarray:
     """Embed (d, N) raw word vectors and cost each against every anchor column.
 
-    Returns the embedded vectors ``model.transform @ points`` (d, N) and
-    their (N, Y * p) cost rows: one ground cost against all anchor columns
-    in :func:`anchor_columns` order, with the model's column norms.
+    Returns their (N, Y * p) cost rows: the squared distances from
+    ``model.transform @ points`` to all anchor columns, in
+    :func:`anchor_columns` order, with the model's column norms. Points whose
+    dimension is not the model's are a ``ValueError``, as is an embedding
+    that overflows (:meth:`AnchorModel.embed`).
     """
-    embedded = model.embed(points)
-    return embedded, ground_cost_matrix(embedded, anchor_columns(model.anchors), model.column_sq_norms)
+    if points.shape[0] != model.dim:
+        raise ValueError(f"word vector dimension {points.shape[0]} does not match model dimension {model.dim}")
+    return ground_cost_matrix(model.embed(points), anchor_columns(model.anchors), model.column_sq_norms)
 
 
 def transport_cost_rows(
@@ -235,6 +238,16 @@ def transport_cost_rows(
     after them, and all are solved as one stack padded to the longest
     document, under the uniform measure 1/p on each anchor's columns. A
     stack of one document has no padding and passes its histogram once.
+
+    Returns one stacked :class:`SinkhornResult` over the ``len(costs) * Y``
+    problems, document-major: problem ``i * Y + k`` is document i against
+    anchor k. Its plans are (len(costs) * Y, n_max, p): a plan's rows past
+    its document's n_i are 0, and a document's values depend in their last
+    bits on n_max. Training ranks classes by ``reg_distance`` (the value its
+    gradient differentiates); nearest-anchor classification takes the argmin
+    of ``distance``, which is the rule that ranks under relative epsilon,
+    where the entropy term of ``reg_distance`` grows with epsilon and
+    favours far anchors.
     """
     num_docs, num_classes, p = len(costs), model.num_classes, model.num_support_points
     n_max = max(len(rows) for rows in costs)
@@ -247,36 +260,6 @@ def transport_cost_rows(
         source[i, :size] = doc_weights
     source = weights[0] if num_docs == 1 else np.repeat(source, num_classes, axis=0)
     return sinkhorn_stack(stack.reshape(-1, n_max, p), source, np.full(p, 1.0 / p), config)
-
-
-def anchor_transport(
-    model: AnchorModel, docs: list[DocumentMeasure], config: SinkhornConfig | None = None
-) -> tuple[np.ndarray, SinkhornResult]:
-    """Transport raw documents' embedded words to every class anchor, as one padded stack.
-
-    :func:`anchor_cost_rows` over the documents' concatenated supports, then
-    :func:`transport_cost_rows` of each document's rows. Returns the
-    embedded supports of all documents side by side, a (d, N) matrix with
-    document i's n_i columns after those of the documents before it, and
-    one stacked :class:`SinkhornResult` over the ``len(docs) * Y`` problems,
-    document-major: problem ``i * Y + k`` is document i against anchor k.
-    Its values are (len(docs) * Y,) and its plans (len(docs) * Y, n_max, p),
-    padded to the longest document: a plan's rows past its document's n_i
-    are 0. A document's values depend in their last bits on n_max.
-    Training ranks classes by ``reg_distance`` (the value its gradient
-    differentiates); nearest-anchor classification takes the argmin of
-    ``distance``, which is the rule that ranks under relative epsilon, where
-    the entropy term of ``reg_distance`` grows with epsilon and favours far
-    anchors.
-    """
-    if not docs:
-        raise ValueError("no documents to transport")
-    for doc in docs:
-        if doc.dim != model.dim:
-            raise ValueError(f"document dimension {doc.dim} does not match model dimension {model.dim}")
-    embedded, cost = anchor_cost_rows(model, np.concatenate([doc.support for doc in docs], axis=1))
-    costs = np.split(cost, np.cumsum([doc.size for doc in docs])[:-1])
-    return embedded, transport_cost_rows(model, costs, [doc.weights for doc in docs], config)
 
 
 def _stack_rows(sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -300,18 +283,16 @@ def _ordered_map(fn, items: list, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _distinct_rows(points: np.ndarray, counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_rows(points: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(points, axis=0)`` and how many rows of ``points`` equal each.
 
-    With ``counts``, row i of ``points`` stands for ``counts[i]`` rows, and
-    the counts of equal rows are summed. One lexicographic sort on a prefix
-    of the columns, one column first and doubled until rows that tie on the
-    prefix are equal in full: then the prefix order is the full row order,
-    and equal rows are neighbours.
+    Row i of ``points`` stands for ``counts[i]`` rows, and the counts of
+    equal rows are summed. One lexicographic sort on a prefix of the
+    columns, one column first and doubled until rows that tie on the prefix
+    are equal in full: then the prefix order is the full row order, and
+    equal rows are neighbours.
     """
-    num_rows, dim = points.shape
-    if counts is None:
-        counts = np.ones(num_rows, dtype=int)
+    dim = points.shape[1]
     width = 1
     while True:
         # np.lexsort sorts by its last key first
@@ -329,15 +310,13 @@ def _distinct_rows(points: np.ndarray, counts: np.ndarray | None = None) -> tupl
 _KMEANS_MAX_ITERS = 50
 
 
-def _kmeans_centroids(
-    points: np.ndarray, k: int, rng: np.random.Generator, counts: np.ndarray | None = None
-) -> np.ndarray:
+def _kmeans_centroids(points: np.ndarray, k: int, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
     """Lloyd's algorithm over row vectors, seeded and deterministic.
 
-    Row i of ``points`` stands for ``counts[i]`` rows (one without
-    ``counts``). Runs over the distinct rows, each weighted by how often it
-    occurs, which gives the same clusters as Lloyd over every row, for at
-    most ``_KMEANS_MAX_ITERS`` iterations. Initial centroids are distinct
+    Row i of ``points`` stands for ``counts[i]`` rows. Runs over the
+    distinct rows, each weighted by how often it occurs, which gives the
+    same clusters as Lloyd over every row, for at most
+    ``_KMEANS_MAX_ITERS`` iterations. Initial centroids are distinct
     rows drawn without replacement; if fewer than ``k`` distinct rows exist,
     centroids are duplicated with a small seeded jitter. Empty clusters
     restart at the row currently farthest from its centroid.

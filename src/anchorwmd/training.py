@@ -165,28 +165,30 @@ def _stack_terms(model: AnchorModel, docs: list[DocumentMeasure], costs: list[np
     result = transport_cost_rows(model, costs, [doc.weights for doc in docs], cfg.sinkhorn)
     num_classes, p = model.num_classes, model.num_support_points
     dists = result.reg_distance.reshape(len(docs), num_classes)
-    terms = [
-        _triplet_terms(doc_dists, doc.label, cfg.margin)
-        if cfg.loss_kind == "triplet"
-        else _infonce_terms(doc_dists, doc.label, cfg.temperature)
-        for doc, doc_dists in zip(docs, dists)
-    ]
-    losses = [loss for loss, _, _ in terms]
-    stats = [stat for _, _, stat in terms]
-    nonconverged = int(np.count_nonzero(~result.converged))
-    coeffs = np.array([doc_coeffs for _, doc_coeffs, _ in terms])
-    active = coeffs.any(axis=1)
-    if not active.any():
-        return losses, stats, nonconverged, None, None
+    # overflows stay inf or NaN for train to report once; set here, as worker threads start at numpy's default
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = [
+            _triplet_terms(doc_dists, doc.label, cfg.margin)
+            if cfg.loss_kind == "triplet"
+            else _infonce_terms(doc_dists, doc.label, cfg.temperature)
+            for doc, doc_dists in zip(docs, dists)
+        ]
+        losses = [loss for loss, _, _ in terms]
+        stats = [stat for _, _, stat in terms]
+        nonconverged = int(np.count_nonzero(~result.converged))
+        coeffs = np.array([doc_coeffs for _, doc_coeffs, _ in terms])
+        active = coeffs.any(axis=1)
+        if not active.any():
+            return losses, stats, nonconverged, None, None
 
-    doc_of_row, row = _stack_rows([doc.size for doc in docs])
-    keep = active[doc_of_row]
-    doc_of_row, row = doc_of_row[keep], row[keep]
-    plans = result.plan.reshape(len(docs), num_classes, -1, p)
-    # d loss / d cost (N, Y * p): each class's plan times its coefficient, class-major
-    weighted = (coeffs[doc_of_row, :, None] * plans[doc_of_row, :, row]).reshape(row.size, -1)
-    supports = np.concatenate([doc.support for doc, on in zip(docs, active) if on], axis=1)
-    return losses, stats, nonconverged, supports @ weighted, weighted.sum(axis=0)
+        doc_of_row, row = _stack_rows([doc.size for doc in docs])
+        keep = active[doc_of_row]
+        doc_of_row, row = doc_of_row[keep], row[keep]
+        plans = result.plan.reshape(len(docs), num_classes, -1, p)
+        # d loss / d cost (N, Y * p): each class's plan times its coefficient, class-major
+        weighted = (coeffs[doc_of_row, :, None] * plans[doc_of_row, :, row]).reshape(row.size, -1)
+        supports = np.concatenate([doc.support for doc, on in zip(docs, active) if on], axis=1)
+        return losses, stats, nonconverged, supports @ weighted, weighted.sum(axis=0)
 
 
 def batch_gradients(
@@ -232,7 +234,7 @@ def batch_gradients(
         raise ValueError("the word table's rows do not match the batch's documents")
 
     batch_rows, local_rows = np.unique(np.concatenate(words.rows), return_inverse=True)
-    _, cost = anchor_cost_rows(model, words.vectors[batch_rows].T)
+    cost = anchor_cost_rows(model, words.vectors[batch_rows].T)
     doc_rows = np.split(local_rows, np.cumsum([doc.size for doc in batch])[:-1])
     stacks = _ordered_map(
         lambda stack: _stack_terms(model, [doc for doc, _ in stack], [cost[rows] for _, rows in stack], cfg),
@@ -343,9 +345,11 @@ def train(
     batch. The transform starts at identity and anchors at per-class k-means
     centroids; every epoch shuffles the corpus with the seeded generator and
     applies one Adam step per batch. Returns the final model and per-epoch
-    mean losses (including the L2 penalty). An epoch whose mean loss is not
-    finite (say, a margin so large that the hinges overflow) is a
-    ``ValueError`` naming the epoch.
+    mean losses (including the L2 penalty). A batch whose loss, gradients,
+    updated parameters or Adam moments are not finite (say, a temperature so
+    small that the softmax overflows) is a ``ValueError`` naming the epoch
+    and the batch; an epoch whose mean loss is not finite (say, a margin so
+    large that the batch losses overflow their sum) names the epoch.
     """
     if not corpus:
         raise ValueError("corpus is empty")
@@ -376,17 +380,25 @@ def train(
         total_loss = 0.0
         total_stat = 0.0
         total_nonconverged = 0
-        for start in range(0, len(order), cfg.batch_size):
+        for batch_index, start in enumerate(range(0, len(order), cfg.batch_size)):
             indices = order[start : start + cfg.batch_size]
             batch = [corpus[i] for i in indices]
             model = AnchorModel(transform, anchors, class_names, vocab_hash)
-            bundle = batch_gradients(model, batch, cfg, words.take(indices))
-            (transform, anchors), state = adam_step(
-                [transform, anchors],
-                [bundle.grad_transform, bundle.grad_anchors],
-                state,
-                cfg.learning_rate,
-            )
+            # a step that overflows is reported once, by the check below, not as a warning per operation
+            with np.errstate(over="ignore", invalid="ignore"):
+                bundle = batch_gradients(model, batch, cfg, words.take(indices))
+                (transform, anchors), state = adam_step(
+                    [transform, anchors],
+                    [bundle.grad_transform, bundle.grad_anchors],
+                    state,
+                    cfg.learning_rate,
+                )
+            arrays = [bundle.grad_transform, bundle.grad_anchors, transform, anchors, *state.first_moment, *state.second_moment]
+            if not (np.isfinite(bundle.loss_value) and all(np.isfinite(values).all() for values in arrays)):
+                raise ValueError(
+                    f"epoch {epoch}, batch {batch_index}: the loss, gradients, parameters or Adam moments are not finite "
+                    f"(loss {bundle.loss_value!r}); the temperature, L2 coefficient, learning rate or inputs are too extreme"
+                )
             total_loss += bundle.loss_value * len(batch)
             total_stat += bundle.stat * len(batch)
             total_nonconverged += bundle.nonconverged_solves

@@ -412,12 +412,14 @@ def eager_reg_distance(result):
 
 
 def reference_anchor_transport(model, docs, config=None):
-    """Documents against every anchor, the stack built by scatter (test oracle for ``model.anchor_transport``).
+    """Documents against every anchor, the stack built by scatter.
 
-    Embeds with the transform product, takes the ground cost against a copy
-    of the anchor columns with their norms recomputed, scatters each word's
-    cost row into a zeroed padded stack by fancy indexing, solves it and
-    computes ``reg_distance`` eagerly. Returns the embedded supports, the
+    The test oracle for ``model.anchor_cost_rows`` of the documents'
+    supports side by side, then ``model.transport_cost_rows`` of each
+    document's rows. Embeds with the transform product, takes the ground
+    cost against a copy of the anchor columns with their norms recomputed,
+    scatters each word's cost row into a zeroed padded stack by fancy
+    indexing, solves it and computes ``reg_distance`` eagerly. Returns the
     stacked result and its (B,) ``reg_distance``.
     """
     from anchorwmd.model import _stack_rows, anchor_columns
@@ -434,7 +436,7 @@ def reference_anchor_transport(model, docs, config=None):
     source = np.zeros((num_docs, n_max))
     source[doc_of_row, row] = np.concatenate([doc.weights for doc in docs])
     result = sinkhorn_stack(stack.reshape(-1, n_max, p), np.repeat(source, num_classes, axis=0), np.full(p, 1.0 / p), config)
-    return embedded, result, eager_reg_distance(result)
+    return result, eager_reg_distance(result)
 
 
 def multiset_kmeans_centroids(points, k, rng, max_iters=50, restarts=None):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import anchorwmd
-from anchorwmd.model import AnchorModel, DocumentMeasure, anchor_transport
+from anchorwmd.model import AnchorModel, DocumentMeasure, anchor_cost_rows, transport_cost_rows
 from anchorwmd.ot import SinkhornConfig, ground_cost_matrix, sinkhorn
 
 
@@ -25,9 +25,10 @@ def test_kernel_matches_direct_solves(rng):
     doc = DocumentMeasure(np.arange(n), rng.standard_normal((d, n)), weights / weights.sum())
     cfg = SinkhornConfig(epsilon=0.05)
 
-    embedded, result = anchor_transport(model, [doc], cfg)
+    cost = anchor_cost_rows(model, doc.support)
+    result = transport_cost_rows(model, [cost], [doc.weights], cfg)
 
-    assert np.array_equal(embedded, transform @ doc.support)
+    assert np.array_equal(cost, ground_cost_matrix(transform @ doc.support, np.concatenate(anchors, axis=1)))
     assert result.distance.shape == (model.num_classes,)
     assert result.plan.shape == (model.num_classes, n, p)
     for k in range(model.num_classes):

@@ -520,6 +520,17 @@ class TestBaselineCommand:
             "baseline", ["--train-fraction", "0.5", "--seed", "-1"], "seed must be non-negative",
             id="baseline--train-fraction=0.5--seed=-1",
         )
+    ]
+    + [
+        # the first step overflows: the softmax at a tiny temperature, Adam's squared gradient at a huge L2 penalty
+        pytest.param(
+            "train", flags, f"epoch 0, batch 0: the loss, gradients, parameters or Adam moments are not finite (loss {loss})",
+            id=name,
+        )
+        for name, flags, loss in [
+            ("train--loss=infonce--tau=1e-320", ["--loss", "infonce", "--tau", "1e-320"], "nan"),
+            ("train--l2=1e300", ["--l2", "1e300"], "1e+301"),
+        ]
     ],
 )
 def test_invalid_value_rejected_before_writing(fixture_paths, trained, tmp_path, capsys, command, flags, message):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from anchorwmd import interpret
+from anchorwmd import model as model_module
 from anchorwmd.data import Corpus, Document
 from anchorwmd.interpret import (
     ImportanceTable,
@@ -18,7 +19,7 @@ from anchorwmd.interpret import (
     top_k_words,
     write_projection,
 )
-from anchorwmd.model import AnchorModel
+from anchorwmd.model import AnchorModel, anchor_cost_rows
 from anchorwmd.ot import ground_cost_matrix
 
 
@@ -190,8 +191,9 @@ class TestImportanceTable:
             calls.append(args)
             return ground_cost_matrix(*args)
 
-        monkeypatch.setattr(interpret, "ground_cost_matrix", counting_ground_cost)
-        min_dists, importances = interpret._anchor_scores(points, AnchorModel(np.eye(5), anchors, list("abcd")))
+        monkeypatch.setattr(model_module, "ground_cost_matrix", counting_ground_cost)
+        model = AnchorModel(np.eye(5), anchors, list("abcd"))
+        min_dists, importances = interpret._anchor_scores(anchor_cost_rows(model, points), model)
         assert len(calls) == 1
         ref_dists, ref_importances = per_anchor_scores(points, anchors)
         assert np.array_equal(min_dists, ref_dists)
@@ -218,6 +220,11 @@ class TestImportanceTable:
         vectors[1] = scale
         with pytest.raises(ValueError, match="finite"):
             compute_importance_table(model, ["w0", "w1", "w2"], vectors)
+
+    def test_wrong_dimension_vectors_rejected(self, rng):
+        model = self.make_model(rng)
+        with pytest.raises(ValueError, match="word vector dimension 3 does not match model dimension 2"):
+            compute_importance_table(model, ["w0", "w1"], rng.standard_normal((2, 3)))
 
 
 class TestWriteTsvOracle:

@@ -14,11 +14,12 @@ from anchorwmd.model import (
     AnchorModel,
     DocumentMeasure,
     anchor_columns,
-    anchor_transport,
+    anchor_cost_rows,
     distinct_words,
     init_anchors,
     load_checkpoint,
     save_checkpoint,
+    transport_cost_rows,
 )
 from anchorwmd.ot import SinkhornConfig, ground_cost_matrix
 from conftest import lp_transport_value, multiset_kmeans_centroids, reference_anchor_transport
@@ -50,13 +51,12 @@ def oracle_anchors(docs, num_classes, p, seed):
 
 def column_anchors(docs, num_classes, p, seed):
     """``init_anchors`` without a word table: k-means over each class's concatenated support columns."""
-    return np.stack([
-        model_module._kmeans_centroids(
-            np.concatenate([doc.support for doc in docs if doc.label == label], axis=1).T,
-            p, np.random.default_rng([seed, label]),
-        ).T
-        for label in range(num_classes)
-    ])
+    anchors = []
+    for label in range(num_classes):
+        points = np.concatenate([doc.support for doc in docs if doc.label == label], axis=1).T
+        rng = np.random.default_rng([seed, label])
+        anchors.append(model_module._kmeans_centroids(points, p, rng, np.ones(len(points), dtype=int)).T)
+    return np.stack(anchors)
 
 
 def make_doc(support, weights, label=None):
@@ -114,11 +114,18 @@ class TestAnchorModel:
         model = AnchorModel(np.full((3, 3), 1e308), rng.standard_normal((2, 3, 2)), ["a", "b"])
         doc = make_doc(np.ones((3, 2)), [0.5, 0.5])
         with pytest.raises(ValueError, match="transformed word vectors are not finite"):
-            anchor_transport(model, [doc])
+            anchor_cost_rows(model, doc.support)
 
 
-class TestAnchorTransportMatchesReference:
-    """The slice-built stack against the fancy-index scatter of ``reference_anchor_transport``."""
+def kernel(model, docs, config=None):
+    """The two-step kernel over documents: one cost of their supports side by side, then one padded stack."""
+    cost = anchor_cost_rows(model, np.concatenate([doc.support for doc in docs], axis=1))
+    costs = np.split(cost, np.cumsum([doc.size for doc in docs])[:-1])
+    return transport_cost_rows(model, costs, [doc.weights for doc in docs], config)
+
+
+class TestAnchorKernelMatchesReference:
+    """``anchor_cost_rows`` then ``transport_cost_rows`` against the fancy-index scatter of ``reference_anchor_transport``."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -136,9 +143,8 @@ class TestAnchorTransportMatchesReference:
         )
         docs = [make_doc(g.standard_normal((d, n)), g.dirichlet(np.ones(n))) for n in sizes]
         config = SinkhornConfig(epsilon=0.1 if relative else 2.0, relative=relative)
-        embedded, result = anchor_transport(model, docs, config)
-        ref_embedded, ref, ref_reg_distance = reference_anchor_transport(model, docs, config)
-        assert np.array_equal(embedded, ref_embedded)
+        result = kernel(model, docs, config)
+        ref, ref_reg_distance = reference_anchor_transport(model, docs, config)
         assert np.array_equal(result.plan, ref.plan)
         for name in ("distance", "iterations_used", "converged", "epsilon"):
             assert np.array_equal(getattr(result, name), getattr(ref, name))
@@ -146,40 +152,43 @@ class TestAnchorTransportMatchesReference:
 
 
 def embed(doc, transform, num_classes=2, p=2):
-    """The embedded support that the kernel transports, for a given transform."""
-    anchors = np.zeros((num_classes, doc.dim, p))
-    model = AnchorModel(transform, anchors, [str(k) for k in range(num_classes)])
-    embedded, result = anchor_transport(model, [doc])
-    assert result.plan.shape == (num_classes, doc.size, p)
-    return embedded, result
+    """``model.embed`` of a document's support, for a given transform, and its cost rows to all-zero anchors."""
+    model = AnchorModel(transform, np.zeros((num_classes, doc.dim, p)), [str(k) for k in range(num_classes)])
+    embedded = model.embed(doc.support)
+    cost = anchor_cost_rows(model, doc.support)
+    # every anchor column is 0, so each word's row repeats its embedded squared norm
+    assert np.array_equal(cost, ground_cost_matrix(embedded, np.zeros((doc.dim, num_classes * p))))
+    return embedded, model, cost
 
 
 def transport_to(doc, anchor, config=None):
     """The kernel's single result for an identity-transform one-class model."""
     anchor = np.asarray(anchor, dtype=float)
     model = AnchorModel(np.eye(anchor.shape[0]), anchor[None], ["only"])
-    _, result = anchor_transport(model, [doc], config)
-    return result[0]
+    return kernel(model, [doc], config)[0]
 
 
 class TestEmbedDocument:
     def test_identity_transform(self, rng):
         doc = make_doc(rng.standard_normal((3, 4)), np.full(4, 0.25))
-        embedded, result = embed(doc, np.eye(3))
+        embedded, model, cost = embed(doc, np.eye(3))
         assert embedded == pytest.approx(doc.support)
+        result = transport_cost_rows(model, [cost], [doc.weights])
+        assert result.plan.shape == (2, doc.size, 2)
         # the document's weights are the source marginal of every solve
         for plan in result.plan:
             assert plan.sum(axis=1) == pytest.approx(doc.weights)
 
     def test_scalar_matrix(self):
         doc = make_doc(np.array([[1.0], [-1.0]]), [1.0])
-        embedded, _ = embed(doc, 2.0 * np.eye(2))
+        embedded, _, cost = embed(doc, 2.0 * np.eye(2))
         assert embedded[:, 0] == pytest.approx([2.0, -2.0])
+        assert cost == pytest.approx(np.full((1, 4), 8.0))
 
     def test_basis_vector_selects_column(self, rng):
         a = rng.standard_normal((3, 3))
         doc = make_doc(np.array([[0.0], [1.0], [0.0]]), [1.0])
-        embedded, _ = embed(doc, a)
+        embedded, _, _ = embed(doc, a)
         assert embedded[:, 0] == pytest.approx(a[:, 1])
 
     def test_linearity(self, rng):
@@ -187,15 +196,15 @@ class TestEmbedDocument:
         x = rng.standard_normal((4, 3))
         y = rng.standard_normal((4, 3))
         alpha, beta = 0.7, -1.3
-        combo, _ = embed(make_doc(alpha * x + beta * y, np.full(3, 1 / 3)), a)
+        combo, _, _ = embed(make_doc(alpha * x + beta * y, np.full(3, 1 / 3)), a)
         separate = alpha * (a @ x) + beta * (a @ y)
         assert combo == pytest.approx(separate, abs=1e-9)
 
     def test_dimension_mismatch(self):
         doc = make_doc(np.zeros((3, 1)), [1.0])
         model = AnchorModel(np.eye(2), np.zeros((2, 2, 2)), ["a", "b"])
-        with pytest.raises(ValueError):
-            anchor_transport(model, [doc])
+        with pytest.raises(ValueError, match="word vector dimension 3 does not match model dimension 2"):
+            anchor_cost_rows(model, doc.support)
 
     def test_one_ground_cost_per_document(self, rng, monkeypatch):
         calls = []
@@ -206,7 +215,7 @@ class TestEmbedDocument:
 
         monkeypatch.setattr(model_module, "ground_cost_matrix", counting_ground_cost)
         model = AnchorModel(np.eye(3), rng.standard_normal((4, 3, 2)), ["a", "b", "c", "d"])
-        _, result = anchor_transport(model, [make_doc(rng.standard_normal((3, 5)), np.full(5, 0.2))])
+        result = kernel(model, [make_doc(rng.standard_normal((3, 5)), np.full(5, 0.2))])
         assert len(calls) == 1
         assert result.distance.shape == (4,)
 
@@ -220,14 +229,13 @@ class TestEmbedDocument:
         monkeypatch.setattr(model_module, "ground_cost_matrix", counting_ground_cost)
         model = AnchorModel(np.eye(3) + 0.1 * rng.standard_normal((3, 3)), rng.standard_normal((4, 3, 2)), list("abcd"))
         docs = [make_doc(rng.standard_normal((3, n)), rng.dirichlet(np.ones(n))) for n in (5, 2, 7)]
-        embedded, result = anchor_transport(model, docs)
+        result = kernel(model, docs)
         assert len(calls) == 1
-        assert np.array_equal(embedded, model.transform @ np.concatenate([doc.support for doc in docs], axis=1))
         # document-major problems, plans padded to the longest document
         assert result.plan.shape == (3 * 4, 7, 2)
         monkeypatch.undo()
         for i, doc in enumerate(docs):
-            _, alone = anchor_transport(model, [doc])
+            alone = kernel(model, [doc])
             for k in range(4):
                 res = result[4 * i + k]
                 assert res.epsilon == alone[k].epsilon
@@ -235,11 +243,6 @@ class TestEmbedDocument:
                 assert res.distance == pytest.approx(alone[k].distance, rel=1e-12)
                 assert res.reg_distance == pytest.approx(alone[k].reg_distance, rel=1e-12)
                 assert np.all(res.plan[doc.size :] == 0.0)
-
-    def test_no_documents_rejected(self):
-        model = AnchorModel(np.eye(2), np.zeros((2, 2, 2)), ["a", "b"])
-        with pytest.raises(ValueError, match="no documents"):
-            anchor_transport(model, [])
 
     def test_anchor_columns_are_class_major(self, rng):
         anchors = rng.standard_normal((4, 3, 2))
@@ -351,7 +354,7 @@ class TestInitAnchors:
         monkeypatch.setattr(model_module, "_KMEANS_MAX_ITERS", 0)
         points = repeated_cloud(7, 30, 40, 200)
         for seed in range(5):
-            start = model_module._kmeans_centroids(points, 6, np.random.default_rng(seed))
+            start = model_module._kmeans_centroids(points, 6, np.random.default_rng(seed), np.ones(len(points), dtype=int))
             want = multiset_kmeans_centroids(points, 6, np.random.default_rng(seed), max_iters=0)
             assert np.array_equal(start, want)
 
@@ -361,7 +364,7 @@ class TestInitAnchors:
         restarts = []
         want = multiset_kmeans_centroids(points, k, np.random.default_rng(seed), restarts=restarts)
         assert restarts  # these points empty a cluster on the way
-        got = model_module._kmeans_centroids(points, k, np.random.default_rng(seed))
+        got = model_module._kmeans_centroids(points, k, np.random.default_rng(seed), np.ones(len(points), dtype=int))
         assert np.abs(got - want).max() <= 1e-12
 
     def test_jitter_path_bit_identical_to_oracle(self, rng):
@@ -451,7 +454,7 @@ class TestDistinctRows:
         value = st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.5e-300, 7.0])
         pool = np.array(data.draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=pool_size, max_size=pool_size)))
         points = pool[data.draw(st.lists(st.integers(0, pool_size - 1), min_size=num_rows, max_size=num_rows))]
-        distinct, counts = model_module._distinct_rows(points)
+        distinct, counts = model_module._distinct_rows(points, np.ones(len(points), dtype=int))
         want, want_counts = np.unique(points, axis=0, return_counts=True)
         assert np.array_equal(distinct, want)
         assert np.array_equal(counts, want_counts)
@@ -461,7 +464,7 @@ class TestDistinctRows:
         points = np.zeros((5, 9))
         points[[1, 3], 8] = 1.0
         points[4, 5] = -2.0
-        distinct, counts = model_module._distinct_rows(points)
+        distinct, counts = model_module._distinct_rows(points, np.ones(len(points), dtype=int))
         want, want_counts = np.unique(points, axis=0, return_counts=True)
         assert np.array_equal(distinct, want) and np.array_equal(counts, want_counts)
         assert counts.tolist() == [1, 2, 2]
