@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _write_table
 from .model import AnchorModel, DocumentMeasure, _ordered_map, anchor_cost_rows, transport_cost_rows
 from .ot import SinkhornConfig, _squared_norms, ground_cost_matrix, sinkhorn
 
@@ -171,14 +171,7 @@ def error_rate(predictions, truths) -> float:
 def write_predictions(path: str, doc_ids, truths, predictions: list[Prediction]) -> None:
     """Write one CSV row per document with the per-class anchor distances."""
     num_classes = predictions[0].anchor_distances.size if predictions else 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["doc_id", "true_label", "predicted_label"]
-            + [f"dist_class_{k}" for k in range(num_classes)]
-        )
-        for doc_id, truth, pred in zip(doc_ids, truths, predictions):
-            writer.writerow(
-                [doc_id, truth, pred.predicted_class]
-                + [repr(float(d)) for d in pred.anchor_distances]
-            )
+    header = ["doc_id", "true_label", "predicted_label"] + [f"dist_class_{k}" for k in range(num_classes)]
+    rows = ([doc_id, truth, pred.predicted_class, *pred.anchor_distances.tolist()]
+            for doc_id, truth, pred in zip(doc_ids, truths, predictions))
+    _write_table(path, header, rows)

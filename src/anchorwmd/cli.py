@@ -11,7 +11,6 @@ a run that fails leaves nothing behind.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -212,10 +211,8 @@ def _ranking_stems(class_names: list[str]) -> list[str]:
 
 
 def _write_ranking(path: str, ranked: list[tuple[str, float]], score_name: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"rank\tword\t{score_name}\n")
-        for rank, (word, score) in enumerate(ranked, 1):
-            fh.write(f"{rank}\t{word}\t{score!r}\n")
+    rows = [(rank, word, score) for rank, (word, score) in enumerate(ranked, 1)]
+    data._write_table(path, ["rank", "word", score_name], rows, delimiter="\t")
 
 
 def _load_train_test(opts: dict, spec: data.SplitSpec | None) -> tuple[data.Corpus, data.Corpus | None]:
@@ -329,14 +326,10 @@ def cmd_baseline(opts: dict) -> int:
     rankings = interpret.tfidf_rankings(train_corpus, opts["top_k"])
 
     out = _prepare_out(opts, "baseline")
-    with open(os.path.join(out, "knn_predictions.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["doc_id", "true_label", "predicted_label"])
-        writer.writerows(zip(test_ids, truths, sweep[k_main]))
-    with open(os.path.join(out, "k_sweep.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("k,error_rate\n")
-        for k in ks:
-            fh.write(f"{k},{classify.error_rate(sweep[k], truths)!r}\n")
+    knn_header = ["doc_id", "true_label", "predicted_label"]
+    data._write_table(os.path.join(out, "knn_predictions.csv"), knn_header, zip(test_ids, truths, sweep[k_main]))
+    errors = [(k, classify.error_rate(sweep[k], truths)) for k in ks]
+    data._write_table(os.path.join(out, "k_sweep.csv"), ["k", "error_rate"], errors)
     print(f"wmd-knn (k={k_main}) error rate: {100.0 * classify.error_rate(sweep[k_main], truths):.1f}")
     for stem, ranked in zip(stems, rankings):
         _write_ranking(os.path.join(out, f"tfidf_top_words_{stem}.tsv"), ranked, "score")

@@ -9,6 +9,7 @@ Every reader drops a leading UTF-8 byte-order mark.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import logging
 import os
@@ -327,6 +328,19 @@ def save_word_vectors(vectors: dict[str, np.ndarray], path: str) -> None:
         for token, vec in vectors.items():
             coords = " ".join(repr(float(x)) for x in np.asarray(vec).ravel())
             fh.write(f"{token} {coords}\n")
+
+
+def _write_table(path: str, header: list[str], rows, delimiter: str = ",") -> None:
+    """Write a header and rows as a CSV table (a TSV one with ``delimiter="\\t"``).
+
+    UTF-8, lines end in ``\\n``, and a field is quoted only when it holds the
+    delimiter, a quote or a ``\\n``; a float is written as ``str``, its
+    shortest round-trip ``repr``.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def to_measure(

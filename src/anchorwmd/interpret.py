@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus
+from .data import Corpus, _write_table
 from .floattext import _join_reprs
 from .model import AnchorModel, anchor_columns, anchor_cost_rows
 from .ot import ground_cost_matrix
@@ -284,10 +284,7 @@ def projection_rows(
 
 def write_projection(rows: list[tuple[str, str, str, float, float, float]], path: str) -> int:
     """Write :func:`projection_rows` as TSV with a header; returns the number of rows written."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("kind\tclass\tlabel\tpc1\tpc2\timportance\n")
-        for kind, class_name, label, x, y, importance in rows:
-            fh.write(f"{kind}\t{class_name}\t{label}\t{x!r}\t{y!r}\t{importance!r}\n")
+    _write_table(path, ["kind", "class", "label", "pc1", "pc2", "importance"], rows, delimiter="\t")
     logger.info("wrote %d projection rows to %s", len(rows), path)
     return len(rows)
 

@@ -9,11 +9,11 @@ composed with the analytic derivatives of the squared Euclidean cost.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _write_table
 from .model import (
     AnchorModel,
     DistinctWords,
@@ -346,10 +346,11 @@ def train(
     centroids; every epoch shuffles the corpus with the seeded generator and
     applies one Adam step per batch. Returns the final model and per-epoch
     mean losses (including the L2 penalty). A batch whose loss, gradients,
-    updated parameters or Adam moments are not finite (say, a temperature so
-    small that the softmax overflows) is a ``ValueError`` naming the epoch
-    and the batch; an epoch whose mean loss is not finite (say, a margin so
-    large that the batch losses overflow their sum) names the epoch.
+    Adam moments or updated parameters' squared norms are not finite (say, a
+    temperature so small that the softmax overflows) is a ``ValueError``
+    naming the epoch and the batch; an epoch whose mean loss is not finite
+    (say, a margin so large that the batch losses overflow their sum) names
+    the epoch.
     """
     if not corpus:
         raise ValueError("corpus is empty")
@@ -393,8 +394,10 @@ def train(
                     state,
                     cfg.learning_rate,
                 )
-            arrays = [bundle.grad_transform, bundle.grad_anchors, transform, anchors, *state.first_moment, *state.second_moment]
-            if not (np.isfinite(bundle.loss_value) and all(np.isfinite(values).all() for values in arrays)):
+                # finite squared norms also keep the next batch's embedded norms from overflowing
+                scalars = [bundle.loss_value, np.vdot(transform, transform), np.vdot(anchors, anchors)]
+            arrays = [bundle.grad_transform, bundle.grad_anchors, *state.first_moment, *state.second_moment]
+            if not (np.isfinite(scalars).all() and all(np.isfinite(values).all() for values in arrays)):
                 raise ValueError(
                     f"epoch {epoch}, batch {batch_index}: the loss, gradients, parameters or Adam moments are not finite "
                     f"(loss {bundle.loss_value!r}); the temperature, L2 coefficient, learning rate or inputs are too extreme"
@@ -425,8 +428,5 @@ def write_loss_history(history: list[EpochStats], path: str, loss_kind: str) -> 
     the softmax entropy for InfoNCE.
     """
     stat_name = "hinge_active_fraction" if loss_kind == "triplet" else "softmax_entropy"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "mean_loss", stat_name, "sinkhorn_nonconverged_count"])
-        for row in history:
-            writer.writerow([row.epoch, repr(row.mean_loss), repr(row.stat), row.nonconverged])
+    header = ["epoch", "mean_loss", stat_name, "sinkhorn_nonconverged_count"]
+    _write_table(path, header, ([row.epoch, row.mean_loss, row.stat, row.nonconverged] for row in history))

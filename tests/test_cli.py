@@ -531,6 +531,13 @@ class TestBaselineCommand:
             ("train--loss=infonce--tau=1e-320", ["--loss", "infonce", "--tau", "1e-320"], "nan"),
             ("train--l2=1e300", ["--l2", "1e300"], "1e+301"),
         ]
+    ]
+    + [
+        # the loss is finite, but the updated parameters' squared norms overflow
+        pytest.param(
+            "train", ["--lr", "1e300"], "epoch 0, batch 0: the loss, gradients, parameters or Adam moments are not finite (loss ",
+            id="train--lr=1e300",
+        )
     ],
 )
 def test_invalid_value_rejected_before_writing(fixture_paths, trained, tmp_path, capsys, command, flags, message):
@@ -770,6 +777,31 @@ def test_interpret_rejects_classes_sharing_a_ranking_file(fixture_paths, trained
          "--out", str(out)]
     )
     assert_rejected(code, capsys, out, "classes 'a b' and 'a_b' would write the same ranking file")
+
+
+def test_table_artifacts_parse_back_with_a_quote_in_a_class_name(fixture_paths, tmp_path):
+    corpus = relabelled_lines(fixture_paths["train"], tmp_path / "quoted.tsv", {"north": '"north', "south": "south"})
+    common = ["--vectors", fixture_paths["vectors"], "--corpus", corpus]
+    checkpoint = str(tmp_path / "train" / "checkpoint.json")
+    runs = {
+        "train": ["--epochs", "2", "--p", "2"],
+        "eval": ["--checkpoint", checkpoint],
+        "interpret": ["--checkpoint", checkpoint, "--top-k", "5"],
+        "baseline": [],
+    }
+    tables = []
+    for command, extra in runs.items():
+        assert main([command, *common, *extra, "--out", str(tmp_path / command)]) == 0
+        tables += sorted(path for pattern in ("*.csv", "*.tsv") for path in (tmp_path / command).glob(pattern))
+    assert {"loss_history.csv", "predictions.csv", "projection.tsv", "top_words__north.tsv", "k_sweep.csv"} <= {
+        path.name for path in tables
+    }
+    for path in tables:
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, *records = csv.reader(fh, delimiter="\t" if path.suffix == ".tsv" else ",")
+        assert records and all(len(record) == len(header) for record in records), path
+        if path.name == "projection.tsv":
+            assert {record[1] for record in records} == {'"north', "south"}
 
 
 @pytest.mark.parametrize("command", ["train", "baseline"])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 from collections import Counter
 from dataclasses import replace
 
@@ -702,6 +703,16 @@ class TestTrainingLearns:
     "pool, seed",
     [
         pytest.param(60, 0, id="pool60-seed0"),
+        *(
+            pytest.param(
+                60, seed, id=f"pool60-seed{seed}",
+                marks=pytest.mark.skipif(
+                    os.environ.get("ANCHORWMD_HYPOTHESIS_PROFILE") != "thorough",
+                    reason="the rest of the 12-seed sweep runs under ANCHORWMD_HYPOTHESIS_PROFILE=thorough",
+                ),
+            )
+            for seed in range(1, 12)
+        ),
         pytest.param(
             20, 7, id="pool20-seed7",
             marks=pytest.mark.xfail(
@@ -722,8 +733,10 @@ def test_trained_anchors_beat_raw_wmd_knn_and_name_unseen_keywords(pool, seed):
     10 that come from that class's test pool; chance is 1/3) must be 0.6.
 
     The thresholds leave a margin below a sweep of seeds 0-11 at pool 60:
-    the margin over the best k-NN was 0.24-0.44 and the precision 0.70-1.00
-    (seed 0: 0.950 against 0.512, precision 0.95). At pool 20 the sweep read
+    the margin over the best k-NN was 0.24-0.44 (lowest at seeds 7 and 10)
+    and the precision 0.70-1.00 (lowest at seed 8; seed 0: 0.950 against
+    0.512, precision 0.95). Seed 0 always runs; seeds 1-11 run under the
+    thorough hypothesis profile. At pool 20 the sweep read
     margins -0.02 to 0.34; seed 7 overfits (0.488 against 0.512, precision
     0.30), likely because the 40 class words that training sees can be
     separated in the 19 nuisance dimensions without axis 0.
