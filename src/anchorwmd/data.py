@@ -330,15 +330,30 @@ def save_word_vectors(vectors: dict[str, np.ndarray], path: str) -> None:
             fh.write(f"{token} {coords}\n")
 
 
+class _RecordsEndingInNewline:
+    """A text file's ``write`` for ``csv.writer`` records ended by ``\\r\\n``: each is written ending in ``\\n``.
+
+    The writer quotes a field holding any character of its line terminator,
+    so with ``\\r\\n`` it quotes a lone ``\\r`` as it quotes ``\\n``; it writes
+    each record, terminator last, with one ``write`` call.
+    """
+
+    def __init__(self, fh):
+        self._write = fh.write
+
+    def write(self, record: str) -> int:
+        return self._write(record[:-2] + "\n")
+
+
 def _write_table(path: str, header: list[str], rows, delimiter: str = ",") -> None:
     """Write a header and rows as a CSV table (a TSV one with ``delimiter="\\t"``).
 
     UTF-8, lines end in ``\\n``, and a field is quoted only when it holds the
-    delimiter, a quote or a ``\\n``; a float is written as ``str``, its
-    shortest round-trip ``repr``.
+    delimiter, a quote, a ``\\n`` or a ``\\r``; a float is written as
+    ``str``, its shortest round-trip ``repr``.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(_RecordsEndingInNewline(fh), delimiter=delimiter, lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -351,7 +366,8 @@ def to_measure(
     Tokens missing from the table are dropped and the remaining counts
     renormalized; support columns follow sorted token order so the measure
     does not depend on insertion order. The float rounding residual of the
-    normalization is absorbed into the largest weight.
+    normalization is absorbed into the largest weight. A word whose vector
+    is not finite is a ``ValueError`` that names it.
     """
     kept = sorted(t for t, c in counts.items() if c > 0 and t in vectors)
     if not kept:
@@ -361,13 +377,22 @@ def to_measure(
     weights[np.argmax(weights)] += 1.0 - weights.sum()
     ids = np.array([vectors.index[t] for t in kept], dtype=int)
     support = vectors.matrix[ids].T
-    return DocumentMeasure(word_ids=ids, support=support, weights=weights, label=label)
+    try:
+        return DocumentMeasure(word_ids=ids, support=support, weights=weights, label=label)
+    except ValueError:
+        finite = np.isfinite(support).all(axis=0)
+        if finite.all():
+            raise
+        raise ValueError(f"word {kept[int(np.argmin(finite))]!r} has a non-finite vector") from None
 
 
 def corpus_to_measures(
     corpus: Corpus, vectors: WordVectorTable
 ) -> tuple[list[DocumentMeasure], list[str]]:
-    """Convert every document; out-of-vocabulary-only documents are dropped."""
+    """Convert every document; out-of-vocabulary-only documents are dropped.
+
+    Any other document that cannot be converted is a ``ValueError`` that names it.
+    """
     measures = []
     kept_ids = []
     dropped = 0
@@ -378,6 +403,8 @@ def corpus_to_measures(
             dropped += 1
             logger.warning("dropping %s: no tokens with word vectors", doc.doc_id)
             continue
+        except ValueError as exc:
+            raise ValueError(f"{doc.doc_id}: {exc}") from None
         kept_ids.append(doc.doc_id)
     if dropped:
         logger.warning("dropped %d documents without any known word vectors", dropped)

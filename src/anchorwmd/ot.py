@@ -70,11 +70,19 @@ half-step by half-step under the rule above. Each decision is made per
 problem from its own row gaps at fixed iterations, so the plans, iteration
 counts and convergence flags are, to the bit, those of checking every
 half-step, and a problem's result still does not depend on its stack.
+
+A small solve costs little more than its arithmetic: a step is two stacked
+matrix-vector products and two divisions (three more calls per half-step
+when relaxed) into buffers made once per working stack, a block's reading
+is a few calls over all its steps, and the plan is built, rounded and
+costed in place. Each of these computes what a plain numpy expression of
+it would, to the bit.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,11 +110,14 @@ def validate_histogram(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError(f"histogram must be a non-empty 1-D array, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    # a positive minimum rules out NaN and -inf, and then a finite sum rules
+    # out inf: a valid histogram takes two reductions
+    lowest = w.min()
+    total = float(w.sum()) if lowest > 0 else None
+    if (total is None or not math.isfinite(total)) and not np.all(np.isfinite(w)):
         raise ValueError("histogram contains non-finite entries")
-    if np.any(w <= 0):
+    if total is None:
         raise ValueError("histogram entries must be positive")
-    total = float(w.sum())
     if abs(total - 1.0) > _HISTOGRAM_ATOL:
         raise ValueError(f"histogram sums to {total}, expected 1 within {_HISTOGRAM_ATOL}")
     return w
@@ -178,11 +189,19 @@ class SinkhornConfig:
         """
         cost = np.asarray(cost, dtype=float)
         if self.relative:
-            mean = cost.reshape(*cost.shape[:-2], -1).mean(axis=-1)
-            eps = np.where(mean > 0, self.epsilon * mean, self.epsilon)
+            totals = np.add.reduce(cost.reshape(*cost.shape[:-2], -1), axis=-1)
+            eps = self._relative_strengths(totals, cost.shape[-2] * cost.shape[-1])
         else:
             eps = np.full(cost.shape[:-2], self.epsilon)
         return float(eps) if eps.ndim == 0 else eps
+
+    def _relative_strengths(self, totals, cells) -> np.ndarray:
+        """The relative strengths of cost matrices of ``cells`` entries whose entries sum to ``totals``.
+
+        A mean is the sum over the count, as ``np.mean`` divides it, to the bit.
+        """
+        mean = totals / cells
+        return np.where(mean > 0, self.epsilon * mean, self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -214,10 +233,12 @@ class SinkhornResult:
         num = plans.shape[0]
         # as in the solve: an extreme cost scale overflows to inf without a warning
         with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            # a zero entry adds 0 * log(tiny) = 0
-            log_plans = np.log(np.maximum(plans, _TINY))
+            # plan * log(plan), in one buffer; a zero entry adds 0 * log(tiny) = 0
+            terms = np.maximum(plans, _TINY)
+            np.log(terms, out=terms)
+            terms *= plans
             mass = plans.reshape(num, -1).sum(axis=1)
-            entropy_terms = (plans * log_plans).reshape(num, -1).sum(axis=1) - mass
+            entropy_terms = terms.reshape(num, -1).sum(axis=1) - mass
             if stacked:
                 return self.distance + self.epsilon * entropy_terms
             return float(self.distance + self.epsilon * entropy_terms[0])
@@ -234,23 +255,41 @@ def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(peak, axis=axis) + np.log(np.sum(np.exp(values - peak), axis=axis))
 
 
-def _round_to_marginals(plan: np.ndarray, row_sums: np.ndarray, col_sums: np.ndarray) -> np.ndarray:
+def _round_to_marginals(
+    plan: np.ndarray, row_sums: np.ndarray, col_sums: np.ndarray, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Project a positive matrix, or each of a (B, n, m) stack, onto the transportation polytope, in place.
 
     Scales rows then columns down to their prescribed sums and distributes
     the leftover mass as a rank-one correction, so the returned matrix,
     ``plan`` itself, meets both marginals up to floating-point error
-    regardless of how early the iterations stopped.
+    regardless of how early the iterations stopped. The correction is formed
+    in ``scratch``, an array of ``plan``'s shape whose values are not read,
+    or in a new one when it is None.
     """
-    # row and column sums as products with ones, which BLAS runs faster than sum()
+    # row and column sums as products with ones, which BLAS runs faster than
+    # sum(); each row, then each column, shrinks by min(sums / max(its sum, tiny), 1)
     ones_n, ones_m = np.ones(plan.shape[-2]), np.ones(plan.shape[-1])
-    plan *= np.minimum(row_sums / np.maximum(plan @ ones_m, _TINY), 1.0)[..., :, None]
-    plan *= np.minimum(col_sums / np.maximum(ones_n @ plan, _TINY), 1.0)[..., None, :]
-    missing_row = np.maximum(row_sums - plan @ ones_m, 0.0)
-    missing_col = np.maximum(col_sums - ones_n @ plan, 0.0)
+    factor = plan @ ones_m
+    np.maximum(factor, _TINY, out=factor)
+    np.divide(row_sums, factor, out=factor)
+    plan *= np.minimum(factor, 1.0, out=factor)[..., :, None]
+    factor = ones_n @ plan
+    np.maximum(factor, _TINY, out=factor)
+    np.divide(col_sums, factor, out=factor)
+    # after the iterations' last (column) half-step and the row scaling, the
+    # columns rarely exceed their sums, and scaling by exactly 1 is no change
+    if not np.minimum(factor, 1.0, out=factor).min() == 1.0:
+        plan *= factor[..., None, :]
+    missing_row = plan @ ones_m
+    np.maximum(np.subtract(row_sums, missing_row, out=missing_row), 0.0, out=missing_row)
+    missing_col = ones_n @ plan
+    np.maximum(np.subtract(col_sums, missing_col, out=missing_col), 0.0, out=missing_col)
     deficit = missing_row.sum(axis=-1, keepdims=True)
     share = np.divide(missing_col, deficit, out=np.zeros_like(missing_col), where=deficit > _TINY)
-    plan += missing_row[..., :, None] * share[..., None, :]
+    # missing_row[i] * share[j]: einsum forms each product as multiply does,
+    # in one pass that runs faster on broadcast operands
+    plan += np.einsum("...i,...j->...ij", missing_row, share, out=scratch)
     return plan
 
 
@@ -335,16 +374,17 @@ def _absorb(
     product[hit] = _apply(kernel[hit], scalings[other][hit], side)
 
 
-def _relax(scaling: np.ndarray, previous: np.ndarray, plain: np.ndarray | None) -> None:
+def _relax(scaling: np.ndarray, previous: np.ndarray, plain: np.ndarray | None, ratio: np.ndarray) -> None:
     """Over-relax, in place, the new half-step scalings of the relaxed problems.
 
     ``scaling`` holds the plain scalings (``a / (K @ v)`` or ``b / (K.T @
     u)``) and ``previous`` those they replace; a relaxed problem's becomes
     ``scaling * (scaling / previous) ** (_OMEGA - 1)``, its potential
     ``f + _OMEGA * (f_plain - f)``. Rows of the (B,) mask ``plain``, or none
-    when it is None, keep the plain scaling, to the bit.
+    when it is None, keep the plain scaling, to the bit. ``ratio``, of
+    ``scaling``'s shape, holds the factor.
     """
-    ratio = scaling / previous
+    np.divide(scaling, previous, out=ratio)
     # numpy takes the power 1/2 (omega 3/2) as a square root, not a pow call
     ratio **= _OMEGA - 1
     if plain is not None:
@@ -360,6 +400,8 @@ def _relax(scaling: np.ndarray, previous: np.ndarray, plain: np.ndarray | None) 
 # each) 8 timed within 2% of the fastest of 4 to 16, and ahead of 16 on
 # 40-problem training stacks. The shorter first block serves solves that stop
 # within a few iterations, as eval's against a trained model do (3 or 4).
+# The relaxation rule below reads its gaps at block ends, so this length is
+# also part of what a solve computes.
 _BLOCK = 8
 
 # Over-relaxation (Thibault et al. 2021, "Overrelaxed Sinkhorn-Knopp algorithm
@@ -378,10 +420,44 @@ _RELAX_RATE = 0.5
 _GUARD = 4.0
 
 
+def _relaxation_masks(relaxed: np.ndarray) -> tuple[bool, np.ndarray | None]:
+    """Whether any working problem is over-relaxed, and the mask for :func:`_relax` of those that are not.
+
+    The mask is None unless some but not all are relaxed.
+    """
+    relaxing = bool(relaxed.any())
+    return relaxing, ~relaxed if relaxing and not relaxed.all() else None
+
+
 def _block_end(iteration: int) -> int:
     """The last iteration of the block that runs iteration ``iteration + 1``."""
     first = _BLOCK // 2
     return first if iteration < first else iteration + _BLOCK - (iteration - first) % _BLOCK
+
+
+class _BlockBuffers:
+    """The state of ``count`` working problems and their scalings and kernel products over one block.
+
+    Slot 0 holds the state a block starts from, slot s + 1 what step s
+    makes. ``scaled`` holds ``u | v``, one (count, n + m) row per slot, so
+    that one min and max read every scaling; ``us`` and ``vs`` are its parts,
+    and ``kvs`` and ``ktus`` hold ``kernel @ v`` and ``kernel.T @ u``.
+    ``slots[s]`` holds slot s's views of the four, made once, as (count, n,
+    1) or (count, m, 1) columns, the shape the stacked products take and
+    give. A padded row's ``u`` is 1 in every slot, and no step writes it.
+    """
+
+    def __init__(self, count: int, n: int, m: int, padded: bool):
+        self.scaled = (np.ones if padded else np.empty)((_BLOCK + 1, count, n + m))
+        self.us, self.vs = self.scaled[..., :n], self.scaled[..., n:]
+        self.kvs, self.ktus = np.empty((_BLOCK + 1, count, n)), np.empty((_BLOCK + 1, count, m))
+        columns = (self.us[..., None], self.vs[..., None], self.kvs[..., None], self.ktus[..., None])
+        self.slots = list(zip(*(list(array) for array in columns)))
+
+    def carry(self, slot: int) -> None:
+        """Make slot ``slot``'s state, copied into slot 0, the state the next block starts from."""
+        self.scaled[0] = self.scaled[slot]
+        self.kvs[0] = self.kvs[slot]
 
 
 def _scaling_iterations(
@@ -398,16 +474,18 @@ def _scaling_iterations(
     + log_kernel[k] + g[k])``, equal to the log-domain iterate ``exp(f + log
     u + log_kernel + g + log v)``. Side 0 is the rows (``a``, ``f``, ``u``),
     side 1 the columns (``b``, ``g``, ``v``). ``kernel @ v`` and ``kernel.T
-    @ u`` times ``u`` and ``v`` are the iterates' marginals.
+    @ u`` times ``u`` and ``v`` are the iterates' marginals. ``log_kernel``
+    is only read.
 
     The iterations run in blocks that end at iterations 4, 12, 20, ... (see
     ``_BLOCK``) with no check between them; each step's ``u``, ``v``,
-    ``kernel @ v`` and ``kernel.T @ u`` go into the block's buffers. One min
-    and max over all the block's scalings and one pass over its gaps then
-    read the block: a problem finishes at the first step that meets the
-    stopping rule, with that step's iterate, and leaves the working arrays.
-    If a scaling is out of range, the problems still working go back to the
-    start of the first step that has one and run that step checked, each
+    ``kernel @ v`` and ``kernel.T @ u`` go into the block's buffers
+    (:class:`_BlockBuffers`), made once per working stack. One min and max
+    over all the block's scalings and one pass over its row gaps then read
+    the block: a problem finishes at the first step that meets the stopping
+    rule, with that step's iterate, and leaves the working arrays. If a
+    scaling is out of range, the problems still working go back to the start
+    of the first step that has one and run that step checked, each
     half-step's scaling repaired by :func:`_absorb` before it is used; the
     block then runs on to its end. Steps run past a problem's stopping point
     are dropped unread, so they never repair anything.
@@ -424,91 +502,121 @@ def _scaling_iterations(
     """
     num, n, m = log_kernel.shape
     padded = real is not None
-    plans = np.empty_like(log_kernel)
+    plans = None  # made once a problem finishes before the others
     iterations = np.zeros(num, dtype=int)
     converged = np.zeros(num, dtype=bool)
     active = np.arange(num)  # stack index of each working problem
+    working_log_kernel = log_kernel  # log_kernel[active], taken when a repair first needs it
     potentials = [np.zeros((num, n)), np.zeros((num, m))]
     kernel = np.exp(log_kernel)
-    # the state a step starts from: both scalings and kernel @ v
-    u, v = np.ones((num, n)), np.ones((num, m))
-    kv = _apply(kernel, v, 0)
+    kernel_t = kernel.transpose(0, 2, 1)  # kernel.T @ u as a column, to the bit u @ kernel
+    # every scaling and product is a column, as are a_col and b_col; the
+    # state starts at u = v = 1
+    a_col, b_col = a[:, :, None], b[:, :, None]
+    real_col = real[:, :, None] if padded else None
+    block = _BlockBuffers(num, n, m, padded)
+    u, v, kv, _ = block.slots[0]
+    u[...], v[...] = 1.0, 1.0
+    np.matmul(kernel, v, out=kv)
+    terms = np.empty((_BLOCK, num, n))  # the row gaps' terms of a block
+    ratios = None  # the over-relaxation factors of a half-step
     # per problem: whether it is over-relaxed, set at the end of iteration
     # _RELAX_AT, and the row gap its next relaxation decision compares with,
     # set at iteration _RELAX_AT - _BLOCK + 1; a stack whose solves stop
-    # before then never reads either
-    relaxed = marked = None
+    # before then never reads either. plain masks the problems that are not
+    # relaxed while others are, or is None
+    relaxed = marked = plain = None
+    relaxing = False
     iteration = 0
     checked = False  # whether the next block is one step, checked half-step by half-step
     while True:
         steps = 1 if checked else min(_block_end(iteration), config.max_iters) - iteration
-        relaxing = relaxed is not None and relaxed.any()
-        plain = ~relaxed if relaxing and not relaxed.all() else None
-        # per step, u | v and kernel @ v | kernel.T @ u; a padded row's u stays 1
-        scaled = (np.ones if padded else np.empty)((steps, active.size, n + m))
-        produced = np.empty((steps, active.size, n + m))
-        us, vs, kvs, ktus = scaled[..., :n], scaled[..., n:], produced[..., :n], produced[..., n:]
-        # the same buffers in the shapes of the stacked products
-        u_rows, v_cols, kv_cols, ktu_rows = us[:, :, None, :], vs[..., None], kvs[..., None], ktus[:, :, None, :]
+        if relaxing and ratios is None:
+            ratios = np.empty((active.size, n, 1)), np.empty((active.size, m, 1))
+        if checked and working_log_kernel is None:
+            working_log_kernel = log_kernel[active]
+        made = slice(1, steps + 1)  # the slots this block's steps write
+        us, vs, kvs, ktus = block.us[made], block.vs[made], block.kvs[made], block.ktus[made]
         # an unchecked step may run on from a scaling that the check rejects
         with np.errstate(invalid=None if checked else "ignore"):
-            step_u, step_v, step_kv = u, v, kv
-            for step in range(steps):
+            for (step_u, step_v, step_kv, _), (u_s, v_s, kv_s, ktu_s) in zip(block.slots, block.slots[made]):
                 if padded:
-                    np.divide(a, step_kv, out=us[step], where=real)
+                    np.divide(a_col, step_kv, out=u_s, where=real_col)
                 else:
-                    np.divide(a, step_kv, out=us[step])
+                    np.divide(a_col, step_kv, out=u_s)
                 if relaxing:
-                    _relax(us[step], step_u, plain)
+                    _relax(u_s, step_u, plain, ratios[0])
                 if checked:
-                    _absorb(0, [us[step], v], step_kv, potentials, kernel, log_kernel, a, b, u, relaxed)
-                np.matmul(u_rows[step], kernel, out=ktu_rows[step])
-                np.divide(b, ktus[step], out=vs[step])
+                    _absorb(0, [u_s[..., 0], step_v[..., 0]], step_kv[..., 0], potentials, kernel, working_log_kernel,
+                            a, b, step_u[..., 0], relaxed)
+                np.matmul(kernel_t, u_s, out=ktu_s)
+                np.divide(b_col, ktu_s, out=v_s)
                 if relaxing:
-                    _relax(vs[step], step_v, plain)
+                    _relax(v_s, step_v, plain, ratios[1])
                 if checked:
-                    _absorb(1, [us[step], vs[step]], ktus[step], potentials, kernel, log_kernel, a, b, v, relaxed)
-                np.matmul(kernel, v_cols[step], out=kv_cols[step])
-                step_u, step_v, step_kv = us[step], vs[step], kvs[step]
+                    _absorb(1, [u_s[..., 0], v_s[..., 0]], ktu_s[..., 0], potentials, kernel, working_log_kernel,
+                            a, b, step_v[..., 0], relaxed)
+                np.matmul(kernel, v_s, out=kv_s)
             # the stopping rule: L1 gaps <= tolerance on both sides; the column
             # gap, at rounding level after a plain column half-step, is read
             # only once some row gap meets it
-            gaps = np.abs(us * kvs - a).sum(axis=2)
-            met = gaps <= config.tolerance
-            if met.any():
+            row_terms = terms[:steps]
+            np.multiply(us, kvs, out=row_terms)
+            np.subtract(row_terms, a, out=row_terms)
+            gaps = np.abs(row_terms, out=row_terms).sum(axis=2)
+            # fmin passes over NaN gaps, which meet nothing
+            some_met = np.fmin.reduce(gaps, axis=None) <= config.tolerance
+            met = None  # per step and problem: the stopping rule met, once read
+            if some_met:
+                met = gaps <= config.tolerance
                 met &= np.abs(vs * ktus - b).sum(axis=2) <= config.tolerance
             clean = None  # per step and problem: every scaling up to here in range
+            scaled = block.scaled[made]
             if not (scaled.min() >= _SCALING_LOW and scaled.max() <= _SCALING_HIGH):
                 clean = np.logical_and.accumulate(
                     (scaled.min(axis=2) >= _SCALING_LOW) & (scaled.max(axis=2) <= _SCALING_HIGH), axis=0
                 )
+        # a block where no gap met the rule, no scaling left its range and
+        # max_iters is not reached decides nothing but the relaxation
+        last = iteration + steps == config.max_iters
+        done = None
+        if some_met or clean is not None or last:
+            if met is None:
+                met = np.zeros(gaps.shape, dtype=bool)
+            if clean is not None:
                 met &= clean
-        stopped = met.any(axis=0)
-        done = stopped
-        if iteration + steps == config.max_iters:
-            done = stopped | (True if clean is None else clean[-1])
-        if done.any():
+            stopped = met.any(axis=0)
+            done = stopped | (True if clean is None else clean[-1]) if last else stopped
+        finishing = done is not None and done.any()
+        if finishing:
             pick = np.flatnonzero(done)
             at = np.where(stopped, met.argmax(axis=0), steps - 1)[pick]
             finished = active[pick]
             iterations[finished] = iteration + 1 + at
             converged[finished] = stopped[pick]
             whole = pick.size == active.size
-            plan = us[at, pick][:, :, None] * (kernel if whole else kernel[pick]) * vs[at, pick][:, None, :]
+            # the iterate u * kernel * v, built in the working kernel when no
+            # problem goes on, else in a copy of its finished problems' part
+            plan = kernel if whole else kernel[pick]
+            plan *= us[at, pick][:, :, None]
+            plan *= vs[at, pick][:, None, :]
             if finished.size == num:
                 # no problem froze earlier: the working stack is the whole stack
                 return plan, iterations, converged
+            if plans is None:
+                plans = np.empty_like(log_kernel)
             plans[finished] = plan
             if whole:
                 return plans, iterations, converged
         # go on after the block, or from the start of its first step with a
         # scaling out of range in a problem still working
-        keep = ~done
         resume, checked = steps, False
-        if clean is not None and not clean[-1, keep].all():
-            resume, checked = int(np.argmin(clean[:, keep].all(axis=1))), True
+        if clean is not None:
+            keep = ~done
+            if not clean[-1, keep].all():
+                resume, checked = int(np.argmin(clean[:, keep].all(axis=1))), True
         if resume > 0:
-            u, v, kv = us[resume - 1], vs[resume - 1], kvs[resume - 1]
+            block.carry(resume)
             # the relaxation decisions, read off the steps kept
             reached = iteration + resume
             if iteration < _RELAX_AT - _BLOCK + 1 <= reached:
@@ -520,20 +628,30 @@ def _scaling_iterations(
                 else:
                     relaxed &= ~(gap > _GUARD * marked)
                 marked = gap
+                relaxing, plain = _relaxation_masks(relaxed)
         iteration += resume
-        if done.any():
+        if finishing:
+            keep = ~done
             active = active[keep]
-            log_kernel = log_kernel[keep]
+            working_log_kernel = None
             kernel = kernel[keep]
+            kernel_t = kernel.transpose(0, 2, 1)
             potentials = [potential[keep] for potential in potentials]
-            u, v, kv = u[keep], v[keep], kv[keep]
+            kept = _BlockBuffers(active.size, n, m, padded)
+            kept.scaled[0], kept.kvs[0] = block.scaled[0][keep], block.kvs[0][keep]
+            block = kept
+            terms = np.empty((_BLOCK, active.size, n))
+            ratios = None
             if marked is not None:
                 marked = marked[keep]
             if relaxed is not None:
                 relaxed = relaxed[keep]
+                relaxing, plain = _relaxation_masks(relaxed)
             a = a[keep]
+            a_col = a[:, :, None]
             if padded:
                 real = real[keep]
+                real_col = real[:, :, None]
 
 
 def _source_rows(source, num: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -552,13 +670,16 @@ def _source_rows(source, num: int) -> tuple[np.ndarray, np.ndarray | None]:
         return np.repeat(validate_histogram(a)[None], num, axis=0), None
     if a.ndim != 2 or a.shape[0] != num or a.shape[1] == 0:
         raise ValueError(f"source must be a histogram or ({num}, n) rows, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    # as for one histogram: a minimum of at least 0 rules out NaN and -inf,
+    # and then finite sums rule out inf
+    lowest = a.min()
+    totals = a.sum(axis=1) if lowest >= 0 else None
+    if (totals is None or not np.isfinite(totals).all()) and not np.all(np.isfinite(a)):
         raise ValueError("histogram contains non-finite entries")
     real = a > 0
     # a real entry after a padded one, or no real entry at all
-    if np.any(a < 0) or not real[:, 0].all() or np.any(real[:, 1:] > real[:, :-1]):
+    if lowest < 0 or not real[:, 0].all() or np.any(real[:, 1:] > real[:, :-1]):
         raise ValueError("each source row must be positive entries followed only by zero padding")
-    totals = a.sum(axis=1)
     worst = totals[np.argmax(np.abs(totals - 1.0))]
     if abs(worst - 1.0) > _HISTOGRAM_ATOL:
         raise ValueError(f"histogram sums to {worst}, expected 1 within {_HISTOGRAM_ATOL}")
@@ -566,16 +687,24 @@ def _source_rows(source, num: int) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _stack_epsilon(config: SinkhornConfig, cost: np.ndarray, real: np.ndarray | None) -> np.ndarray:
-    """The (B,) strengths of a stack whose problem k is the ``real[k]`` rows of ``cost[k]``."""
+    """The (B,) strengths of a stack whose problem k is the ``real[k]`` rows of ``cost[k]``.
+
+    A problem's mean runs over its real rows' cells, the first ``n_k * m`` of
+    ``cost[k]`` in C order: one sum per run of problems of the same length,
+    over a view of those cells, has the bits of the sum over a copy of them.
+    """
+    num, n, m = cost.shape
+    if not config.relative:
+        return np.full(num, config.epsilon)
+    cells = cost.reshape(num, n * m)
     if real is None:
-        return config.effective_epsilon(cost)
+        return config._relative_strengths(np.add.reduce(cells, axis=1), n * m)
     lengths = real.sum(axis=1)
-    eps = np.empty(cost.shape[0])
-    for length in np.unique(lengths):
-        rows = lengths == length
-        # a C-order copy of each problem's real rows: its mean is summed as its matrix alone
-        eps[rows] = config.effective_epsilon(cost[rows, :length])
-    return eps
+    totals = np.empty(num)
+    bounds = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), num]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        totals[start:stop] = np.add.reduce(cells[start:stop, : lengths[start] * m], axis=1)
+    return config._relative_strengths(totals, lengths * m)
 
 
 def sinkhorn_stack(costs, source, target, config: SinkhornConfig | None = None) -> SinkhornResult:
@@ -616,9 +745,11 @@ def sinkhorn_stack(costs, source, target, config: SinkhornConfig | None = None) 
         if real is not None:
             log_kernel[~real] = -np.inf
         plans, iterations, converged = _scaling_iterations(log_kernel, a, b, config, real)
-        # the iterations' plans are fresh arrays: rounded in place
-        plans = _round_to_marginals(plans, a, b)
-        distances = (plans * cost).reshape(num, -1).sum(axis=1)
+        # the iterations' plans are fresh arrays, rounded in place; the
+        # log-kernels are not read again, and their buffer takes the
+        # rounding's correction, then the products summed into distances
+        plans = _round_to_marginals(plans, a, b, log_kernel)
+        distances = np.multiply(plans, cost, out=log_kernel).reshape(num, -1).sum(axis=1)
     return SinkhornResult(distance=distances, plan=plans, iterations_used=iterations, converged=converged, epsilon=eps)
 
 

@@ -205,7 +205,11 @@ def exact_ot_uniform(cost) -> float:
 
 @dataclass(frozen=True)
 class LogDomainResult:
-    """The fields of ``ot.SinkhornResult`` for one problem, ``reg_distance`` given, not derived."""
+    """The fields of ``ot.SinkhornResult``, ``reg_distance`` given, not derived.
+
+    Scalars and an (n, m) plan for one problem, or (B,) values and (B, n, m)
+    plans for a stack.
+    """
 
     distance: float
     plan: np.ndarray
@@ -396,6 +400,62 @@ def reference_scaling_iterations(log_kernel, a, b, config, real, relax=True):
         a = a[keep]
         if padded:
             real = real[keep]
+
+
+def reference_round_to_marginals(plan, row_sums, col_sums):
+    """Rounding onto the transportation polytope from broadcast products (test oracle for ``ot._round_to_marginals``).
+
+    Scales each (B, n, m) plan's rows, then its columns, down to their sums
+    and adds the rank-one correction ``missing_row * missing_col / deficit``;
+    row and column sums are products with ones. Returns a new array.
+    """
+    ones_n, ones_m = np.ones(plan.shape[-2]), np.ones(plan.shape[-1])
+    tiny = np.finfo(float).tiny
+    plan = plan * np.minimum(row_sums / np.maximum(plan @ ones_m, tiny), 1.0)[..., :, None]
+    plan = plan * np.minimum(col_sums / np.maximum(ones_n @ plan, tiny), 1.0)[..., None, :]
+    missing_row = np.maximum(row_sums - plan @ ones_m, 0.0)
+    missing_col = np.maximum(col_sums - ones_n @ plan, 0.0)
+    deficit = missing_row.sum(axis=-1, keepdims=True)
+    share = np.divide(missing_col, deficit, out=np.zeros_like(missing_col), where=deficit > tiny)
+    return plan + missing_row[..., :, None] * share[..., None, :]
+
+
+def reference_sinkhorn_stack(costs, source, target, config=None):
+    """A whole stack solved on top of ``reference_scaling_iterations`` (test oracle for ``ot.sinkhorn_stack``).
+
+    Takes valid inputs only and checks nothing. Problem k's relative epsilon
+    is ``config.epsilon`` times the mean of a C-order copy of its real rows'
+    costs (``config.epsilon`` itself when that mean is 0); its log-kernel is
+    ``cost / -epsilon`` with ``-inf`` on padded rows. The reference
+    iterations' plans are rounded by :func:`reference_round_to_marginals`,
+    ``distance`` is the sum of ``plan * cost`` per problem and
+    ``reg_distance`` :func:`eager_reg_distance`. Returns a
+    :class:`LogDomainResult` of (B,) values and (B, n, m) plans.
+    """
+    from anchorwmd.ot import SinkhornConfig
+
+    if config is None:
+        config = SinkhornConfig()
+    cost = np.ascontiguousarray(costs, dtype=float)
+    num = cost.shape[0]
+    rows = np.asarray(source, dtype=float)
+    a = np.repeat(rows[None], num, axis=0) if rows.ndim == 1 else rows.copy()
+    b = np.asarray(target, dtype=float)[None]
+    real = a > 0
+    eps = np.empty(num)
+    for k, length in enumerate(real.sum(axis=1)):
+        mean = cost[k, :length].copy().mean()
+        eps[k] = config.epsilon * mean if config.relative and mean > 0 else config.epsilon
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        log_kernel = cost / -eps[:, None, None]
+        log_kernel[~real] = -np.inf
+        plans, iterations, converged = reference_scaling_iterations(
+            log_kernel, a, b, config, None if real.all() else real
+        )
+        plans = reference_round_to_marginals(plans, a, b)
+        distance = (plans * cost).reshape(num, -1).sum(axis=1)
+    result = LogDomainResult(distance, plans, iterations, converged, None, eps)
+    return LogDomainResult(distance, plans, iterations, converged, eager_reg_distance(result), eps)
 
 
 def eager_reg_distance(result):

@@ -615,6 +615,23 @@ def write_overflowing_vectors(synth, path):
     return str(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "1e309"])
+def test_non_finite_word_vector_names_word_and_document(fixture_paths, tmp_path, capsys, value):
+    # the first document's first word, in sorted order, as its measure takes them
+    word = sorted(fixture_paths["synth"].train.documents[0].counts)[0]
+    lines = Path(fixture_paths["vectors"]).read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / "vectors.txt"
+    bad.write_text(
+        "".join(
+            f"{word} {value} {line.split(' ', 2)[2]}\n" if line.split(" ", 1)[0] == word else line + "\n"
+            for line in lines
+        )
+    )
+    out = tmp_path / "rejected"
+    code = main(["train", "--vectors", str(bad), "--corpus", fixture_paths["train"], "--out", str(out)])
+    assert_rejected(code, capsys, out, f"train.tsv:1: word {word!r} has a non-finite vector")
+
+
 @pytest.mark.parametrize("command", ["interpret"])
 def test_overflowing_vectors_leave_no_output(fixture_paths, trained, tmp_path, capsys, command):
     """A vector row too large to score (its squared distances overflow) is an error, not a table of nan."""
@@ -780,28 +797,38 @@ def test_interpret_rejects_classes_sharing_a_ranking_file(fixture_paths, trained
 
 
 def test_table_artifacts_parse_back_with_a_quote_in_a_class_name(fixture_paths, tmp_path):
-    corpus = relabelled_lines(fixture_paths["train"], tmp_path / "quoted.tsv", {"north": '"north', "south": "south"})
-    common = ["--vectors", fixture_paths["vectors"], "--corpus", corpus]
-    checkpoint = str(tmp_path / "train" / "checkpoint.json")
-    runs = {
-        "train": ["--epochs", "2", "--p", "2"],
-        "eval": ["--checkpoint", checkpoint],
-        "interpret": ["--checkpoint", checkpoint, "--top-k", "5"],
-        "baseline": [],
-    }
-    tables = []
-    for command, extra in runs.items():
-        assert main([command, *common, *extra, "--out", str(tmp_path / command)]) == 0
-        tables += sorted(path for pattern in ("*.csv", "*.tsv") for path in (tmp_path / command).glob(pattern))
-    assert {"loss_history.csv", "predictions.csv", "projection.tsv", "top_words__north.tsv", "k_sweep.csv"} <= {
-        path.name for path in tables
-    }
-    for path in tables:
-        with open(path, encoding="utf-8", newline="") as fh:
-            header, *records = csv.reader(fh, delimiter="\t" if path.suffix == ".tsv" else ",")
-        assert records and all(len(record) == len(header) for record in records), path
-        if path.name == "projection.tsv":
-            assert {record[1] for record in records} == {'"north', "south"}
+    # a quote through a lines corpus, and a lone carriage return, which only a
+    # dirs corpus can put in a class name
+    synth = fixture_paths["synth"].train
+    for name, stem in (('"north', "_north"), ("no\rrth", "no_rth")):
+        root = tmp_path / stem
+        root.mkdir()
+        if "\r" in name:
+            write_dirs_corpus(root / "dirs", Corpus(synth.documents, [name, "south"]))
+            corpus = str(root / "dirs")
+        else:
+            corpus = relabelled_lines(fixture_paths["train"], root / "quoted.tsv", {"north": name, "south": "south"})
+        common = ["--vectors", fixture_paths["vectors"], "--corpus", corpus]
+        checkpoint = str(root / "train" / "checkpoint.json")
+        runs = {
+            "train": ["--epochs", "2", "--p", "2"],
+            "eval": ["--checkpoint", checkpoint],
+            "interpret": ["--checkpoint", checkpoint, "--top-k", "5"],
+            "baseline": [],
+        }
+        tables = []
+        for command, extra in runs.items():
+            assert main([command, *common, *extra, "--out", str(root / command)]) == 0
+            tables += sorted(path for pattern in ("*.csv", "*.tsv") for path in (root / command).glob(pattern))
+        assert {"loss_history.csv", "predictions.csv", "projection.tsv", f"top_words_{stem}.tsv", "k_sweep.csv"} <= {
+            path.name for path in tables
+        }
+        for path in tables:
+            with open(path, encoding="utf-8", newline="") as fh:
+                header, *records = csv.reader(fh, delimiter="\t" if path.suffix == ".tsv" else ",")
+            assert records and all(len(record) == len(header) for record in records), path
+            if path.name == "projection.tsv":
+                assert {record[1] for record in records} == {name, "south"}
 
 
 @pytest.mark.parametrize("command", ["train", "baseline"])

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from anchorwmd import ot
 from anchorwmd.model import DocumentMeasure
 from anchorwmd.ot import SinkhornConfig, ground_cost_matrix, sinkhorn, sinkhorn_stack, validate_histogram
-from conftest import eager_reg_distance, exact_ot_uniform, log_domain_sinkhorn, reference_scaling_iterations
+from conftest import (
+    LogDomainResult,
+    eager_reg_distance,
+    exact_ot_uniform,
+    log_domain_sinkhorn,
+    reference_scaling_iterations,
+    reference_sinkhorn_stack,
+)
 
 
 class TestValidateHistogram:
@@ -565,8 +572,102 @@ def _assert_same_result(stacked, alone):
     assert np.array_equal(stacked.plan, alone.plan)
 
 
+# the shapes the three callers solve: one raw-WMD k-NN pair through
+# ``sinkhorn`` on a strided view, as classify takes it; an eval document
+# against Y anchors of 16 points, sharing its source; a training batch of
+# documents against Y anchors, padded to its longest document
+_WHOLE_STACK_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    caller=st.sampled_from(["knn", "eval", "train"]),
+    docs=st.integers(1, 4),
+    classes=st.integers(1, 6),
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    d=st.sampled_from([2, 3, 30, 300]),
+    outlier=st.booleans(),
+    subnormal=st.booleans(),
+    epsilon=st.sampled_from([(0.1, True), (0.01, True), (0.001, True), (20.0, False)]),
+    max_iters=st.integers(1, 300),
+    tolerance=st.sampled_from([1e-4, 1e-6, 1e-9]),
+)
+
+
+def _whole_stack_case(seed, caller, docs, classes, n, m, d, outlier, subnormal, epsilon, max_iters, tolerance):
+    """The costs, source, target and config of one ``_WHOLE_STACK_CASES`` draw."""
+    rng = np.random.default_rng(seed)
+    docs, classes, m = {"knn": (1, 1, m), "eval": (1, classes, 16), "train": (docs, classes, 16)}[caller]
+    lengths = rng.integers(1, n + 1, docs) if caller == "train" else [n]
+    costs = np.zeros((docs, classes, n, m))
+    source = np.zeros((docs, n))
+    for i, length in enumerate(lengths):
+        words = rng.standard_normal((d, length))
+        for k in range(classes):
+            costs[i, k, :length] = ground_cost_matrix(words, rng.standard_normal((d, m)))
+        source[i, :length] = rng.uniform(0.1, 1.0, length)
+        if subnormal and length > 1:
+            # a first weight of 1e-310: once absorbed, its row's kernel
+            # products can underflow to zero
+            source[i, 0] = 0.0
+            source[i] /= source[i].sum()
+            source[i, 0] = 1e-310
+        else:
+            source[i] /= source[i].sum()
+    if outlier:
+        # a row a thousand mean costs away: absorption, or a log-domain step
+        costs[0, 0, 0] += 1e3 * costs[0, 0].mean()
+    target = rng.uniform(0.1, 1.0, m)
+    config = SinkhornConfig(epsilon[0], epsilon[1], max_iters, tolerance)
+    costs = costs.reshape(docs * classes, n, m)
+    source = np.repeat(source, classes, axis=0) if caller == "train" else source[0]
+    return costs, source, target / target.sum(), config
+
+
+def _assert_fields_equal(result, oracle):
+    for name in ("distance", "plan", "iterations_used", "converged", "epsilon", "reg_distance"):
+        assert np.array_equal(getattr(result, name), getattr(oracle, name)), name
+
+
 class TestSinkhornStack:
     """The stacked core solves every problem as it would be solved alone."""
+
+    def test_property_bit_equal_to_reference_stack(self, monkeypatch):
+        # every field of sinkhorn_stack, and of sinkhorn on a k-NN pair, to the
+        # bit; the draws include relaxed solves whose scalings are absorbed or
+        # redone in the log domain in each caller's shape
+        reached = set()
+        caller = []
+        for name, kind in (("_absorbed_kernel", "absorbed"), ("_log_domain_potential", "log domain")):
+            inner = getattr(ot, name)
+
+            def recording(*args, _inner=inner, _kind=kind):
+                if caller:
+                    reached.add((caller[0], _kind))
+                return _inner(*args)
+
+            monkeypatch.setattr(ot, name, recording)
+
+        @settings(max_examples=2 * settings.default.max_examples)
+        @given(**_WHOLE_STACK_CASES)
+        def bit_equal(**case):
+            costs, source, target, config = _whole_stack_case(**case)
+            oracle = reference_sinkhorn_stack(costs, source, target, config)
+            caller.append(case["caller"])
+            if case["caller"] == "knn":
+                wide = np.zeros((costs.shape[1], costs.shape[2] + 2))
+                wide[:, 1:-1] = costs[0]
+                result = sinkhorn(wide[:, 1:-1], source, target, config)
+                fields = LogDomainResult.__dataclass_fields__
+                oracle = LogDomainResult(*(np.asarray(getattr(oracle, name))[0] for name in fields))
+            else:
+                result = sinkhorn_stack(costs, source, target, config)
+            caller.clear()
+            if case["caller"] == "knn" and oracle.iterations_used > ot._RELAX_AT:
+                reached.add(("knn", "relaxed"))
+            _assert_fields_equal(result, oracle)
+
+        bit_equal()
+        repaired = {(c, kind) for c in ("knn", "eval", "train") for kind in ("absorbed", "log domain")}
+        assert reached >= repaired | {("knn", "relaxed")}
 
     CONFIG = SinkhornConfig(epsilon=0.05, max_iters=30)
 
