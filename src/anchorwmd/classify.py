@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _write_table
-from .model import AnchorModel, DocumentMeasure, _ordered_map, anchor_cost_rows, transport_cost_rows
+from .model import AnchorModel, DocumentMeasure, _ordered_map, anchor_cost_rows, distinct_words, transport_cost_rows
 from .ot import SinkhornConfig, _squared_norms, ground_cost_matrix, sinkhorn
 
 __all__ = [
@@ -58,57 +58,25 @@ def classify_corpus(
     return _ordered_map(lambda doc: anchor_nn_classify(doc, model, config), docs, threads)
 
 
-# The raw-WMD ground costs are one product per test document and block of
-# consecutive training documents, their supports side by side; a block holds at
-# most this many support values (2 MiB), or one document. On the d=300 k-NN
-# benchmark (about 113 words a document) that is 7 documents, and the ground
-# cost of a test document takes 10.4 ms, against 15.4 ms in one product per
-# pair and 8.8 ms in one product with all 40 training documents; that one
-# block raised the run's peak memory by 20 MB (a copy of every training
-# support and its cost matrix), the blocks of 7 by 4.6 MB.
-_KNN_BLOCK_VALUES = 2**18
-
-
-def _blocks(docs: list[DocumentMeasure]) -> list[list[DocumentMeasure]]:
-    """``docs`` cut into runs of at most ``_KNN_BLOCK_VALUES`` support values; a larger document is a run alone."""
-    blocks: list[list[DocumentMeasure]] = []
-    values = 0
-    for doc in docs:
-        if blocks and values + doc.support.size <= _KNN_BLOCK_VALUES:
-            blocks[-1].append(doc)
-            values += doc.support.size
-        else:
-            blocks.append([doc])
-            values = doc.support.size
-    return blocks
-
-
-def _wmd_distances(test_doc: DocumentMeasure, block: list[DocumentMeasure], points, norms, config) -> np.ndarray:
-    """Raw WMD from ``test_doc`` to each document of ``block``, from one ground-cost product.
-
-    ``points`` holds the block's supports side by side and ``norms`` their
-    squared column norms, each document's computed from its own support as
-    a cost against it alone computes them. Each neighbour's solve takes its
-    own columns of the one cost matrix.
-    """
-    cost = ground_cost_matrix(test_doc.support, points, norms)
-    distances = np.empty(len(block))
-    start = 0
-    for k, neighbour in enumerate(block):
-        stop = start + neighbour.size
-        distances[k] = sinkhorn(cost[:, start:stop], test_doc.weights, neighbour.weights, config).distance
-        start = stop
-    return distances
-
-
 def _knn_distances(test_docs, train_corpus, config, threads: int) -> list[np.ndarray]:
-    """Per test document, the (len(train_corpus),) raw WMD to every training document."""
-    parts = []
-    for block in _blocks(train_corpus):
-        points = np.concatenate([doc.support for doc in block], axis=1)
-        norms = np.concatenate([_squared_norms(doc.support) for doc in block])
-        parts.append(_ordered_map(lambda doc: _wmd_distances(doc, block, points, norms, config), test_docs, threads))
-    return [np.concatenate(row) for row in zip(*parts)]
+    """Per test document, the (len(train_corpus),) raw WMD to every training document.
+
+    The training documents' distinct words (:func:`~anchorwmd.model.distinct_words`)
+    are costed against each test document in one product, and each pair's
+    solve takes its neighbour's columns of it, gathered.
+    """
+    words = distinct_words(train_corpus)
+    points = words.vectors.T
+    norms = _squared_norms(points)
+
+    def distances(test_doc: DocumentMeasure) -> np.ndarray:
+        cost = ground_cost_matrix(test_doc.support, points, norms)
+        return np.array([
+            sinkhorn(cost[:, rows], test_doc.weights, neighbour.weights, config).distance
+            for rows, neighbour in zip(words.rows, train_corpus)
+        ])
+
+    return _ordered_map(distances, test_docs, threads)
 
 
 def _knn_vote(distances: np.ndarray, labels: list[int], k: int) -> int:
@@ -136,11 +104,11 @@ def knn_predict_corpus(
     then toward the smaller class id. Returns a mapping from each k to the
     per-document predicted labels.
 
-    Each test document takes one ground-cost product per block of training
-    documents (their supports side by side, see ``_KNN_BLOCK_VALUES``), and
-    each pair one :func:`~anchorwmd.ot.sinkhorn` solve on its columns. A
-    column of that product can differ from the document pair's own product
-    in its last bits, since BLAS picks its kernels by matrix shape.
+    Each test document takes one ground-cost product against the training
+    corpus's distinct words, and each pair one
+    :func:`~anchorwmd.ot.sinkhorn` solve on its neighbour's columns of it.
+    A column of that product can differ from the document pair's own
+    product in its last bits, since BLAS picks its kernels by matrix shape.
     """
     if not train_corpus:
         raise ValueError("train corpus is empty")

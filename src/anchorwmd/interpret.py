@@ -99,14 +99,22 @@ def compute_importance_table(
     :func:`~anchorwmd.model.anchor_cost_rows`, as training and
     classification cost a document's words. Vectors of another dimension
     than the model's, or so large that the transformed vectors or their
-    anchor distances are not finite, raise ``ValueError``.
+    anchor distances are not finite, raise ``ValueError``; so does a vector
+    that is not finite, naming the first such word.
     """
     vectors = np.asarray(word_vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[0] != len(words):
         raise ValueError("word_vectors must be (len(words), d)")
-    # an overflow is reported once, as the error below, not as a warning per operation
-    with np.errstate(over="ignore", invalid="ignore"):
-        min_dists, importances = _anchor_scores(anchor_cost_rows(model, vectors.T), model)
+    try:
+        # an overflow is reported once, as the error below, not as a warning per operation
+        with np.errstate(over="ignore", invalid="ignore"):
+            min_dists, importances = _anchor_scores(anchor_cost_rows(model, vectors.T), model)
+    except ValueError:
+        # a vector that is not finite fails the embedding: name its word
+        finite = np.isfinite(vectors).all(axis=1)
+        if finite.all():
+            raise
+        raise ValueError(f"word {words[int(np.argmin(finite))]!r} has a non-finite vector") from None
     if not (np.isfinite(min_dists).all() and np.isfinite(importances).all()):
         raise ValueError("word-to-anchor distances are not finite: the word vectors or the model are too large")
     return ImportanceTable(

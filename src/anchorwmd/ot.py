@@ -47,17 +47,18 @@ Slow solves are over-relaxed (Thibault et al. 2021, "Overrelaxed
 Sinkhorn-Knopp algorithm for regularized optimal transport"; Lehmann et al.
 2022, "A note on overrelaxation in the Sinkhorn algorithm"), which keeps the
 fixed point and cuts the iterations when plain Sinkhorn contracts slowly. A
-problem still working after iteration 12 whose row gap fell by a factor of
-at most 2 per iteration since iteration 5 takes over-relaxed half-steps from
-then on: the plain scaling ``s`` becomes ``s * sqrt(s / s_prev)``, with
-``s_prev`` the scaling it replaces, so its potential moves 3/2 of the way to
-the plain update, ``f + 3/2 (f_plain - f)``; absorption and the log-domain
-step give the same relaxed value. It goes back to plain steps for good at
-the first block end where its row gap is more than 4 times that of the
-block end before; plain Sinkhorn converges from any positive scaling. A solve that
-stops by iteration 12 never relaxes. Either way the iterates are, in exact
-arithmetic, those of log-domain Sinkhorn under the same rule, so iteration
-counts and results match it up to floating-point rounding.
+problem still working after iteration 4, the first block end (below), whose
+row gap fell by a factor of less than 2.5 in iteration 4 takes over-relaxed
+half-steps from then on: the plain scaling ``s`` becomes
+``s * sqrt(s / s_prev)``, with ``s_prev`` the scaling it replaces, so its
+potential moves 3/2 of the way to the plain update, ``f + 3/2 (f_plain -
+f)``; absorption and the log-domain step give the same relaxed value. It
+goes back to plain steps for good at the first block end where its row gap
+is more than 4 times that of the block end before; plain Sinkhorn converges
+from any positive scaling. A solve that stops by iteration 4 never relaxes.
+Either way the iterates are, in exact arithmetic, those of log-domain
+Sinkhorn under the same rule, so iteration counts and results match it up
+to floating-point rounding.
 
 The range check, the stopping rule and the relaxation decisions are read a
 block of iterations at a time; blocks end at iterations 4, 12, 20, ... A
@@ -128,6 +129,12 @@ def _squared_norms(points: np.ndarray) -> np.ndarray:
     return np.einsum("dj,dj->j", points, points)
 
 
+def _require_finite(x: np.ndarray, y: np.ndarray) -> None:
+    """Reject point sets with a NaN or infinite coordinate."""
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("point coordinates must be finite")
+
+
 def ground_cost_matrix(source_points, target_points, target_sq_norms=None) -> np.ndarray:
     """Pairwise squared Euclidean distances between two point sets.
 
@@ -136,6 +143,14 @@ def ground_cost_matrix(source_points, target_points, target_sq_norms=None) -> np
     ``||source[:, i] - target[:, j]||^2``. A caller that keeps one target
     set may pass its squared column norms, as :func:`_squared_norms` gives
     them, as ``target_sq_norms``; they are then not recomputed.
+
+    A coordinate that is not finite is a ``ValueError``. A NaN or infinite
+    coordinate makes its point's squared norm, and each of its point's
+    entries of the cost, NaN or infinite, so the coordinates are read for
+    one only when a squared norm, or with given target norms an entry of the
+    cost's first row, is not finite. Finite points whose squared distances
+    overflow give inf or NaN entries, for the solver's cost check to report
+    once.
     """
     x = np.asarray(source_points, dtype=float)
     y = np.asarray(target_points, dtype=float)
@@ -143,15 +158,22 @@ def ground_cost_matrix(source_points, target_points, target_sq_norms=None) -> np
         raise ValueError("point sets must be 2-D arrays with one point per column")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"point dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("point coordinates must be finite")
-    if target_sq_norms is not None and np.shape(target_sq_norms) != (y.shape[1],):
+    given = target_sq_norms is not None
+    if given and np.shape(target_sq_norms) != (y.shape[1],):
+        _require_finite(x, y)
         raise ValueError(f"{np.shape(target_sq_norms)} target norms for {y.shape[1]} target points")
-    # an overflow leaves inf or NaN entries for the solver's cost check to report once
     with np.errstate(over="ignore", invalid="ignore"):
         sq_x = _squared_norms(x)
-        sq_y = _squared_norms(y) if target_sq_norms is None else target_sq_norms
-        cost = sq_x[:, None] + sq_y[None, :] - 2.0 * (x.T @ y)
+        sq_y = target_sq_norms if given else _squared_norms(y)
+        # sq_x[:, None] + sq_y[None, :] - 2.0 * (x.T @ y), to the bit, in two
+        # full-size arrays: the product, doubled and subtracted in place
+        cost = x.T @ y
+        cost *= 2.0
+        np.subtract(np.add(sq_x[:, None], sq_y[None, :]), cost, out=cost)
+    if not (np.isfinite(sq_x).all() and np.isfinite(sq_y).all()) or (
+        given and not (cost.size and np.isfinite(cost[0]).all())
+    ):
+        _require_finite(x, y)
     # clip tiny negatives produced by cancellation between the three terms
     np.maximum(cost, 0.0, out=cost)
     return cost
@@ -407,16 +429,18 @@ _BLOCK = 8
 # Over-relaxation (Thibault et al. 2021, "Overrelaxed Sinkhorn-Knopp algorithm
 # for regularized optimal transport"; Lehmann et al. 2022, "A note on
 # overrelaxation in the Sinkhorn algorithm"). At the end of iteration
-# _RELAX_AT, a block end, a problem still working whose row gap fell by a
-# factor of at most 1 / _RELAX_RATE per iteration since the first iteration of
-# that block takes over-relaxed half-steps, by _OMEGA, from then on. At each
-# later block end a relaxed problem whose row gap grew more than _GUARD times
-# since the previous block end goes back to plain half-steps for good. On the
-# seed-1 raw-WMD k-NN benchmark solves this halved the mean iteration count,
-# 49.4 to 24.4.
+# _RELAX_AT, the first block end, a problem still working whose row gap is at
+# least _RELAX_RATE times that of iteration _RELAX_AT - 1 takes over-relaxed
+# half-steps, by _OMEGA, from then on. At each later block end a relaxed
+# problem whose row gap grew more than _GUARD times since the previous block
+# end goes back to plain half-steps for good. On the 400 seed-1 raw-WMD k-NN
+# benchmark solves this takes a mean of 19.7 iterations, against 49.4 plain
+# and 24.4 when the decision waits for iteration 12 and reads the fall since
+# iteration 5; the benchmark's eval solves take as many iterations as under
+# that later decision, its training solves no more.
 _OMEGA = 1.5
-_RELAX_AT = 12
-_RELAX_RATE = 0.5
+_RELAX_AT = 4
+_RELAX_RATE = 0.4
 _GUARD = 4.0
 
 
@@ -491,8 +515,8 @@ def _scaling_iterations(
     are dropped unread, so they never repair anything.
 
     A problem still working at the end of iteration ``_RELAX_AT`` whose row
-    gap fell slowly since iteration ``_RELAX_AT - _BLOCK + 1`` (by a factor of
-    at most ``1 / _RELAX_RATE`` per iteration) is over-relaxed from then on
+    gap fell slowly in that iteration (to at least ``_RELAX_RATE`` times that
+    of iteration ``_RELAX_AT - 1``) is over-relaxed from then on
     (:func:`_relax`), and goes back to plain steps at the first block end
     where its row gap is more than ``_GUARD`` times that of the block end
     before. Each of these is decided per problem from its own gaps at fixed
@@ -522,8 +546,8 @@ def _scaling_iterations(
     ratios = None  # the over-relaxation factors of a half-step
     # per problem: whether it is over-relaxed, set at the end of iteration
     # _RELAX_AT, and the row gap its next relaxation decision compares with,
-    # set at iteration _RELAX_AT - _BLOCK + 1; a stack whose solves stop
-    # before then never reads either. plain masks the problems that are not
+    # set at iteration _RELAX_AT - 1; a stack whose solves stop before then
+    # never reads either. plain masks the problems that are not
     # relaxed while others are, or is None
     relaxed = marked = plain = None
     relaxing = False
@@ -619,12 +643,12 @@ def _scaling_iterations(
             block.carry(resume)
             # the relaxation decisions, read off the steps kept
             reached = iteration + resume
-            if iteration < _RELAX_AT - _BLOCK + 1 <= reached:
-                marked = gaps[_RELAX_AT - _BLOCK - iteration]
+            if iteration < _RELAX_AT - 1 <= reached:
+                marked = gaps[_RELAX_AT - 2 - iteration]
             if reached >= _RELAX_AT and _block_end(reached - 1) == reached:
                 gap = gaps[resume - 1]
                 if reached == _RELAX_AT:
-                    relaxed = gap >= marked * _RELAX_RATE ** (_BLOCK - 1)
+                    relaxed = gap >= _RELAX_RATE * marked
                 else:
                     relaxed &= ~(gap > _GUARD * marked)
                 marked = gap

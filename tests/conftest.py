@@ -161,6 +161,20 @@ def reference_load_corpus(path: str, fmt: str):
     return Corpus(documents=documents, class_names=class_names)
 
 
+def reference_ground_cost_matrix(x, y):
+    """``sq_x[:, None] + sq_y[None, :] - 2.0 * (x.T @ y)`` clipped at 0 (test oracle for ``ot.ground_cost_matrix``).
+
+    The squared norms are ``ot._squared_norms`` of the points; the sum, the
+    doubled product and their difference are each a new full-size array.
+    Overflows give inf or NaN entries without a warning.
+    """
+    from anchorwmd.ot import _squared_norms
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = _squared_norms(x)[:, None] + _squared_norms(y)[None, :] - 2.0 * (x.T @ y)
+    return np.maximum(cost, 0.0)
+
+
 def lp_transport_value(cost: np.ndarray, source: np.ndarray, target: np.ndarray) -> float:
     """Exact transport LP value via scipy's HiGHS solver (test oracle)."""
     from scipy.optimize import linprog
@@ -222,19 +236,19 @@ class LogDomainResult:
 def _relaxation_step(relaxed, marked, gap, iteration):
     """The relaxation decisions after ``iteration``: the (new) relaxed mask and marked row gaps.
 
-    The row gap of iteration ``ot._RELAX_AT - ot._BLOCK + 1`` is marked; at
-    iteration ``ot._RELAX_AT`` a problem relaxes when its gap fell by a
-    factor of at most ``1 / ot._RELAX_RATE`` per iteration since; every
-    ``ot._BLOCK`` iterations after that a relaxed problem whose gap grew
-    more than ``ot._GUARD`` times since the last mark goes back to plain
-    steps for good, and its gap is marked again.
+    The row gap of iteration ``ot._RELAX_AT - 1`` is marked; at iteration
+    ``ot._RELAX_AT`` a problem relaxes when its gap is at least
+    ``ot._RELAX_RATE`` times the marked one; every ``ot._BLOCK`` iterations
+    after that a relaxed problem whose gap grew more than ``ot._GUARD``
+    times since the last mark goes back to plain steps for good, and its gap
+    is marked again.
     """
     from anchorwmd import ot
 
-    if iteration == ot._RELAX_AT - ot._BLOCK + 1:
+    if iteration == ot._RELAX_AT - 1:
         return relaxed, gap
     if iteration == ot._RELAX_AT:
-        return gap >= marked * ot._RELAX_RATE ** (ot._BLOCK - 1), gap
+        return gap >= ot._RELAX_RATE * marked, gap
     if iteration > ot._RELAX_AT and (iteration - ot._RELAX_AT) % ot._BLOCK == 0:
         return relaxed & ~(gap > ot._GUARD * marked), gap
     return relaxed, marked

@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +5,7 @@ from hypothesis import strategies as st
 
 from anchorwmd import classify, ot
 from anchorwmd.classify import anchor_nn_classify, classify_corpus, error_rate, knn_predict_corpus, write_predictions
-from anchorwmd.model import AnchorModel, DocumentMeasure, anchor_cost_rows, transport_cost_rows
+from anchorwmd.model import AnchorModel, DocumentMeasure, anchor_cost_rows, distinct_words, transport_cost_rows
 from anchorwmd.ot import SinkhornConfig, ground_cost_matrix, sinkhorn
 from anchorwmd.training import TrainConfig, train
 
@@ -197,44 +195,70 @@ class TestWmdKnn:
         test_size=st.integers(1, 12),
         d=st.sampled_from([1, 2, 3, 30, 300]),
         fortran=st.lists(st.booleans(), min_size=7, max_size=7),
-        block_values=st.sampled_from([1, 40, classify._KNN_BLOCK_VALUES]),
+        vocabulary=st.integers(1, 30),
+        clash=st.booleans(),
         epsilon=st.sampled_from([(0.1, True), (0.01, True), (5.0, False)]),
     )
-    def test_property_distances_match_per_pair_solves(self, seed, sizes, test_size, d, fortran, block_values, epsilon):
-        # ragged documents whose supports are C- or Fortran-ordered, in blocks
-        # of one document, of a few, or all in one: each pair's columns of its
-        # block's product are its own ground cost up to the product's rounding
-        # (to the bit in a block of one), and each distance is the solve on them
+    def test_property_distances_match_per_pair_solves(
+        self, seed, sizes, test_size, d, fortran, vocabulary, clash, epsilon
+    ):
+        # ragged documents whose supports are C- or Fortran-ordered draw their
+        # words from one vocabulary, so training documents share word ids with
+        # equal vectors; with clash, one more document gives a shared id a
+        # second vector, and every training column is its own row of the
+        # table. Each pair's gathered columns of the one product against the
+        # table are its own ground cost up to the product's rounding, and each
+        # distance is the solve on them
         rng = np.random.default_rng(seed)
+        vectors = rng.standard_normal((vocabulary, d))
 
         def doc(size, layout):
-            support = rng.standard_normal((size, d)).T  # Fortran order
-            return make_doc(support if layout else np.ascontiguousarray(support), rng.dirichlet(np.ones(size)))
+            ids = rng.choice(vocabulary, min(size, vocabulary), replace=False)
+            support = vectors[ids].T  # Fortran order
+            return DocumentMeasure(ids, support if layout else np.ascontiguousarray(support), rng.dirichlet(np.ones(ids.size)))
 
         test = doc(test_size, fortran[-1])
         train = [doc(size, layout) for size, layout in zip(sizes, fortran)]
+        if clash:
+            support = train[0].support.copy()
+            support[:, 0] += 1.0
+            train.append(DocumentMeasure(train[0].word_ids, support, train[0].weights))
         config = SinkhornConfig(epsilon=epsilon[0], relative=epsilon[1])
-        with mock.patch.object(classify, "_KNN_BLOCK_VALUES", block_values):
-            blocks = classify._blocks(train)
-            [distances] = classify._knn_distances([test], train, config, threads=1)
-        assert [neighbour for block in blocks for neighbour in block] == train
+        [distances] = classify._knn_distances([test], train, config, threads=1)
+        words = distinct_words(train)
+        ids = np.concatenate([neighbour.word_ids for neighbour in train])
+        assert words.vectors.shape[0] == (ids.size if clash else np.unique(ids).size)
+        cost = ground_cost_matrix(test.support, words.vectors.T, ot._squared_norms(words.vectors.T))
         sq_test = ot._squared_norms(test.support)
-        k = 0
-        for block in blocks:
-            points = np.concatenate([neighbour.support for neighbour in block], axis=1)
-            norms = np.concatenate([ot._squared_norms(neighbour.support) for neighbour in block])
-            cost = ground_cost_matrix(test.support, points, norms)
-            start = 0
-            for neighbour in block:
-                columns = cost[:, start : start + neighbour.size]
-                start += neighbour.size
-                own = ground_cost_matrix(test.support, neighbour.support)
-                scale = sq_test[:, None] + ot._squared_norms(neighbour.support)[None, :]
-                assert np.all(np.abs(columns - own) <= 1e-12 * scale)
-                assert distances[k] == sinkhorn(columns, test.weights, neighbour.weights, config).distance
-                if len(block) == 1 or np.array_equal(columns, own):
-                    assert distances[k] == sinkhorn(own, test.weights, neighbour.weights, config).distance
-                k += 1
+        assert distances.shape == (len(train),)
+        for distance, rows, neighbour in zip(distances, words.rows, train):
+            columns = cost[:, rows]
+            own = ground_cost_matrix(test.support, neighbour.support)
+            scale = sq_test[:, None] + ot._squared_norms(neighbour.support)[None, :]
+            assert np.all(np.abs(columns - own) <= 1e-12 * scale)
+            assert distance == sinkhorn(columns, test.weights, neighbour.weights, config).distance
+
+    def test_one_ground_cost_per_test_document(self, rng, monkeypatch):
+        # three test documents against five training documents that share
+        # words: one product each, against the training corpus's distinct words
+        vectors = rng.standard_normal((8, 30))
+
+        def doc(ids, label=None):
+            return DocumentMeasure(ids, vectors[ids].T, np.full(len(ids), 1 / len(ids)), label=label)
+
+        train = [doc([0, 1, 2], 0), doc([1, 2, 3], 0), doc([2, 3, 4, 5], 1), doc([5, 6], 1), doc([6, 7, 0], 1)]
+        test = [doc([0, 3]), doc([4, 5, 6]), doc([7])]
+        targets = []
+        inner = classify.ground_cost_matrix
+
+        def counting(source, target, *args):
+            targets.append(target.shape)
+            return inner(source, target, *args)
+
+        monkeypatch.setattr(classify, "ground_cost_matrix", counting)
+        sweep = knn_predict_corpus(test, train, ks=[1, 3])
+        assert targets == [(30, 8)] * len(test)
+        assert sweep[1] == [0, 1, 1]
 
 
 class TestErrorRate:

@@ -615,21 +615,37 @@ def write_overflowing_vectors(synth, path):
     return str(path)
 
 
-@pytest.mark.parametrize("value", ["nan", "1e309"])
-def test_non_finite_word_vector_names_word_and_document(fixture_paths, tmp_path, capsys, value):
-    # the first document's first word, in sorted order, as its measure takes them
-    word = sorted(fixture_paths["synth"].train.documents[0].counts)[0]
+def write_non_finite_vector(fixture_paths, word, value, path):
+    """The fixture's vector file with ``word``'s first value written as ``value``."""
     lines = Path(fixture_paths["vectors"]).read_text(encoding="utf-8").splitlines()
-    bad = tmp_path / "vectors.txt"
-    bad.write_text(
+    path.write_text(
         "".join(
             f"{word} {value} {line.split(' ', 2)[2]}\n" if line.split(" ", 1)[0] == word else line + "\n"
             for line in lines
         )
     )
+    return str(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "1e309"])
+def test_non_finite_word_vector_names_word_and_document(fixture_paths, tmp_path, capsys, value):
+    # the first document's first word, in sorted order, as its measure takes them
+    word = sorted(fixture_paths["synth"].train.documents[0].counts)[0]
+    bad = write_non_finite_vector(fixture_paths, word, value, tmp_path / "vectors.txt")
     out = tmp_path / "rejected"
-    code = main(["train", "--vectors", str(bad), "--corpus", fixture_paths["train"], "--out", str(out)])
+    code = main(["train", "--vectors", bad, "--corpus", fixture_paths["train"], "--out", str(out)])
     assert_rejected(code, capsys, out, f"train.tsv:1: word {word!r} has a non-finite vector")
+
+
+@pytest.mark.parametrize("value", ["nan", "1e309"])
+def test_non_finite_word_vector_named_by_interpret(fixture_paths, trained, tmp_path, capsys, value):
+    # a word in the middle of the vocabulary: interpret names it, as eval does
+    vocabulary = fixture_paths["synth"].train.vocabulary()
+    word = vocabulary[len(vocabulary) // 2]
+    bad = write_non_finite_vector(fixture_paths, word, value, tmp_path / "vectors.txt")
+    out = tmp_path / "rejected"
+    argv = ["interpret", "--vectors", bad, "--corpus", fixture_paths["train"], "--checkpoint", trained]
+    assert_rejected(main(argv + ["--out", str(out)]), capsys, out, f"error: word {word!r} has a non-finite vector")
 
 
 @pytest.mark.parametrize("command", ["interpret"])
