@@ -243,6 +243,8 @@ def cmd_train(opts: dict) -> int:
     spec = _split_spec(opts)
     table = data.load_word_vectors(opts["vectors"])
     train_corpus, held_out = _load_train_test(opts, spec)
+    if held_out is not None:
+        data._require_line_labels(held_out.class_names)
     measures, _ = data.corpus_to_measures(train_corpus, table)
     fitted, history = training.train(
         measures, cfg, class_names=train_corpus.class_names, vocab_hash=table.vocab_hash

@@ -174,8 +174,16 @@ def _read_dirs_corpus(root: str) -> list[tuple[str, str, str]]:
     return rows
 
 
+def _require_line_labels(class_names: list[str]) -> None:
+    """Reject a class name that :func:`load_corpus` would not read back as a ``lines`` label."""
+    for name in class_names:
+        if name != name.strip() or any(c in name for c in "\t\n\r"):
+            raise ValueError(f"class {name!r} cannot be a lines label: it holds a tab, a line break or edge whitespace")
+
+
 def save_corpus_lines(corpus: Corpus, path: str) -> None:
-    """Write a corpus in ``lines`` format, repeating tokens by their counts."""
+    """Write a corpus in ``lines`` format, repeating tokens by their counts; a class name must read back."""
+    _require_line_labels(corpus.class_names)
     with open(path, "w", encoding="utf-8") as fh:
         for doc in corpus.documents:
             words = []

@@ -142,11 +142,13 @@ class AnchorModel:
     """The trained model: transform matrix plus one anchor per class.
 
     ``transform`` is (d, d); ``anchors`` is (num_classes, d, p) with one
-    uniform-measure point cloud per class. Instances are value objects: they
-    hold their own read-only copies of the arrays. ``anchors`` is laid out in
-    (d, num_classes, p) memory order, so :func:`anchor_columns` of it is a
-    view, and ``column_sq_norms`` holds the squared norms of those columns,
-    computed once for every ground cost against the anchors.
+    uniform-measure point cloud per class. d, num_classes and p are at least
+    1, the class names are distinct strings and ``vocab_hash`` is a string,
+    so a checkpoint holds every model that constructs. Instances are value
+    objects: they hold their own read-only copies of the arrays. ``anchors``
+    is laid out in (d, num_classes, p) memory order, so :func:`anchor_columns`
+    of it is a view, and ``column_sq_norms`` holds the squared norms of those
+    columns, computed once for every ground cost against the anchors.
     """
 
     transform: np.ndarray
@@ -158,10 +160,10 @@ class AnchorModel:
     def __post_init__(self):
         transform = np.array(self.transform, dtype=float)
         anchors = np.asarray(self.anchors, dtype=float)
-        if transform.ndim != 2 or transform.shape[0] != transform.shape[1]:
-            raise ValueError(f"transform must be square, got shape {transform.shape}")
-        if anchors.ndim != 3 or anchors.shape[2] < 1:
-            raise ValueError(f"anchors must be (num_classes, d, p >= 1), got shape {anchors.shape}")
+        if transform.ndim != 2 or transform.shape[0] != transform.shape[1] or transform.shape[0] < 1:
+            raise ValueError(f"transform must be square with d >= 1, got shape {transform.shape}")
+        if anchors.ndim != 3 or anchors.shape[0] < 1 or anchors.shape[2] < 1:
+            raise ValueError(f"anchors must be (num_classes >= 1, d, p >= 1), got shape {anchors.shape}")
         if anchors.shape[1] != transform.shape[0]:
             raise ValueError(
                 f"anchor dimension {anchors.shape[1]} does not match "
@@ -169,8 +171,12 @@ class AnchorModel:
             )
         if len(self.class_names) != anchors.shape[0]:
             raise ValueError("one class name per anchor required")
+        if not all(isinstance(name, str) for name in self.class_names):
+            raise ValueError(f"class names must be strings, got {list(self.class_names)}")
         if len(set(self.class_names)) != len(self.class_names):
             raise ValueError(f"class names must be distinct, got {list(self.class_names)}")
+        if not isinstance(self.vocab_hash, str):
+            raise ValueError(f"vocab_hash must be a string, got {self.vocab_hash!r}")
         if not (np.all(np.isfinite(transform)) and np.all(np.isfinite(anchors))):
             raise ValueError("model parameters must be finite")
         columns = np.array(anchors.transpose(1, 0, 2), order="C")
@@ -236,8 +242,9 @@ def transport_cost_rows(
     :func:`anchor_cost_rows` and ``weights[i]`` its histogram. Each
     document's rows are copied into its Y (n_i, p) class slices, with zeros
     after them, and all are solved as one stack padded to the longest
-    document, under the uniform measure 1/p on each anchor's columns. A
-    stack of one document has no padding and passes its histogram once.
+    document, under the uniform measure 1/p on each anchor's columns, each
+    problem's epsilon by the rule of :class:`~anchorwmd.ot.SinkhornConfig`.
+    A stack of one document has no padding and passes its histogram once.
 
     Returns one stacked :class:`SinkhornResult` over the ``len(costs) * Y``
     problems, document-major: problem ``i * Y + k`` is document i against
@@ -420,17 +427,15 @@ def save_checkpoint(model: AnchorModel, path: str) -> None:
 
 
 def _write_json_array(fh, values: np.ndarray) -> None:
-    """``json.dump(values.tolist(), fh)`` for a float array of at least two dimensions."""
+    """``json.dump(values.tolist(), fh)`` for a non-empty float array of at least two dimensions."""
     if values.ndim > 2:
         fh.write("[")
         for i, part in enumerate(values):
             fh.write(", " if i else "")
             _write_json_array(fh, part)
         fh.write("]")
-    elif len(values):
-        fh.write(f"[[{_join_reprs(values, ', ', '], [')}]]")
     else:
-        fh.write("[]")
+        fh.write(f"[[{_join_reprs(values, ', ', '], [')}]]")
 
 
 _CHECKPOINT_KEYS = ("transform", "anchors", "class_names", "num_classes", "dim", "p")
@@ -470,14 +475,11 @@ def load_checkpoint(path: str) -> AnchorModel:
     names = payload["class_names"]
     if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
         raise ValueError("checkpoint 'class_names' must be a list of strings")
-    vocab_hash = payload.get("vocab_hash", "")
-    if not isinstance(vocab_hash, str):
-        raise ValueError("checkpoint 'vocab_hash' must be a string")
     model = AnchorModel(
         transform=_checkpoint_array(payload, "transform"),
         anchors=_checkpoint_array(payload, "anchors"),
         class_names=names,
-        vocab_hash=vocab_hash,
+        vocab_hash=payload.get("vocab_hash", ""),
     )
     expected = (payload["num_classes"], payload["dim"], payload["p"])
     if model.anchors.shape != expected:

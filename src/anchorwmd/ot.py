@@ -18,9 +18,9 @@ with (B,) values and (B, n, m) plans; indexing it gives one problem's
 result; its ``reg_distance`` is computed when first read, so a caller that
 reads only ``distance`` never takes the log of a plan. :func:`sinkhorn` is
 the stack of one. Every real histogram entry
-must be positive. Validation and rounding run once per stack; relative
-epsilon (the mean over the problem's real cells), potentials, iteration
-counts and convergence are per problem, and a problem leaves the iterations
+must be positive. Validation and rounding run once per stack; epsilon (by
+the rule of :class:`SinkhornConfig`), potentials, iteration counts and
+convergence are per problem, and a problem leaves the iterations
 as soon as it meets the stopping rule. So in a stack without padding a
 problem's result does not depend on what it is stacked with: it equals, to
 the bit, the solve of its matrix alone. A padded problem's sums run over its
@@ -184,10 +184,12 @@ class SinkhornConfig:
     """Settings for the entropic solver.
 
     ``epsilon`` is the regularization strength. With ``relative=True`` (the
-    default) it multiplies the mean entry of the cost matrix it is applied
-    to, making behaviour independent of the scale of the input geometry;
-    with ``relative=False`` it is used verbatim. ``tolerance`` bounds the L1
-    marginal violation at which iterations stop.
+    default) a problem's strength is ``epsilon`` times the mean of its cost
+    matrix's real cells (the rows of its positive source entries), or
+    ``epsilon`` itself when that mean is 0, so behaviour does not depend on
+    the scale of the input geometry; with ``relative=False`` it is
+    ``epsilon`` verbatim. ``tolerance`` bounds the L1 marginal violation at
+    which iterations stop.
     """
 
     epsilon: float = 0.1
@@ -202,28 +204,6 @@ class SinkhornConfig:
             raise ValueError("max_iters must be at least 1")
         if not (0 < self.tolerance < np.inf):
             raise ValueError("tolerance must be positive and finite")
-
-    def effective_epsilon(self, cost: np.ndarray):
-        """Resolve the regularization strength for a concrete cost matrix.
-
-        Given a (B, n, m) stack, returns the (B,) strengths of its matrices,
-        each the one that matrix gets alone.
-        """
-        cost = np.asarray(cost, dtype=float)
-        if self.relative:
-            totals = np.add.reduce(cost.reshape(*cost.shape[:-2], -1), axis=-1)
-            eps = self._relative_strengths(totals, cost.shape[-2] * cost.shape[-1])
-        else:
-            eps = np.full(cost.shape[:-2], self.epsilon)
-        return float(eps) if eps.ndim == 0 else eps
-
-    def _relative_strengths(self, totals, cells) -> np.ndarray:
-        """The relative strengths of cost matrices of ``cells`` entries whose entries sum to ``totals``.
-
-        A mean is the sum over the count, as ``np.mean`` divides it, to the bit.
-        """
-        mean = totals / cells
-        return np.where(mean > 0, self.epsilon * mean, self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -713,22 +693,26 @@ def _source_rows(source, num: int) -> tuple[np.ndarray, np.ndarray | None]:
 def _stack_epsilon(config: SinkhornConfig, cost: np.ndarray, real: np.ndarray | None) -> np.ndarray:
     """The (B,) strengths of a stack whose problem k is the ``real[k]`` rows of ``cost[k]``.
 
-    A problem's mean runs over its real rows' cells, the first ``n_k * m`` of
-    ``cost[k]`` in C order: one sum per run of problems of the same length,
-    over a view of those cells, has the bits of the sum over a copy of them.
+    This is the rule of :class:`SinkhornConfig`. A problem's mean is the sum
+    of its real rows' cells, the first ``n_k * m`` of ``cost[k]`` in C order,
+    over their count, as ``np.mean`` divides it: one sum per run of problems
+    of the same length, over a view of those cells, has the bits of the sum
+    over a copy of them.
     """
     num, n, m = cost.shape
     if not config.relative:
         return np.full(num, config.epsilon)
     cells = cost.reshape(num, n * m)
     if real is None:
-        return config._relative_strengths(np.add.reduce(cells, axis=1), n * m)
-    lengths = real.sum(axis=1)
-    totals = np.empty(num)
-    bounds = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), num]
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        totals[start:stop] = np.add.reduce(cells[start:stop, : lengths[start] * m], axis=1)
-    return config._relative_strengths(totals, lengths * m)
+        totals, counts = np.add.reduce(cells, axis=1), n * m
+    else:
+        lengths = real.sum(axis=1)
+        totals, counts = np.empty(num), lengths * m
+        bounds = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), num]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            totals[start:stop] = np.add.reduce(cells[start:stop, : counts[start]], axis=1)
+    mean = totals / counts
+    return np.where(mean > 0, config.epsilon * mean, config.epsilon)
 
 
 def sinkhorn_stack(costs, source, target, config: SinkhornConfig | None = None) -> SinkhornResult:
@@ -741,8 +725,8 @@ def sinkhorn_stack(costs, source, target, config: SinkhornConfig | None = None) 
     a padded cost row must be finite and is otherwise not read, and a padded
     plan row is exactly 0. The one returned :class:`SinkhornResult` holds
     (B,) values and (B, n, m) plans. Validation and rounding are those of
-    :func:`sinkhorn`, done once for the stack; relative epsilon (over a
-    problem's real cells), iteration counts and convergence are per problem.
+    :func:`sinkhorn`, done once for the stack; epsilon (by the rule of
+    :class:`SinkhornConfig`), iteration counts and convergence are per problem.
     Without padding, ``[k]`` equals to the bit what :func:`sinkhorn` gives
     on ``costs[k]`` alone; with it, a problem's values match its real rows
     solved alone within 1e-12 relative, with the same epsilon.

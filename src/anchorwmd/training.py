@@ -55,9 +55,9 @@ class TrainConfig:
     and an L2 penalty of 0.001 on the transform matrix.
 
     Epsilon is a stop-gradient: each step differentiates ``reg_distance``
-    with epsilon held at the value the current costs give it (under relative
-    epsilon, ``sinkhorn.epsilon`` times each problem's mean cost), so the
-    plan alone is the derivative of each value with respect to its costs.
+    with epsilon held at the value the current costs give it (by the rule of
+    :class:`~anchorwmd.ot.SinkhornConfig`), so the plan alone is the
+    derivative of each value with respect to its costs.
     """
 
     loss_kind: str = "triplet"

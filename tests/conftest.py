@@ -261,12 +261,14 @@ def log_domain_sinkhorn(cost, source, target, config=None, relax=True):
     potentials and the plan whose marginals are checked. With ``relax``, the
     solver's over-relaxation rule decides after each iteration from the row
     gap whether the next half-steps move each potential ``ot._OMEGA`` times
-    the way to its plain update. Rounding and the reported values follow
-    ``ot.sinkhorn``; the entropy of ``reg_distance`` is its own sum over the
-    plan's positive entries.
+    the way to its plain update. Relative epsilon is ``config.epsilon`` times
+    the mean of a C-order copy of the cost (``config.epsilon`` itself when
+    that mean is 0), as in :func:`reference_sinkhorn_stack`; the plan is
+    rounded by :func:`reference_round_to_marginals`. The entropy of
+    ``reg_distance`` is its own sum over the plan's positive entries.
     """
     from anchorwmd import ot
-    from anchorwmd.ot import SinkhornConfig, _logsumexp, _round_to_marginals
+    from anchorwmd.ot import SinkhornConfig, _logsumexp
 
     if config is None:
         config = SinkhornConfig()
@@ -274,7 +276,8 @@ def log_domain_sinkhorn(cost, source, target, config=None, relax=True):
     a = np.asarray(source, dtype=float)
     b = np.asarray(target, dtype=float)
 
-    eps = config.effective_epsilon(cost)
+    mean = cost.copy().mean()
+    eps = float(config.epsilon * mean if config.relative and mean > 0 else config.epsilon)
     log_kernel = -cost / eps
     log_a = np.log(a)
     log_b = np.log(b)
@@ -297,7 +300,7 @@ def log_domain_sinkhorn(cost, source, target, config=None, relax=True):
                 break
             if relax:
                 relaxed, marked = _relaxation_step(relaxed, marked, np.array([row_gap]), iterations)
-        plan = _round_to_marginals(plan, a, b)
+        plan = reference_round_to_marginals(plan, a, b)
 
     distance = float(np.sum(plan * cost))
     positive = plan[plan > 0]

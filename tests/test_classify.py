@@ -189,6 +189,7 @@ class TestWmdKnn:
         with pytest.raises(ValueError):
             knn_predict_corpus([train[0]], train, [0])
 
+    @pytest.mark.thorough
     @given(
         seed=st.integers(0, 2**32 - 1),
         sizes=st.lists(st.integers(1, 12), min_size=1, max_size=6),

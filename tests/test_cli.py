@@ -140,6 +140,27 @@ class TestTrainCommand:
         )
         assert code == 0
 
+    @staticmethod
+    def _split_dirs_corpus(paths, tmp_path, first_class):
+        """``train --train-fraction 0.5`` on the fixture's training corpus in ``dirs`` format, its first class renamed."""
+        corpus = Corpus(paths["synth"].train.documents, [first_class, "south"])
+        write_dirs_corpus(tmp_path / "corpus", corpus)
+        return run_train({**paths, "train": str(tmp_path / "corpus")}, tmp_path / "run", ["--train-fraction", "0.5"])
+
+    @pytest.mark.parametrize("name", ["north\tpole", "north\npole", "north\rpole", " north", "north ", "north\u2028"])
+    def test_class_name_that_test_split_cannot_hold_rejected(self, fixture_paths, tmp_path, capsys, name):
+        # only a dirs corpus can hold such a name: its class names are directory names
+        code = self._split_dirs_corpus(fixture_paths, tmp_path, name)
+        assert_rejected(code, capsys, tmp_path / "run", repr(name))
+
+    def test_dirs_class_name_with_inner_space_reads_back_from_test_split(self, fixture_paths, tmp_path):
+        assert self._split_dirs_corpus(fixture_paths, tmp_path, "north pole") == 0
+        from anchorwmd.data import load_corpus
+
+        held = load_corpus(str(tmp_path / "run" / "test_split.tsv"))
+        assert held.class_names == ["north pole", "south"]
+        assert len(held) == 8
+
     def test_unknown_config_key_rejected(self, fixture_paths, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"epoch": 2}))

@@ -1,5 +1,6 @@
 import logging
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -546,6 +547,21 @@ class TestCorpusRoundTrip:
         loaded = load_corpus(str(path))
         assert loaded.class_names == corpus.class_names
         assert [d.counts for d in loaded.documents] == [d.counts for d in corpus.documents]
+
+    @pytest.mark.parametrize("name", ["north pole", "pôle \"nord\"", "a,b"])
+    def test_inner_spaces_and_quotes_read_back(self, tmp_path, name):
+        corpus = Corpus([Document("d0", 0, {"cat": 1}), Document("d1", 1, {"dog": 1})], [name, "sea"])
+        path = tmp_path / "corpus.tsv"
+        save_corpus_lines(corpus, str(path))
+        assert load_corpus(str(path)).class_names == sorted([name, "sea"])
+
+    @pytest.mark.parametrize("name", ["north\tpole", "north\npole", "north\rpole", " north", "north ", "north\u2028"])
+    def test_class_name_that_cannot_read_back_rejected(self, tmp_path, name):
+        corpus = Corpus([Document("d0", 0, {"cat": 1}), Document("d1", 1, {"dog": 1})], ["sea", name])
+        path = tmp_path / "corpus.tsv"
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            save_corpus_lines(corpus, str(path))
+        assert not path.exists()
 
 
 class TestRemapLabels:

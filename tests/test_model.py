@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import os
+import re
+import tempfile
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from anchorwmd import model as model_module
 from anchorwmd.data import WordVectorTable, to_measure
@@ -116,6 +119,20 @@ class TestAnchorModel:
         with pytest.raises(ValueError, match="transformed word vectors are not finite"):
             anchor_cost_rows(model, doc.support)
 
+    @pytest.mark.parametrize(
+        "transform, anchors, class_names, vocab_hash, message",
+        [
+            pytest.param(np.zeros((0, 0)), np.zeros((1, 0, 2)), ["a"], "", "d >= 1", id="dimension_0"),
+            pytest.param(np.eye(2), np.zeros((0, 2, 3)), [], "", "num_classes >= 1", id="no_classes"),
+            pytest.param(np.eye(2), np.zeros((2, 2, 3)), ["a", 1], "", "class names must be strings", id="non_string_name"),
+            pytest.param(np.eye(2), np.zeros((1, 2, 3)), ["a"], 7, "vocab_hash must be a string", id="non_string_hash"),
+        ],
+    )
+    def test_models_a_checkpoint_cannot_hold_rejected(self, transform, anchors, class_names, vocab_hash, message):
+        # a checkpoint cannot hold any of these models
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AnchorModel(transform, anchors, class_names, vocab_hash)
+
 
 def kernel(model, docs, config=None):
     """The two-step kernel over documents: one cost of their supports side by side, then one padded stack."""
@@ -127,6 +144,7 @@ def kernel(model, docs, config=None):
 class TestAnchorKernelMatchesReference:
     """``anchor_cost_rows`` then ``transport_cost_rows`` against the fancy-index scatter of ``reference_anchor_transport``."""
 
+    @pytest.mark.thorough
     @given(
         seed=st.integers(0, 2**32 - 1),
         sizes=st.lists(st.integers(1, 12), min_size=1, max_size=9),
@@ -413,6 +431,7 @@ class TestInitAnchors:
         assert sorted(anchors[0].T.tolist()) == [[0.125, 1.0, 0.25], [8.25, -2.0, 1.0]]
         assert sorted(anchors[1].T.tolist()) == [[0.125, -6.0, 4.0], [8.25, -2.0, 1.0]]
 
+    @pytest.mark.thorough
     @given(
         seed=st.integers(0, 2**32 - 1),
         num_classes=st.integers(2, 4),
@@ -470,7 +489,35 @@ class TestDistinctRows:
         assert counts.tolist() == [1, 2, 2]
 
 
+# zeros of both signs and finite magnitudes from 1e-300 to 1e300 of both signs
+_PARAMETER_VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300))
+# quotes, backslashes, tabs, line breaks and non-ASCII text among any other characters
+_NAME_TEXT = st.text(st.one_of(st.sampled_from('"\\\t\n\r\u00e9\u65e5\U0001f600'), st.characters()), max_size=6)
+
+
 class TestCheckpoint:
+    @pytest.mark.thorough
+    @given(dim=st.integers(1, 4), num_classes=st.integers(1, 3), p=st.integers(1, 3), data=st.data())
+    def test_property_every_model_round_trips(self, dim, num_classes, p, data):
+        transform = data.draw(arrays(float, (dim, dim), elements=_PARAMETER_VALUES))
+        anchors = data.draw(arrays(float, (num_classes, dim, p), elements=_PARAMETER_VALUES))
+        names = data.draw(st.lists(_NAME_TEXT, min_size=num_classes, max_size=num_classes, unique=True))
+        model = AnchorModel(transform, anchors, names, data.draw(_NAME_TEXT))
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "model.json")
+            save_checkpoint(model, path)
+            with open(path, "rb") as fh:
+                first = fh.read()
+            save_checkpoint(model, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == first
+            loaded = load_checkpoint(path)
+        for name in ("transform", "anchors"):
+            ours, theirs = getattr(loaded, name), getattr(model, name)
+            assert np.array_equal(ours, theirs) and np.array_equal(np.signbit(ours), np.signbit(theirs))
+        assert loaded.class_names == model.class_names
+        assert loaded.vocab_hash == model.vocab_hash
+
     def test_round_trip(self, tmp_path, rng):
         model = AnchorModel(
             transform=rng.standard_normal((3, 3)),

@@ -74,6 +74,7 @@ class TestGroundCost:
         with pytest.raises(ValueError, match="must be finite"):
             ground_cost_matrix(x, np.full((30, 5), np.inf), np.ones(5))
 
+    @pytest.mark.thorough
     def test_property_bit_equal_to_three_temporaries(self):
         # every entry, inf and NaN included once the norms overflow (from
         # 1e155), as the expression with three full-size temporaries gives it;
@@ -453,6 +454,7 @@ def _loop_case(seed, num, n, m, d, padded, outlier, subnormal, epsilon, max_iter
     return _loop_inputs(costs, source, target / target.sum(), config), config
 
 
+@pytest.mark.thorough
 class TestBlockLoopMatchesReference:
     """The block loop returns, to the bit, what checking every half-step returns.
 
@@ -723,6 +725,7 @@ def _assert_fields_equal(result, oracle):
 class TestSinkhornStack:
     """The stacked core solves every problem as it would be solved alone."""
 
+    @pytest.mark.thorough
     def test_property_bit_equal_to_reference_stack(self, monkeypatch):
         # every field of sinkhorn_stack, and of sinkhorn on a k-NN pair, to the
         # bit; the draws include relaxed solves whose scalings are absorbed or
@@ -1034,14 +1037,17 @@ class TestSinkhornConfig:
         with pytest.raises(ValueError):
             SinkhornConfig(tolerance=0.0)
 
+    HALVES = np.array([0.5, 0.5])
+
     def test_relative_epsilon_scales_with_cost(self):
         cfg = SinkhornConfig(epsilon=0.1, relative=True)
-        assert cfg.effective_epsilon(np.full((2, 2), 3.0)) == pytest.approx(0.3)
-        assert cfg.effective_epsilon(np.zeros((2, 2))) == pytest.approx(0.1)
+        assert sinkhorn(np.full((2, 2), 3.0), self.HALVES, self.HALVES, cfg).epsilon == pytest.approx(0.3)
+        # a zero mean cost falls back to epsilon itself
+        assert sinkhorn(np.zeros((2, 2)), self.HALVES, self.HALVES, cfg).epsilon == 0.1
 
     def test_absolute_epsilon_used_verbatim(self):
         cfg = SinkhornConfig(epsilon=0.7, relative=False)
-        assert cfg.effective_epsilon(np.full((2, 2), 3.0)) == pytest.approx(0.7)
+        assert sinkhorn(np.full((2, 2), 3.0), self.HALVES, self.HALVES, cfg).epsilon == 0.7
 
 
 class TestCostGradient:

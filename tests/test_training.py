@@ -519,6 +519,7 @@ def shared_vocabulary_batch(seed, num_docs, case, y=3, d=6, p=3):
 class TestSharedVocabularyBatches:
     """A batch's distinct words are embedded and costed once; each stack gathers its rows."""
 
+    @pytest.mark.thorough
     @given(
         seed=st.integers(0, 2**32 - 1),
         num_docs=st.integers(9, 20),
@@ -722,6 +723,7 @@ class TestTrainingLearns:
         ),
     ],
 )
+@pytest.mark.thorough
 def test_trained_anchors_beat_raw_wmd_knn_and_name_unseen_keywords(pool, seed):
     """The paper's claim on words that no training document contains.
 
