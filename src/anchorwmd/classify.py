@@ -8,7 +8,7 @@ import numpy as np
 
 from .data import _write_table
 from .model import AnchorModel, DocumentMeasure, _ordered_map, anchor_cost_rows, distinct_words, transport_cost_rows
-from .ot import SinkhornConfig, _squared_norms, ground_cost_matrix, sinkhorn
+from .ot import SinkhornConfig, _check_count, _squared_norms, ground_cost_matrix, sinkhorn
 
 __all__ = [
     "Prediction",
@@ -119,9 +119,9 @@ def knn_predict_corpus(
 
 
 def check_k_values(ks) -> None:
-    """Reject a neighbour count below 1."""
-    if any(k < 1 for k in ks):
-        raise ValueError("all k values must be at least 1")
+    """Reject a neighbour count that is not an integer of at least 1."""
+    for k in ks:
+        _check_count("k", k, 1)
 
 
 def error_rate(predictions, truths) -> float:

@@ -18,7 +18,7 @@ import re
 import sys
 
 from . import classify, data, interpret, model as model_mod, training
-from .ot import SinkhornConfig
+from .ot import SinkhornConfig, _check_count
 
 logger = logging.getLogger(__name__)
 
@@ -151,12 +151,8 @@ def _merge_options(args: argparse.Namespace) -> dict:
     for key, value in vars(args).items():
         if key in merged and value is not None:
             merged[key] = value
-    if merged["threads"] < 1:
-        raise ValueError(f"threads must be at least 1, got {merged['threads']}")
-    if merged["top_k"] < 1:
-        raise ValueError(f"top_k must be at least 1, got {merged['top_k']}")
-    if merged["seed"] < 0:
-        raise ValueError(f"seed must be non-negative, got {merged['seed']}")
+    for name, minimum in (("threads", 1), ("top_k", 1), ("seed", 0)):
+        _check_count(name, merged[name], minimum)
     return merged
 
 

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .floattext import _write_labelled_rows
 from .model import DocumentMeasure
+from .ot import _check_count
 
 __all__ = [
     "ParseError",
@@ -331,11 +333,21 @@ def _first_bad_line(path: str, reason: str) -> ParseError:
 
 
 def save_word_vectors(vectors: dict[str, np.ndarray], path: str) -> None:
-    """Write vectors in the text embedding format, full float precision."""
+    """Write vectors in the text embedding format, full float precision, as :func:`load_word_vectors` reads them.
+
+    A token must be non-empty and hold no whitespace (``token.split() == [token]``),
+    and every vector must have the first one's length, at least 1; else a
+    ``ValueError`` names the token and no file is written.
+    """
+    tokens = list(vectors)
+    rows = [np.asarray(vec, dtype=float).ravel() for vec in vectors.values()]
+    for token, row in zip(tokens, rows):
+        if token.split() != [token]:
+            raise ValueError(f"token {token!r} must be non-empty and hold no whitespace")
+        if not 0 < row.size == rows[0].size:
+            raise ValueError(f"token {token!r} has {row.size} values: vectors share one length, at least 1")
     with open(path, "w", encoding="utf-8") as fh:
-        for token, vec in vectors.items():
-            coords = " ".join(repr(float(x)) for x in np.asarray(vec).ravel())
-            fh.write(f"{token} {coords}\n")
+        _write_labelled_rows(fh, tokens, rows, " ")
 
 
 class _RecordsEndingInNewline:
@@ -388,10 +400,15 @@ def to_measure(
     try:
         return DocumentMeasure(word_ids=ids, support=support, weights=weights, label=label)
     except ValueError:
-        finite = np.isfinite(support).all(axis=0)
-        if finite.all():
-            raise
-        raise ValueError(f"word {kept[int(np.argmin(finite))]!r} has a non-finite vector") from None
+        _name_non_finite_word(kept, support.T)
+        raise
+
+
+def _name_non_finite_word(words: list[str], vectors: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first of ``words`` whose row of ``vectors`` is not finite, if there is one."""
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"word {words[int(np.argmin(finite))]!r} has a non-finite vector") from None
 
 
 def corpus_to_measures(
@@ -435,8 +452,7 @@ class SplitSpec:
     def __post_init__(self):
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError("train_fraction must lie strictly between 0 and 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        _check_count("seed", self.seed, 0)
 
 
 def _apportion_train_counts(sizes: list[int], fraction: float) -> list[int]:

@@ -151,6 +151,18 @@ def _join_reprs(values, item_sep: str, row_sep: str = "\n") -> str:
     return "".join(blocks)
 
 
+# rows formatted per write: bounds the text held at once
+_ROWS_PER_WRITE = 1024
+
+
+def _write_labelled_rows(fh, labels: list[str], values, sep: str) -> None:
+    """Write one line per label: the label and its row of ``values`` as :func:`_join_reprs` writes it, ``sep`` apart."""
+    for start in range(0, len(labels), _ROWS_PER_WRITE):
+        stop = start + _ROWS_PER_WRITE
+        rows = _join_reprs(values[start:stop], sep).split("\n")
+        fh.write("".join(f"{label}{sep}{row}\n" for label, row in zip(labels[start:stop], rows)))
+
+
 def _block_text(x: np.ndarray, first: int, num_cols: int, total: int, seps: tuple[bytes, bytes], width: int) -> str:
     """The text of values ``first ..`` of a flattened (rows, ``num_cols``) array of ``total`` values, each followed
     by its separator (``seps``: between items, between rows; none after the last value)."""

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus, _write_table
-from .floattext import _join_reprs
+from .data import Corpus, _name_non_finite_word, _write_table
+from .floattext import _write_labelled_rows
 from .model import AnchorModel, anchor_columns, anchor_cost_rows
-from .ot import ground_cost_matrix
+from .ot import _check_count, ground_cost_matrix
 
 __all__ = [
     "ImportanceTable",
@@ -36,9 +36,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-# importance.tsv rows formatted per write: bounds the text held at once
-_TSV_CHUNK_ROWS = 1024
 
 
 def _anchor_scores(cost: np.ndarray, model: AnchorModel) -> tuple[np.ndarray, np.ndarray]:
@@ -82,11 +79,7 @@ class ImportanceTable:
         with open(path, "w", encoding="utf-8") as fh:
             header = ["word"] + [f"I_{k}" for k in range(num_classes)] + [f"D_{k}" for k in range(num_classes)]
             fh.write("\t".join(header) + "\n")
-            for start in range(0, len(self.words), _TSV_CHUNK_ROWS):
-                stop = start + _TSV_CHUNK_ROWS
-                values = np.concatenate((importances[start:stop], min_distances[start:stop]), axis=1)
-                rows = _join_reprs(values, "\t", "\n").split("\n")
-                fh.write("".join(f"{word}\t{row}\n" for word, row in zip(self.words[start:stop], rows)))
+            _write_labelled_rows(fh, self.words, np.concatenate((importances, min_distances), axis=1), "\t")
 
 
 def compute_importance_table(
@@ -110,11 +103,8 @@ def compute_importance_table(
         with np.errstate(over="ignore", invalid="ignore"):
             min_dists, importances = _anchor_scores(anchor_cost_rows(model, vectors.T), model)
     except ValueError:
-        # a vector that is not finite fails the embedding: name its word
-        finite = np.isfinite(vectors).all(axis=1)
-        if finite.all():
-            raise
-        raise ValueError(f"word {words[int(np.argmin(finite))]!r} has a non-finite vector") from None
+        _name_non_finite_word(words, vectors)
+        raise
     if not (np.isfinite(min_dists).all() and np.isfinite(importances).all()):
         raise ValueError("word-to-anchor distances are not finite: the word vectors or the model are too large")
     return ImportanceTable(
@@ -135,8 +125,7 @@ def _capped_k(k: int, num_words: int) -> int:
 
 def importance_rankings(table: ImportanceTable, k: int) -> list[list[tuple[str, float]]]:
     """:func:`top_k_words` of every class; a ``k`` above the vocabulary size warns once, not per class."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_count("k", k, 1)
     k = _capped_k(k, len(table.words))
     return [top_k_words(table, class_id, k) for class_id in range(len(table.class_names))]
 
@@ -147,8 +136,7 @@ def top_k_words(table: ImportanceTable, class_id: int, k: int) -> list[tuple[str
     Only the words scoring at least the k-th best score (ties included) are
     sorted, so the result equals the first k of a full sort.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_count("k", k, 1)
     if not (0 <= class_id < len(table.class_names)):
         raise ValueError(f"class id {class_id} out of range")
     num_words = len(table.words)
@@ -177,8 +165,7 @@ def tfidf_top_words(corpus: Corpus, class_id: int, k: int) -> list[tuple[str, fl
 
 def tfidf_rankings(corpus: Corpus, k: int, class_ids=None) -> list[list[tuple[str, float]]]:
     """:func:`tfidf_top_words` of each of ``class_ids`` (default: every class) from one corpus count."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_count("k", k, 1)
     class_counts = corpus.class_token_counts()
     doc_freq = Counter()
     for counts in class_counts:

@@ -31,6 +31,7 @@ from .floattext import _join_reprs
 from .ot import (
     SinkhornConfig,
     SinkhornResult,
+    _check_count,
     _squared_norms,
     ground_cost_matrix,
     sinkhorn_stack,
@@ -58,7 +59,7 @@ class DocumentMeasure:
     ``support`` holds one embedded word vector per column, ``weights`` is the
     normalized word histogram aligned with those columns, and ``word_ids``
     are the vocabulary indices of the words. Instances are value objects:
-    the arrays are frozen after construction.
+    each holds frozen copies of the arrays it is given.
     """
 
     word_ids: np.ndarray
@@ -69,7 +70,7 @@ class DocumentMeasure:
     def __post_init__(self):
         ids = np.array(self.word_ids, dtype=int)
         support = np.array(self.support, dtype=float)
-        weights = validate_histogram(self.weights)
+        weights = validate_histogram(np.array(self.weights, dtype=float))
         if support.ndim != 2:
             raise ValueError(f"support must be (d, n), got shape {support.shape}")
         if not (support.shape[1] == weights.size == ids.size):
@@ -282,8 +283,7 @@ def _ordered_map(fn, items: list, threads: int) -> list:
     Results come back in input order whatever the worker count, so callers
     that reduce them in that order get identical sums at any thread count.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    _check_count("threads", threads, 1)
     if threads == 1 or len(items) < 2:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
@@ -373,8 +373,7 @@ def init_anchors(
     centroids are those of the columns themselves, to the bit. Returns a
     (num_classes, d, p) array of centroid columns.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    _check_count("p", p, 1)
     if not corpus:
         raise ValueError("corpus is empty")
     if words is None:

@@ -84,6 +84,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,23 @@ __all__ = [
 _TINY = np.finfo(float).tiny
 
 _HISTOGRAM_ATOL = 1e-9
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Reject a count setting that is not an integer (a bool is not one; numpy integers are) or is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be {'non-negative' if minimum == 0 else f'at least {minimum}'}, got {value}")
+
+
+def _check_real(name: str, value, condition: str) -> None:
+    """Reject a real setting that is not a number (a bool is not one) or is not ``condition``, one of the keys below."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    bounded_below = {"finite": value > -np.inf, "positive and finite": value > 0, "non-negative and finite": value >= 0}
+    if not (bounded_below[condition] and value < np.inf):
+        raise ValueError(f"{name} must be {condition}, got {value}")
 
 
 def validate_histogram(weights) -> np.ndarray:
@@ -198,12 +216,11 @@ class SinkhornConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if not (0 < self.epsilon < np.inf):
-            raise ValueError("epsilon must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not (0 < self.tolerance < np.inf):
-            raise ValueError("tolerance must be positive and finite")
+        _check_real("epsilon", self.epsilon, "positive and finite")
+        if not isinstance(self.relative, bool):
+            raise ValueError(f"relative must be a bool, got {self.relative!r}")
+        _check_count("max_iters", self.max_iters, 1)
+        _check_real("tolerance", self.tolerance, "positive and finite")
 
 
 @dataclass(frozen=True)

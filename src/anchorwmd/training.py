@@ -26,7 +26,7 @@ from .model import (
     init_anchors,
     transport_cost_rows,
 )
-from .ot import SinkhornConfig
+from .ot import SinkhornConfig, _check_count, _check_real
 
 __all__ = [
     "TrainConfig",
@@ -75,22 +75,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
-        if not np.isfinite(self.margin):
-            raise ValueError("margin must be finite")
-        if not (0 < self.temperature < np.inf):
-            raise ValueError("temperature must be positive and finite")
-        if not (0 <= self.learning_rate < np.inf):
-            raise ValueError("learning_rate must be non-negative and finite")
-        if not (0 <= self.l2_coeff < np.inf):
-            raise ValueError("l2_coeff must be non-negative and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be at least 1")
-        if self.anchor_points < 1:
-            raise ValueError("anchor_points must be at least 1")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
+        _check_real("margin", self.margin, "finite")
+        _check_real("temperature", self.temperature, "positive and finite")
+        _check_real("learning_rate", self.learning_rate, "non-negative and finite")
+        _check_real("l2_coeff", self.l2_coeff, "non-negative and finite")
+        for name, minimum in (("seed", 0), ("epochs", 1), ("batch_size", 1), ("anchor_points", 1), ("threads", 1)):
+            _check_count(name, getattr(self, name), minimum)
 
 
 def _triplet_terms(dists: np.ndarray, label: int, margin: float) -> tuple[float, np.ndarray, float]:

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import pkgutil
 
@@ -5,8 +6,20 @@ import numpy as np
 import pytest
 
 import anchorwmd
-from anchorwmd.model import AnchorModel, DocumentMeasure, anchor_cost_rows, transport_cost_rows
+from anchorwmd.classify import check_k_values
+from anchorwmd.cli import _merge_options
+from anchorwmd.data import Corpus, Document, SplitSpec
+from anchorwmd.interpret import ImportanceTable, importance_rankings, tfidf_rankings, top_k_words
+from anchorwmd.model import (
+    AnchorModel,
+    DocumentMeasure,
+    _ordered_map,
+    anchor_cost_rows,
+    init_anchors,
+    transport_cost_rows,
+)
 from anchorwmd.ot import SinkhornConfig, ground_cost_matrix, sinkhorn
+from anchorwmd.training import TrainConfig
 
 
 def test_every_exported_name_resolves():
@@ -36,3 +49,68 @@ def test_kernel_matches_direct_solves(rng):
         assert result[k].distance == direct.distance
         assert result[k].reg_distance == direct.reg_distance
         assert result[k].distance != pytest.approx(result[k].reg_distance)
+
+
+TABLE = ImportanceTable(["a", "b"], ["x", "y"], np.zeros((2, 2)), np.zeros((2, 2)))
+CORPUS = Corpus([Document("d0", 0, {"ab": 1}), Document("d1", 1, {"cd": 1})], ["x", "y"])
+DOC = DocumentMeasure([0], [[1.0]], [1.0], label=0)
+
+# (test id, setting, minimum, a call that passes the value as that setting): every count the package takes
+COUNT_SETTINGS = [
+    ("SinkhornConfig.max_iters", "max_iters", 1, lambda v: SinkhornConfig(max_iters=v)),
+    ("TrainConfig.seed", "seed", 0, lambda v: TrainConfig(seed=v)),
+    ("TrainConfig.epochs", "epochs", 1, lambda v: TrainConfig(epochs=v)),
+    ("TrainConfig.batch_size", "batch_size", 1, lambda v: TrainConfig(batch_size=v)),
+    ("TrainConfig.anchor_points", "anchor_points", 1, lambda v: TrainConfig(anchor_points=v)),
+    ("TrainConfig.threads", "threads", 1, lambda v: TrainConfig(threads=v)),
+    ("SplitSpec.seed", "seed", 0, lambda v: SplitSpec(seed=v)),
+    ("_ordered_map.threads", "threads", 1, lambda v: _ordered_map(abs, [1, 2], v)),
+    ("init_anchors.p", "p", 1, lambda v: init_anchors([DOC], 1, v, 0)),
+    ("check_k_values", "k", 1, lambda v: check_k_values([3, v])),
+    ("importance_rankings.k", "k", 1, lambda v: importance_rankings(TABLE, v)),
+    ("top_k_words.k", "k", 1, lambda v: top_k_words(TABLE, 0, v)),
+    ("tfidf_rankings.k", "k", 1, lambda v: tfidf_rankings(CORPUS, v)),
+    ("cli.threads", "threads", 1, lambda v: _merge_options(argparse.Namespace(threads=v))),
+    ("cli.top_k", "top_k", 1, lambda v: _merge_options(argparse.Namespace(top_k=v))),
+    ("cli.seed", "seed", 0, lambda v: _merge_options(argparse.Namespace(seed=v))),
+]
+REAL_SETTINGS = [
+    (f"{config.__name__}.{name}", name, lambda v, config=config, name=name: config(**{name: v}))
+    for config, names in (
+        (SinkhornConfig, ("epsilon", "tolerance")),
+        (TrainConfig, ("margin", "temperature", "learning_rate", "l2_coeff")),
+    )
+    for name in names
+]
+
+
+@pytest.mark.parametrize(
+    "name, call, accepted, rejected",
+    [
+        pytest.param(
+            name,
+            call,
+            np.int64(minimum),
+            # an option the command line leaves out is None, and takes its default
+            [1.5, True, "3", minimum - 1] + ([] if case.startswith("cli.") else [None]),
+            id=case,
+        )
+        for case, name, minimum, call in COUNT_SETTINGS
+    ]
+    + [
+        pytest.param(name, call, np.float32(0.5), [True, "3", None, float("nan")], id=case)
+        for case, name, call in REAL_SETTINGS
+    ]
+    + [
+        pytest.param("relative", lambda v: SinkhornConfig(relative=v), False, [None, "no", 1], id="SinkhornConfig.relative")
+    ],
+)
+def test_setting_of_the_wrong_type_or_range_is_one_line_naming_it(name, call, accepted, rejected):
+    """Each setting takes one rule: an integer of at least its minimum (a bool is not one), a number, or a bool."""
+    call(accepted)
+    for value in rejected:
+        with pytest.raises(ValueError) as excinfo:
+            call(value)
+        message = str(excinfo.value)
+        assert message.startswith(f"{name} must be ") and message.endswith((f", got {value!r}", f", got {value}"))
+        assert "\n" not in message

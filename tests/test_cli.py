@@ -516,12 +516,12 @@ class TestBaselineCommand:
             (("train", "baseline"), "--seed", "-1", "seed must be non-negative"),
             (("train", "eval", "baseline"), "--sinkhorn-iters", "0", "max_iters must be at least 1"),
             (("train", "eval", "baseline"), "--sinkhorn-tol", "0", "tolerance must be positive"),
-            (("train",), "--epochs", "0", "epochs and batch_size must be at least 1"),
+            (("train",), "--epochs", "0", "epochs must be at least 1, got 0"),
             (("train",), "--p", "0", "anchor_points must be at least 1"),
             (("train", "baseline"), "--train-fraction", "0", "train_fraction must lie strictly between"),
             (("train", "baseline"), "--train-fraction", "1.5", "train_fraction must lie strictly between"),
-            (("baseline",), "--k", "0", "all k values must be at least 1"),
-            (("baseline",), "--k-sweep", "0", "all k values must be at least 1"),
+            (("baseline",), "--k", "0", "k must be at least 1, got 0"),
+            (("baseline",), "--k-sweep", "0", "k must be at least 1, got 0"),
             (("baseline",), "--k-sweep", "1,x", "k_sweep must be comma-separated integers"),
         ]
         for command in commands

@@ -161,6 +161,38 @@ class TestWordVectors:
         for token, vec in vectors.items():
             assert np.array_equal(table.vector(token), vec)
 
+    def test_awkward_tokens_round_trip_byte_for_byte(self, tmp_path, rng):
+        tokens = ["naïve", "日本語", "can't", "#tag", "a,b", '"q"', "x=1.5", "\\", "e\u0301"]
+        vectors = {token: rng.standard_normal(3) * 10.0 ** rng.integers(-6, 18) for token in tokens}
+        vectors["zeros"] = np.array([0.0, -0.0, 1e-300])
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        save_word_vectors(vectors, str(first))
+        expected = "".join(f"{t} {' '.join(repr(float(x)) for x in v)}\n" for t, v in vectors.items())
+        assert first.read_bytes() == expected.encode("utf-8")
+        table = load_word_vectors(str(first))
+        save_word_vectors({token: table.vector(token) for token in table.index}, str(second))
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize(
+        "vectors, token",
+        [
+            ({"": [1.0, 2.0]}, ""),
+            ({"ok": [1.0, 2.0], "a b": [1.0, 2.0]}, "a b"),
+            ({"a\tb": [1.0]}, "a\tb"),
+            ({"a\u2028b": [1.0]}, "a\u2028b"),
+            ({" a": [1.0]}, " a"),
+            ({"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0]}, "b"),
+            ({"a": [1.0], "b": [1.0, 2.0]}, "b"),
+            ({"a": []}, "a"),
+        ],
+        ids=["empty", "space", "tab", "line_separator", "edge_space", "shorter", "longer", "no_values"],
+    )
+    def test_unreadable_vectors_rejected_before_writing(self, tmp_path, vectors, token):
+        path = tmp_path / "vec.txt"
+        with pytest.raises(ValueError, match=re.escape(f"token {token!r}")):
+            save_word_vectors({key: np.asarray(value) for key, value in vectors.items()}, str(path))
+        assert not path.exists()
+
     def test_inconsistent_dimension_is_parse_error(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("cat 0.1 0.2\ndog 0.3\n")

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from anchorwmd import interpret
+from anchorwmd import floattext, interpret
 from anchorwmd import model as model_module
 from anchorwmd.data import Corpus, Document
 from anchorwmd.interpret import (
@@ -270,7 +270,7 @@ class TestWriteTsvOracle:
 
     @pytest.mark.parametrize("num_words", [1, 6, 7, 8, 20])
     def test_chunk_boundaries(self, tmp_path, rng, monkeypatch, num_words):
-        monkeypatch.setattr(interpret, "_TSV_CHUNK_ROWS", 7)
+        monkeypatch.setattr(floattext, "_ROWS_PER_WRITE", 7)
         table = random_table(rng, num_words, 2)
         table.write_tsv(str(tmp_path / "new.tsv"))
         reference_write_tsv(table, str(tmp_path / "ref.tsv"))

@@ -86,6 +86,18 @@ class TestDocumentMeasure:
         with pytest.raises(ValueError):
             doc.support[0, 0] = 1.0
 
+    def test_holds_copies_of_the_callers_arrays(self):
+        base = np.array([0.25, 0.25, 0.5, 0.0])
+        ids, support, weights = np.arange(3), np.zeros((2, 3)), base[:3]
+        doc = DocumentMeasure(ids, support, weights)
+        for given in (ids, support, weights):
+            assert given.flags.writeable
+        base[0] = 0.9
+        ids[0] = 7
+        support[0, 0] = 1.0
+        assert doc.weights.tolist() == [0.25, 0.25, 0.5]
+        assert doc.word_ids.tolist() == [0, 1, 2] and not doc.support.any()
+
 
 class TestAnchorModel:
     def test_arrays_read_only_and_own(self, rng):

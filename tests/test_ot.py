@@ -828,8 +828,8 @@ class TestSinkhornStack:
         "config", [SinkhornConfig(epsilon=0.1), SinkhornConfig(epsilon=0.01)], ids=["rel0.1", "rel0.01"]
     )
     def test_bit_identical_to_solo_solves(self, rng, config):
-        # one document against five 16-point anchors, sliced as anchor_transport
-        # does: a strided (Y, n, p) view, each solo solve on a C-order copy
+        # one document against five 16-point anchors: its (n, Y * p) cost rows seen as a strided
+        # (Y, n, p) view of the class slices transport_cost_rows copies; each solo solve on a C-order copy
         classes, n, p, d = 5, 112, 16, 300
         weights = rng.uniform(0.1, 1.0, n)
         weights /= weights.sum()
@@ -853,7 +853,7 @@ class TestSinkhornStack:
         a = np.array(data.draw(st.lists(weight, min_size=n, max_size=n)))
         b = np.array(data.draw(st.lists(weight, min_size=m, max_size=m)))
         entries = st.floats(1e-3, 1e8)
-        # drawn as (n, B, m), so the stack is a strided view, as in anchor_transport
+        # drawn as (n, B, m), so the stack is a strided view, not a C-order array
         costs = np.array(data.draw(st.lists(entries, min_size=num * n * m, max_size=num * n * m)))
         costs = costs.reshape(n, num, m).transpose(1, 0, 2)
         config = SinkhornConfig(epsilon=epsilon, relative=relative, max_iters=30)
